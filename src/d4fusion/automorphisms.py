@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cayley import AutoMap, CayleyGroup
+from .cayley import AutoMap, CayleyGroup, check_isomorphism
 from .perms import ConfigurationError, ResourceError
 from .structure import StructureContext
 
@@ -311,12 +311,7 @@ class AutoMapPair:
         self.g1 = g1
         self.g2 = g2
         self.images = np.asarray(images, dtype=np.uint16)
-        if len(np.unique(self.images)) != g1.n:
-            raise ConfigurationError("isomorphism images are not a bijection")
-        lhs = self.images[g1.T]
-        rhs = g2.T[np.ix_(self.images, self.images)]
-        if not np.array_equal(lhs, rhs):
-            raise ConfigurationError("isomorphism candidate fails multiplicativity")
+        check_isomorphism(self.images, g1, g2, error=ConfigurationError)
 
     def transport_automap(self, auto: AutoMap) -> AutoMap:
         """Conjugate an automorphism of g1 into one of g2."""

@@ -91,6 +91,7 @@ class CayleyGroup:
         self.elements = elements
         self._comm = None
         self._classes = None
+        self._gen_sets = {}  # subgroup key -> verified generating set
         if not np.array_equal(table[0], np.arange(n, dtype=IDX)):
             raise ClosureError("element 0 is not a left identity")
         if not np.array_equal(table[:, 0], np.arange(n, dtype=IDX)):
@@ -248,22 +249,20 @@ class CayleyGroup:
         return SubgroupBits(self, bits)
 
     def closure(self, seed) -> SubgroupBits:
-        """Subgroup generated by the seed indices."""
+        """Subgroup generated by the seed indices.
+
+        Breadth-first from the identity, multiplying on the right by the
+        seeds only: in a finite group the positive words in the seeds are
+        the whole generated subgroup, so the cost is |closure| * |seeds|.
+        """
         bits = np.zeros(self.n, dtype=bool)
         bits[0] = True
-        seed = sorted({int(s) for s in seed})
-        frontier = [0]
-        for s in seed:
-            if not bits[s]:
-                bits[s] = True
-                frontier.append(s)
-        while frontier:
-            m = np.flatnonzero(bits)
-            prods = np.unique(self.T[np.ix_(np.asarray(frontier), m)])
-            prods = np.concatenate([prods, np.unique(self.T[np.ix_(m, np.asarray(frontier))])])
-            fresh = np.unique(prods[~bits[prods]])
-            bits[fresh] = True
-            frontier = list(fresh)
+        gens = np.unique(np.fromiter((int(s) for s in seed), dtype=np.int64))
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            prods = self.T[np.ix_(frontier, gens)].ravel()
+            frontier = np.unique(prods[~bits[prods]])
+            bits[frontier] = True
         return SubgroupBits(self, bits)
 
     def centralizer(self, of_members, within: SubgroupBits | None = None) -> SubgroupBits:
@@ -383,7 +382,6 @@ class CayleyGroup:
         rep_of = self.coset_reps(k)
         reps = np.unique(rep_of[sub.members])
         basis = []
-        span = {int(reps[0]) if reps[0] == 0 else 0}
         span = {0}
         coords_of_rep = {0: 0}
         for r in reps:
@@ -542,19 +540,35 @@ class CayleyGroup:
 
     # -- conjugacy ----------------------------------------------------------
 
-    def generating_set(self):
-        """A small generating set (greedy closure over ascending indices)."""
-        if self.gen_indices:
-            return list(self.gen_indices)
-        gens = []
-        bits = np.zeros(self.n, dtype=bool)
-        bits[0] = True
-        while not bits.all():
-            x = int(np.flatnonzero(~bits)[0])
-            gens.append(x)
-            bits |= self.closure(gens).bits
-        self.gen_indices = gens
-        return gens
+    def generating_set(self, sub: SubgroupBits | None = None):
+        """A verified generating set of sub (of the whole group when None).
+
+        The whole group uses its gen_indices when it has them; otherwise the
+        set is picked greedily, the least member outside the closure so far.
+        Either way it is checked once, closure(gens) == sub, and cached by
+        the subgroup's key.
+        """
+        if sub is None:
+            sub = self.full_bits()
+        key = sub.key()
+        gens = self._gen_sets.get(key)
+        if gens is None:
+            if sub.order == self.n and self.gen_indices:
+                gens = list(self.gen_indices)
+            else:
+                gens = []
+                bits = self.trivial_bits().bits
+                while (sub.bits & ~bits).any():
+                    gens.append(int(np.flatnonzero(sub.bits & ~bits)[0]))
+                    bits = self.closure(gens).bits
+            self.check_generates(gens, sub)
+            self._gen_sets[key] = gens
+        return list(gens)
+
+    def check_generates(self, gens, sub: SubgroupBits | None = None) -> None:
+        target = self.full_bits() if sub is None else sub
+        if not np.array_equal(self.closure(gens).bits, target.bits):
+            raise ClosureError("the generators do not generate the subgroup")
 
     def conjugacy_classes(self) -> np.ndarray:
         """class id (minimal member) per element, under inner automorphisms."""
@@ -603,12 +617,50 @@ def _order_in_cyclic(k, q):
     return q // gcd(k, q)
 
 
+def check_isomorphism(images, source: CayleyGroup, target: CayleyGroup,
+                      domain: SubgroupBits | None = None, error=ClosureError) -> None:
+    """The one map verifier: raise `error` unless `images` is an isomorphism.
+
+    The domain is a subgroup of `source` (all of it when None).  A map on a
+    subgroup domain must map it onto itself (so `target` is `source`); a map
+    on the whole of `source` must map it onto the whole of `target`.  With
+    g_1..g_k a verified generating set of the domain, the map must be a
+    bijection onto its image set, fix 0, and satisfy the generator-column
+    identity ``images[T1[x, g]] == T2[images[x], images[g]]`` for every x in
+    the domain and every g_i.  Writing y as a word in the g_i and inducting
+    on its length then gives images[x y] = images[x] images[y] for all
+    x, y: the check is exhaustive at O(|domain| * k).
+    """
+    gens = source.generating_set(domain)
+    if domain is None:
+        members, onto = np.arange(source.n), np.ones(target.n, dtype=bool)
+    else:
+        members, onto = domain.members, domain.bits
+    if images.shape != (source.n,):
+        raise error("map images do not cover the source group")
+    img = images[members]
+    if int(img.max(initial=0)) >= len(onto):
+        raise error("map image outside the target group")
+    hit = np.zeros_like(onto)
+    hit[img] = True
+    if len(img) != int(onto.sum()) or not np.array_equal(hit, onto):
+        raise error("map is not a bijection of its domain onto its image set")
+    if int(images[0]) != 0:
+        raise error("map does not fix the identity")
+    lhs = images[source.T[np.ix_(members, gens)]]
+    rhs = target.T[np.ix_(img, images[gens])]
+    if not np.array_equal(lhs, rhs):
+        raise error("map fails the generator-column identity on its domain")
+
+
 @dataclass
 class AutoMap:
     """A multiplicative bijection on a subgroup domain (or the whole group).
 
-    Verification is exhaustive over the domain at construction time:
-    ``images[T[x, y]] == T[images[x], images[y]]`` for every domain pair.
+    Verification is exhaustive over the domain at construction time, by
+    `check_isomorphism`: ``images[T[x, g]] == T[images[x], images[g]]`` for
+    every domain element x and every g in a verified generating set of the
+    domain.
     """
 
     group: CayleyGroup
@@ -617,23 +669,7 @@ class AutoMap:
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=IDX)
-        g = self.group
-        dom = self.domain.bits if self.domain is not None else np.ones(g.n, dtype=bool)
-        m = np.flatnonzero(dom)
-        img = self.images[m]
-        if len(np.unique(img)) != len(m):
-            raise ClosureError("automorphism images are not injective on the domain")
-        if self.domain is not None and not dom[img].all():
-            raise ClosureError("automorphism does not map the domain to itself")
-        prods = g.T[np.ix_(m, m)]
-        if not dom[prods].all():
-            raise ClosureError("automorphism domain is not closed")
-        left = self.images[prods]
-        right = g.T[np.ix_(img, img)]
-        if not np.array_equal(left, right):
-            raise ClosureError("map is not multiplicative on its domain")
-        if int(self.images[0]) != 0:
-            raise ClosureError("map does not fix the identity")
+        check_isomorphism(self.images, self.group, self.group, self.domain)
 
     def apply(self, x):
         return int(self.images[int(x)])

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .perms import ConfigurationError, Permutation, ResourceError
 from .reports import Certificate, LemmaReport, check_timer
-from .stabchain import chain_to_json, load_chain, save_chain
+from .stabchain import chain_to_json, save_chain
 
 log = logging.getLogger(__name__)
 
@@ -301,9 +301,18 @@ def cmd_fusion(config: RunConfig) -> Certificate:
     return cert
 
 
+def output_path(config: RunConfig) -> Path:
+    return config.out or (config.cache_dir / ("certificate-%s.json" % config.command))
+
+
 def cmd_report(config: RunConfig) -> Certificate:
+    """Collect the certificates in the cache, except the report's own."""
     cert = Certificate(config=config.echo())
+    own = {(config.cache_dir / "certificate-report.json").resolve(),
+           output_path(config).resolve()}
     for path in sorted(config.cache_dir.glob("certificate-*.json")):
+        if path.resolve() in own:
+            continue
         try:
             with open(path) as fh:
                 doc = json.load(fh)
@@ -393,7 +402,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 2
-    out_path = config.out or (config.cache_dir / ("certificate-%s.json" % config.command))
+    out_path = output_path(config)
     cert.write(out_path)
     for rep in cert.reports:
         print("%-42s %s  (%d ms)" % (rep.lemma_id, rep.status.upper(), rep.elapsed_ms))

@@ -151,16 +151,24 @@ def pair_of_elab(ctx: StructureContext, candidates, e: SubgroupBits):
 
 
 def conjugation_automap(bundle: ModelBundle, domain: SubgroupBits, g) -> AutoMap:
-    """x -> g^-1 x g on a subgroup of the Sylow, computed in the ambient."""
-    g_inv = inverse(g)
-    images = np.arange(bundle.sylow.n, dtype=np.uint16)
-    for i in domain.members:
-        moved = compose(compose(g_inv, bundle.embedding[int(i)]), g)
-        j = bundle.index_of_perm(moved)
-        if j is None:
-            raise ConfigurationError("conjugation leaves the Sylow on the domain")
-        images[int(i)] = j
-    return AutoMap(bundle.sylow, images, domain)
+    """x -> g^-1 x g on a subgroup of the Sylow, computed in the ambient.
+
+    The conjugates of all domain members are looked up by their signature
+    columns alone; only the generators' conjugates are compared at full
+    degree.  That suffices: x -> g^-1 E[x] g and x -> E[j(x)] are both
+    homomorphisms on the domain once the AutoMap check has passed (E is a
+    verified injective homomorphism), and they agree on the generators.
+    """
+    S = bundle.sylow
+    members = domain.members
+    idx = bundle.conjugate_indices(g, members, verify=False)
+    gens = S.generating_set(domain)
+    at_gens = bundle.conjugate_indices(g, gens)
+    if (idx < 0).any() or (at_gens != idx[np.searchsorted(members, gens)]).any():
+        raise ConfigurationError("conjugation leaves the Sylow on the domain")
+    images = np.arange(S.n, dtype=np.uint16)
+    images[members] = idx
+    return AutoMap(S, images, domain)
 
 
 def _map_group_order(domain: SubgroupBits, maps) -> int:
@@ -183,14 +191,11 @@ def automizer_from_model(bundle: ModelBundle, ctx: StructureContext,
     """
     S = bundle.sylow
     g3 = np.asarray(order3_elem, dtype=np.uint16)
-    g3_sq = compose(g3, g3)
     mask = np.ones(S.n, dtype=bool)
-    for conj in (g3, g3_sq):
-        conj_inv = inverse(conj)
-        for i in np.flatnonzero(mask):
-            moved = compose(compose(conj, bundle.embedding[int(i)]), conj_inv)
-            if bundle.index_of_perm(moved) is None:
-                mask[int(i)] = False
+    # x lies in S^g3 and S^(g3^2) iff its conjugates by g3^-1 and by g3 lie in S
+    for conj in (g3, inverse(g3)):
+        members = np.flatnonzero(mask)
+        mask[members[bundle.conjugate_indices(conj, members) < 0]] = False
     radical = S.subgroup(mask, verify=True)
     if radical.order != 2048:
         raise ConfigurationError("radical of the minimal overgroup has order %d"

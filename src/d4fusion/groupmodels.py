@@ -60,6 +60,16 @@ Q_TRANSLATION_SETS = [(0, 1), (0, 2), (4, 5), (4, 6), (0, 1, 2, 3)]
 Q_PERM_CYCLES = T_PART_CYCLES[:4]
 
 
+# rows per block in the full-degree membership scans
+SCAN_BLOCK = 512
+
+
+def _sig_keys(sigs) -> np.ndarray:
+    """One opaque sortable key per signature row."""
+    sigs = np.ascontiguousarray(sigs)
+    return sigs.view(np.dtype((np.void, sigs.shape[1] * sigs.itemsize))).ravel()
+
+
 @dataclass
 class ModelBundle:
     """A Sylow-2 realization: ambient group, Cayley table, verified embedding."""
@@ -71,29 +81,61 @@ class ModelBundle:
     sig_cols: np.ndarray            # columns whose values identify an element
     matrices: list | None = None    # one 8x8 matrix lift per element, when meaningful
     extras: dict = field(default_factory=dict)
-    sig_index: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if not self.sig_index:
-            sigs = self.embedding[:, self.sig_cols]
-            for i in range(self.embedding.shape[0]):
-                self.sig_index[sigs[i].tobytes()] = i
-        if len(self.sig_index) != self.embedding.shape[0]:
+        # the signature index: element signatures sorted by key
+        keys = _sig_keys(self.embedding[:, self.sig_cols])
+        self._sig_order = np.argsort(keys)
+        self._sig_sorted = keys[self._sig_order]
+        if (self._sig_sorted[1:] == self._sig_sorted[:-1]).any():
             raise ConfigurationError("signature columns do not separate the elements")
 
     @property
     def degree(self) -> int:
         return self.embedding.shape[1]
 
-    def index_of_perm(self, arr, verify=True):
-        """Element index of an ambient permutation, or None when outside."""
-        sig = np.asarray(arr, dtype=self.embedding.dtype)[self.sig_cols].tobytes()
-        idx = self.sig_index.get(sig)
-        if idx is None:
-            return None
-        if verify and not np.array_equal(self.embedding[idx], arr):
-            return None
+    def lookup(self, sigs, rows=None) -> np.ndarray:
+        """Element indices of a batch of ambient permutations, -1 where absent.
+
+        `sigs` holds the signature columns of each permutation, one row
+        each; a signature names at most one element.  With the full `rows`
+        given, a hit must also equal its element's embedding row.
+        """
+        keys = _sig_keys(np.asarray(sigs, dtype=self.embedding.dtype))
+        # a key past the last one wraps to position 0 and fails the comparison
+        pos = np.searchsorted(self._sig_sorted, keys) % len(self._sig_sorted)
+        idx = np.where(self._sig_sorted[pos] == keys, self._sig_order[pos], -1)
+        if rows is not None:
+            hits = np.flatnonzero(idx >= 0)
+            same = (self.embedding[idx[hits]] == rows[hits]).all(axis=1)
+            idx[hits[~same]] = -1
         return idx
+
+    def index_of_perm(self, arr):
+        """Element index of an ambient permutation, or None when outside."""
+        rows = np.asarray(arr, dtype=self.embedding.dtype)[None, :]
+        idx = int(self.lookup(rows[:, self.sig_cols], rows)[0])
+        return None if idx < 0 else idx
+
+    def conjugate_indices(self, g, members, verify=True) -> np.ndarray:
+        """Indices of the conjugates g^-1 E[x] g for x in `members`, -1 where
+        a conjugate lies outside the Sylow.
+
+        Without `verify` only the signature columns of the conjugates are
+        computed and looked up.  With it, the conjugates are built at full
+        degree in blocks of SCAN_BLOCK rows and every hit is compared with
+        its embedding row.
+        """
+        g = np.asarray(g, dtype=self.embedding.dtype)
+        g_inv = inverse(g)
+        members = np.asarray(members, dtype=np.int64)
+        if not verify:
+            return self.lookup(g[self.embedding[np.ix_(members, g_inv[self.sig_cols])]])
+        out = np.empty(len(members), dtype=np.int64)
+        for start in range(0, len(members), SCAN_BLOCK):
+            rows = g[self.embedding[members[start:start + SCAN_BLOCK]][:, g_inv]]
+            out[start:start + SCAN_BLOCK] = self.lookup(rows[:, self.sig_cols], rows)
+        return out
 
     def subgroup_from_perms(self, perms) -> SubgroupBits:
         idxs = []
@@ -496,14 +538,10 @@ def verify_frame_o2(bundle: ModelBundle) -> SubgroupBits:
     x = np.ones(bundle.sylow.n, dtype=bool)
     rng = np.random.default_rng(5)
     for _ in range(8):
-        conj = g.chain.random_element(rng)
-        conj_inv = inverse(conj)
-        keep = x.copy()
-        for i in np.flatnonzero(x):
-            moved = compose(compose(conj, bundle.embedding[i]), conj_inv)
-            if bundle.index_of_perm(moved) is None:
-                keep[i] = False
-        x = keep
+        # keep the members whose conjugate by the inverse stays in the Sylow
+        conj_inv = inverse(g.chain.random_element(rng))
+        members = np.flatnonzero(x)
+        x[members[bundle.conjugate_indices(conj_inv, members) < 0]] = False
         if int(x.sum()) == d_bits.order:
             break
     cand = bundle.sylow.subgroup(x, verify=True)
@@ -512,12 +550,9 @@ def verify_frame_o2(bundle: ModelBundle) -> SubgroupBits:
                                  "the sign-change subgroup")
     # upward: normality under the ambient generators
     for gen in g.generators:
-        gen_inv = inverse(gen)
-        for i in cand.members:
-            moved = compose(compose(gen, bundle.embedding[i]), gen_inv)
-            j = bundle.index_of_perm(moved)
-            if j is None or not cand.bits[j]:
-                raise ConfigurationError("candidate radical is not normal")
+        j = bundle.conjugate_indices(inverse(gen), cand.members)
+        if (j < 0).any() or not cand.bits[j].all():
+            raise ConfigurationError("candidate radical is not normal")
     return cand
 
 

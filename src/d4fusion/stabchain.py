@@ -66,19 +66,28 @@ def orbit(generators, point: int):
 
 
 class _Level:
-    __slots__ = ("base", "gens", "orbit", "transversal", "dirty")
+    __slots__ = ("base", "gens", "orbit", "transversal", "inverses", "dirty")
 
     def __init__(self, base: int):
         self.base = base
         self.gens = []
         self.orbit = [base]
         self.transversal = {}
+        self.inverses = {}
         self.dirty = True
+
+    def inverse_of(self, p: int) -> np.ndarray:
+        """Inverse of the transversal element reaching p, computed once."""
+        inv = self.inverses.get(p)
+        if inv is None:
+            inv = self.inverses[p] = inverse(self.transversal[p])
+        return inv
 
     def recompute(self, degree: int):
         """BFS orbit of the base point with explicit transversal elements."""
         ident = identity_images(degree)
         self.transversal = {self.base: ident}
+        self.inverses = {}
         self.orbit = [self.base]
         frontier = [self.base]
         while frontier:
@@ -130,10 +139,9 @@ class StabChain:
             p = int(g[lv.base])
             if p == lv.base:
                 continue
-            t = lv.transversal.get(p)
-            if t is None:
+            if p not in lv.transversal:
                 return g, i
-            g = compose(g, inverse(t))
+            g = compose(g, lv.inverse_of(p))
         return g, len(self.levels)
 
     def contains(self, g) -> bool:
@@ -262,7 +270,7 @@ def build_stab_chain(g: GroupHandle, base_hint=None, max_seconds=None) -> StabCh
             t = lv.transversal[p]
             for s in lv.gens:
                 q = int(s[p])
-                schreier = compose(compose(t, s), inverse(lv.transversal[q]))
+                schreier = compose(compose(t, s), lv.inverse_of(q))
                 if is_identity(schreier):
                     continue
                 residue, _ = chain.sift(schreier, start=i + 1)
@@ -292,16 +300,13 @@ def verify_chain(chain: StabChain, original_gens=None) -> None:
     for i, lv in enumerate(chain.levels):
         if lv.dirty:
             lv.recompute(degree)
-        for s in lv.gens:
-            if s[lv.base] == lv.base:
-                continue
         for p in lv.orbit:
             t = lv.transversal[p]
             if int(t[lv.base]) != p:
                 raise ConfigurationError("transversal element does not reach its point")
             for s in lv.gens:
                 q = int(s[p])
-                schreier = compose(compose(t, s), inverse(lv.transversal[q]))
+                schreier = compose(compose(t, s), lv.inverse_of(q))
                 residue, _ = chain.sift(schreier, start=i + 1)
                 if not is_identity(residue):
                     raise ConfigurationError("chain failed Schreier verification")

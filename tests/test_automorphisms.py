@@ -112,3 +112,14 @@ def test_exhaustive_small_limit_consistency(contexts):
     assert len(keys) == len(outcome.found) == 8
     for a in outcome.found:
         assert a.map_order() == 3
+
+
+def test_automappair_rejects_swapped_generator_images(isomorphisms):
+    from d4fusion.automorphisms import AutoMapPair
+    from d4fusion.perms import ConfigurationError
+    iso = isomorphisms[("affine", "omega8plus2")]["outcome"].found[0]
+    a, b = iso.g1.gen_indices[:2]
+    images = iso.images.copy()
+    images[[a, b]] = images[[b, a]]
+    with pytest.raises(ConfigurationError):
+        AutoMapPair(iso.g1, iso.g2, images)

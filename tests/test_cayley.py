@@ -216,3 +216,47 @@ def test_fingerprint_invariance(d8):
     fps = sorted(str(d8.fingerprint(m)) for m in maxs)
     # C4 and two V4s: exactly two distinct fingerprints
     assert len(set(fps)) == 2
+
+
+def test_generating_set_is_verified_and_cached():
+    g = heisenberg_2_4()
+    assert g.generating_set() == g.gen_indices
+    dom = g.maximal_subgroups()[0]
+    gens = g.generating_set(dom)
+    assert all(dom.bits[x] for x in gens)
+    assert np.array_equal(g.closure(gens).bits, dom.bits)
+    assert g.generating_set(dom) == gens
+
+
+def test_generating_set_with_small_closure_rejected():
+    g = heisenberg_2_4()
+    with pytest.raises(ClosureError):
+        g.check_generates(g.gen_indices[:2])
+    dom = g.maximal_subgroups()[0]
+    gens = g.generating_set(dom)
+    # each greedy pick lies outside the closure of the earlier ones
+    with pytest.raises(ClosureError):
+        g.check_generates(gens[:-1], dom)
+    # recorded gen_indices are checked on first use, before any map relies on them
+    short = CayleyGroup(g.T, gen_indices=g.gen_indices[:3])
+    with pytest.raises(ClosureError):
+        short.generating_set()
+    with pytest.raises(ClosureError):
+        AutoMap(short, np.arange(short.n, dtype=np.uint16))
+
+
+def test_automap_rejects_mutated_non_generator_image():
+    g = heisenberg_2_4()
+    dom = g.maximal_subgroups()[0]
+    gens = g.generating_set(dom)
+    inner = inner_automap(g, g.gen_indices[0], domain=dom)
+    x, y = [int(m) for m in dom.members if m != 0 and int(m) not in gens][:2]
+    changed = inner.images.copy()
+    changed[x] = changed[y]
+    with pytest.raises(ClosureError):
+        AutoMap(g, changed, dom)
+    # a swap keeps the map bijective; the generator-column identity must catch it
+    swapped = inner.images.copy()
+    swapped[[x, y]] = swapped[[y, x]]
+    with pytest.raises(ClosureError):
+        AutoMap(g, swapped, dom)

@@ -122,3 +122,19 @@ def test_env_var_cache_dir(monkeypatch, tmp_path):
     assert str(path).endswith("envcache")
     explicit = cli.resolve_cache_dir(str(tmp_path / "flagged"))
     assert str(explicit).endswith("flagged")
+
+
+def test_report_does_not_count_itself(tmp_path):
+    cert = Certificate(config={})
+    cert.add(LemmaReport("synthetic", "pass", {}, 0))
+    cert.write(tmp_path / "certificate-synthetic.json")
+    counts = []
+    for _ in range(2):
+        assert run(["report"], tmp_path) == 0
+        doc = json.loads((tmp_path / "certificate-report.json").read_text())
+        counts.append(len(doc["reports"]))
+    assert counts == [1, 1]
+    own = tmp_path / "certificate-own.json"
+    for _ in range(2):
+        assert run(["report", "--out", str(own)], tmp_path) == 0
+        assert len(json.loads(own.read_text())["reports"]) == 1

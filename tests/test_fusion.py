@@ -228,3 +228,32 @@ def test_fusion_report_schema(fusion_systems, fusion_partitions, fusion_radicals
     assert len(rep["autFE_orders"]) == 6
     for row in rep["class_table"]:
         assert set(row) == {"order", "size", "count"}
+
+
+def test_automap_rejects_mutated_image_on_candidate(contexts):
+    from d4fusion.cayley import AutoMap, ClosureError
+    ctx = contexts["omega8plus2"]
+    S = ctx.S
+    f = essential_candidates(ctx)[1]
+    gens = S.generating_set(f)
+    inner = inner_automap(S, S.gen_indices[0], domain=f)
+    x, y = [int(m) for m in f.members[1:] if int(m) not in gens][-2:]
+    changed = inner.images.copy()
+    changed[x] = changed[y]
+    with pytest.raises(ClosureError):
+        AutoMap(S, changed, f)
+    swapped = inner.images.copy()
+    swapped[[x, y]] = swapped[[y, x]]
+    with pytest.raises(ClosureError):
+        AutoMap(S, swapped, f)
+
+
+def test_conjugation_outside_sylow_rejected(chamber_bundle, contexts):
+    from d4fusion.perms import ConfigurationError
+    ctx = contexts["omega8plus2"]
+    f = essential_candidates(ctx)[1]
+    g = chamber_bundle.ambient.chain.random_element(np.random.default_rng(1))
+    outside = chamber_bundle.conjugate_indices(g, f.members)
+    assert (outside < 0).any()
+    with pytest.raises(ConfigurationError):
+        conjugation_automap(chamber_bundle, f, g)

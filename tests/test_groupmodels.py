@@ -212,3 +212,26 @@ def test_matrix_recovery_identity(omega_handle):
     ident = np.arange(omega_handle.degree, dtype=np.uint16)
     mat = matrix_from_point_perm(ident, omega_handle.geometry)
     assert np.array_equal(mat, np.eye(8, dtype=np.int64))
+
+
+def test_batched_lookup_agrees_with_single_lookup(chamber_bundle):
+    emb = chamber_bundle.embedding
+    cols = chamber_bundle.sig_cols
+    batch = chamber_bundle.lookup(emb[:, cols], emb)
+    single = [chamber_bundle.index_of_perm(row) for row in emb]
+    assert batch.tolist() == single == list(range(SYLOW_ORDER))
+    foreign = np.roll(emb[137], 1)[None, :]
+    assert chamber_bundle.lookup(foreign[:, cols], foreign).tolist() == [-1]
+
+
+def test_lookup_full_row_check_rejects_signature_twin(chamber_bundle):
+    # same signature as element 137, different elsewhere
+    emb = chamber_bundle.embedding
+    cols = chamber_bundle.sig_cols
+    twin = emb[137].copy()
+    rest = np.setdiff1d(np.arange(chamber_bundle.degree), cols)
+    a, b = rest[:2]
+    twin[[a, b]] = twin[[b, a]]
+    assert chamber_bundle.lookup(twin[None, cols]).tolist() == [137]
+    assert chamber_bundle.lookup(twin[None, cols], twin[None, :]).tolist() == [-1]
+    assert chamber_bundle.index_of_perm(twin) is None
