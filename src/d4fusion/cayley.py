@@ -6,9 +6,11 @@ table computation, never a sampled one.  The multiplication table keeps
 the left-to-right convention of the rest of the package:
 ``T[a, b] = a then b``.
 
-Subgroups are boolean vectors over element indices.  The commutator
-matrix ``comm[x, y] = x^-1 y^-1 x y`` is precomputed lazily and turns
-centralizers, central series and abelianness checks into gathers.
+Subgroups are boolean vectors over element indices.  Centres,
+centralizers, central series, derived subgroups and the index-2 descent
+work against a verified generating set of the subgroup, at O(|H| * k) for
+a subgroup H with k generators.  The commutator matrix
+``comm[x, y] = x^-1 y^-1 x y`` is precomputed lazily for direct scans.
 """
 
 from __future__ import annotations
@@ -265,35 +267,50 @@ class CayleyGroup:
             bits[frontier] = True
         return SubgroupBits(self, bits)
 
+    def _commutators(self, members, gens) -> np.ndarray:
+        """[x, g] = x^-1 g^-1 x g for x in members (rows), g in gens (columns)."""
+        members = np.asarray(members, dtype=np.int64)
+        gens = np.asarray(gens, dtype=np.int64)
+        return self.T[self.T[np.ix_(self.inv[members], self.inv[gens])],
+                      self.T[np.ix_(members, gens)]]
+
+    def _conjugates(self, members, gens) -> np.ndarray:
+        """g^-1 x g for g in gens (rows), x in members (columns)."""
+        gens = np.asarray(gens, dtype=np.int64)
+        return self.T[self.T[np.ix_(self.inv[gens], members)], gens[:, None]]
+
     def centralizer(self, of_members, within: SubgroupBits | None = None) -> SubgroupBits:
-        of_members = np.asarray([int(m) for m in of_members])
-        mask = (self.comm[:, of_members] == 0).all(axis=1)
-        if within is not None:
-            mask &= within.bits
-        mask[0] = True
+        """Elements (of `within`) commuting with each of `of_members`.
+
+        Pass a verified generating set of a subgroup to get the subgroup's
+        centralizer at O(|within| * k).
+        """
+        cand = np.arange(self.n) if within is None else within.members
+        central = (self._commutators(cand, [int(m) for m in of_members]) == 0).all(axis=1)
+        mask = np.zeros(self.n, dtype=bool)
+        mask[cand[central]] = True
         return SubgroupBits(self, mask)
 
     def center_of(self, sub: SubgroupBits) -> SubgroupBits:
-        m = sub.members
-        mask = np.zeros(self.n, dtype=bool)
-        central = (self.comm[np.ix_(m, m)] == 0).all(axis=1)
-        mask[m[central]] = True
-        return SubgroupBits(self, mask)
+        """Members commuting with a verified generating set of sub."""
+        return self.centralizer(self.generating_set(sub), within=sub)
 
     def upper_central_series(self, sub: SubgroupBits | None = None):
-        """Z1 <= Z2 <= ... computed by preimage-of-center scans, until stable."""
+        """Z1 <= Z2 <= ... until stable.
+
+        Z_{i+1} = {x in sub : [x, g] in Z_i for every generator g}: Z_i is
+        normal, so x Z_i is central in sub/Z_i as soon as it commutes with
+        the images of a generating set.
+        """
         if sub is None:
             sub = self.full_bits()
         m = sub.members
+        comms = self._commutators(m, self.generating_set(sub))
         series = []
-        z = np.zeros(self.n, dtype=bool)
-        z[0] = True
+        z = self.trivial_bits().bits
         while True:
-            # next term: x in sub with [x, y] in current z for all y in sub
             nxt = np.zeros(self.n, dtype=bool)
-            cand = m
-            ok = z[self.comm[np.ix_(cand, m)]].all(axis=1)
-            nxt[cand[ok]] = True
+            nxt[m[z[comms].all(axis=1)]] = True
             if np.array_equal(nxt, z):
                 break
             z = nxt
@@ -302,12 +319,27 @@ class CayleyGroup:
                 break
         return series
 
+    def normal_closure(self, seeds, gens) -> SubgroupBits:
+        """Least subgroup containing seeds that conjugation by each of gens
+        maps into itself: the normal closure of seeds in <gens>."""
+        seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+        while True:
+            sub = self.closure(seeds)
+            conj = self._conjugates(sub.members, gens)
+            new = conj[~sub.bits[conj]]
+            if not new.size:
+                return sub
+            seeds = np.union1d(seeds, new)
+
     def derived_subgroup(self, sub: SubgroupBits | None = None) -> SubgroupBits:
-        if sub is None:
-            sub = self.full_bits()
-        m = sub.members
-        seeds = np.unique(self.comm[np.ix_(m, m)])
-        return self.closure(seeds)
+        """Normal closure of the commutators of a verified generating set.
+
+        It is normal and contains every [g_i, g_j], so sub modulo it is
+        generated by commuting images, hence abelian; and sub' is normal and
+        contains the [g_i, g_j]: the two are equal.
+        """
+        gens = self.generating_set(sub)
+        return self.normal_closure(self._commutators(gens, gens).ravel(), gens)
 
     def squares(self, sub: SubgroupBits | None = None) -> np.ndarray:
         if sub is None:
@@ -336,13 +368,14 @@ class CayleyGroup:
     # -- quotients ----------------------------------------------------------
 
     def coset_reps(self, k: SubgroupBits, sub: SubgroupBits | None = None) -> np.ndarray:
-        """rep[x] = min element of the coset K x (K must be normal in sub)."""
-        mk = k.members
-        reps = self.T[np.ix_(mk, np.arange(self.n))].min(axis=0)
-        return reps
+        """rep[x] = min element of the coset K x, for x in sub (K normal in sub).
 
-    def quotient_labels(self, k: SubgroupBits) -> np.ndarray:
-        return self.coset_reps(k)
+        Only sub's columns are gathered; non-members of sub get -1.
+        """
+        cols = np.arange(self.n) if sub is None else sub.members
+        reps = np.full(self.n, -1, dtype=np.int64)
+        reps[cols] = self.T[np.ix_(k.members, cols)].min(axis=0)
+        return reps
 
     def quotient_group(self, k: SubgroupBits, sub: SubgroupBits | None = None):
         """Quotient (sub or whole group)/k as a fresh CayleyGroup.
@@ -353,7 +386,7 @@ class CayleyGroup:
         if sub is None:
             sub = self.full_bits()
         self.check_normal(k, sub)
-        rep_of = self.coset_reps(k)
+        rep_of = self.coset_reps(k, sub)
         reps = np.unique(rep_of[sub.members])
         new_index = np.full(self.n, -1, dtype=np.int64)
         new_index[reps] = np.arange(len(reps))
@@ -362,69 +395,100 @@ class CayleyGroup:
         return q, rep_of, new_index
 
     def check_normal(self, k: SubgroupBits, sub: SubgroupBits | None = None) -> None:
-        if sub is None:
-            sub = self.full_bits()
-        mk = k.members
-        conj = self.comm[np.ix_(mk, sub.members)]
-        # [k, s] in K for all k, s is equivalent to normality of K in sub
-        if not k.bits[conj].all():
+        """K is normal in sub iff conjugation by each generator maps K into K."""
+        if not k.bits[self._conjugates(k.members, self.generating_set(sub))].all():
             raise ClosureError("subgroup is not normal where required")
+
+    def _quotient_coords(self, k: SubgroupBits, sub: SubgroupBits):
+        """Unverified coordinates on sub/k, by doubling the span.
+
+        Each basis lift is the least member of sub outside the span so far
+        (so it is the least element of its k-coset), and the span grows by
+        the coset span * lift, whose members get the lift's bit.
+        """
+        coords = np.zeros(self.n, dtype=np.int64)
+        span = k.bits.copy()
+        span[0] = True
+        basis = []
+        while True:
+            outside = np.flatnonzero(sub.bits & ~span)
+            if not outside.size:
+                return coords, basis
+            g = int(outside[0])
+            members = np.flatnonzero(span)
+            coset = self.T[members, g]
+            coords[coset] = coords[members] | (1 << len(basis))
+            span[coset] = True
+            basis.append(g)
+
+    def check_quotient_coords(self, coords, basis, k: SubgroupBits,
+                              sub: SubgroupBits) -> None:
+        """Raise unless coords is a homomorphism of sub onto GF(2)^r with kernel k.
+
+        Checked: the basis lifts generate sub (`check_generates`), every x in
+        sub satisfies ``coords[T[x, g_i]] == coords[x] ^ (1 << i)``, and
+        coords vanishes on sub exactly at k.  As coords[0] = 0, induction
+        on the length of a word in the g_i gives coords[x y] = coords[x] ^
+        coords[y].  The check costs O(|sub| * r).
+        """
+        self.check_generates(basis, sub)
+        m = sub.members
+        units = np.int64(1) << np.arange(len(basis), dtype=np.int64)
+        lhs = coords[self.T[np.ix_(m, np.asarray(basis, dtype=np.int64))]]
+        if not np.array_equal(lhs, coords[m][:, None] ^ units[None, :]):
+            raise ClosureError("quotient coordinates are not a homomorphism onto "
+                               "an elementary abelian group")
+        if (coords[0] != 0 or not np.array_equal(coords[m] == 0, k.bits[m])
+                or (k.bits & ~sub.bits).any()):
+            raise ClosureError("quotient coordinates do not have the given kernel")
 
     def elementary_quotient_coords(self, k: SubgroupBits,
                                    sub: SubgroupBits | None = None):
-        """GF(2)-coordinates on an elementary abelian quotient sub/k.
+        """Verified GF(2)-coordinates on an elementary abelian quotient sub/k.
 
         Returns (coords, basis_reps): coords[x] is the bit vector of the
-        coset of x, for every x in sub.
+        coset of x for every x in sub (0 outside sub), and basis_reps[i],
+        the least element of its coset, has coords 1 << i.
         """
         if sub is None:
             sub = self.full_bits()
-        rep_of = self.coset_reps(k)
-        reps = np.unique(rep_of[sub.members])
-        basis = []
-        span = {0}
-        coords_of_rep = {0: 0}
-        for r in reps:
-            r = int(r)
-            if r in span:
-                continue
-            # new basis vector
-            bpos = len(basis)
-            basis.append(r)
-            for s, c in list(coords_of_rep.items()):
-                t = int(rep_of[self.T[s, r]])
-                coords_of_rep[t] = c | (1 << bpos)
-                span.add(t)
-        if len(span) != len(reps):
-            raise ClosureError("quotient is not elementary abelian")
-        coords = np.zeros(self.n, dtype=np.int64)
-        for r, c in coords_of_rep.items():
-            coords[r] = c
-        full = coords[rep_of]
-        return full, basis
+        coords, basis = self._quotient_coords(k, sub)
+        self.check_quotient_coords(coords, basis, k, sub)
+        return coords, basis
 
     # -- maximal subgroup descent -------------------------------------------
 
     def maximal_subgroups(self, sub: SubgroupBits | None = None):
-        """Index-2 subgroups of a 2-group: hyperplane preimages mod Frattini."""
+        """Index-2 subgroups of sub: hyperplane preimages mod <squares>.
+
+        Every index-2 subgroup contains every square, so it contains
+        Phi = <squares of sub> (in a 2-group the Frattini subgroup, since
+        [x, y] = x^-2 (x y^-1)^2 y^2).  The coordinates on sub/Phi are
+        verified to be a homomorphism onto GF(2)^r with kernel Phi, so each
+        hyperplane preimage is the kernel of a homomorphism onto GF(2): an
+        index-2 subgroup, and every index-2 subgroup arises exactly once.
+        """
         if sub is None:
             sub = self.full_bits()
-        derived = self.derived_subgroup(sub)
-        seeds = np.concatenate([derived.members, self.squares(sub)])
-        phi = self.closure(seeds)
+        phi = self.closure(self.squares(sub))
         coords, basis = self.elementary_quotient_coords(phi, sub)
-        r = len(basis)
-        out = []
         sm = sub.members
-        for lam in range(1, 1 << r):
-            par = np.zeros(self.n, dtype=np.int64)
-            par[sm] = _popcount(coords[sm] & lam) & 1
-            bits = sub.bits & (par == 0)
+        cm = coords[sm]
+        parity = _popcount(np.arange(1 << len(basis))) & 1
+        out = []
+        for lam in range(1, 1 << len(basis)):
+            bits = sub.bits.copy()
+            bits[sm[parity[cm & lam] == 1]] = False
             out.append(SubgroupBits(self, bits))
         return out
 
     def subgroups_of_index(self, k: int, explosion_guard=1_000_000):
-        """Complete duplicate-free list for k in {2, 4, 8} by maximal descent."""
+        """Complete duplicate-free list for k in {2, 4, 8} by maximal descent.
+
+        Every step takes kernels of verified homomorphisms (see
+        `maximal_subgroups`), so the results are subgroups without a
+        further closure check.
+        """
         if k not in (2, 4, 8):
             raise ConfigurationError("only indices 2, 4, 8 are supported")
         current = {self.full_bits().key(): self.full_bits()}
@@ -439,8 +503,6 @@ class CayleyGroup:
                             raise ResourceError("subgroup descent exploded")
                         nxt[key] = mx
             current = nxt
-        for sub in current.values():
-            self.check_closed(sub)
         return sorted(current.values(), key=lambda s: tuple(s.members[:3]))
 
     # -- structure flags ----------------------------------------------------
@@ -456,7 +518,6 @@ class CayleyGroup:
         return self.is_abelian(sub)
 
     def exponent(self, sub: SubgroupBits) -> int:
-        from math import lcm
         return int(np.lcm.reduce(self.order_of[sub.members]))
 
     def order_histogram(self, sub: SubgroupBits):
@@ -464,19 +525,28 @@ class CayleyGroup:
         return tuple((int(v), int(c)) for v, c in zip(vals, counts))
 
     def is_extraspecial(self, sub: SubgroupBits) -> bool:
+        """|sub| = 2^(1+2m) and Z(sub) = sub' = Phi(sub) of order 2.
+
+        Phi contains <squares>, which is all of Phi in a 2-group, and is
+        trivial only for an elementary abelian group; so a sub with more
+        than one non-trivial square, or with <squares> not of order 2, is
+        rejected in O(|sub|) before the definition is checked in full.
+        """
+        n = sub.order
+        power = n.bit_length() - 1
+        if n != 1 << power or power % 2 == 0:
+            return False
+        sq = self.squares(sub)
+        if len(sq) > 2 or self.closure(sq).order != 2:
+            return False
         z = self.center_of(sub)
         if z.order != 2:
             return False
         d = self.derived_subgroup(sub)
         if not np.array_equal(d.bits, z.bits):
             return False
-        sq = self.squares(sub)
         phi = self.closure(np.concatenate([d.members, sq]))
-        if not np.array_equal(phi.bits, z.bits):
-            return False
-        n = sub.order
-        power = n.bit_length() - 1
-        return n == 1 << power and power % 2 == 1
+        return bool(np.array_equal(phi.bits, z.bits))
 
     def extraspecial_type(self, sub: SubgroupBits) -> str:
         """'+' or '-' by involution count, for extraspecial 2-groups."""
@@ -595,12 +665,6 @@ class CayleyGroup:
             label = relabeled
         self._classes = label
         return label
-
-
-def derived_and_frattini(g: CayleyGroup, sub: SubgroupBits | None = None):
-    """(derived subgroup, Frattini subgroup); the latter is computed two
-    independent ways internally and must agree."""
-    return g.derived_subgroup(sub), g.frattini(sub)
 
 
 def _popcount(arr):

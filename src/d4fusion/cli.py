@@ -186,7 +186,8 @@ def cmd_verify(config: RunConfig) -> Certificate:
     if lemma == "valuation":
         cert.add(check_valuation(None, q_values=(config.q,)))
         return cert
-    bundles = build_bundles(config, models=MODELS)
+    models = MODELS if config.model == "all" else (config.model,)
+    bundles = build_bundles(config, models=models)
     contexts = {m: StructureContext(b) for m, b in bundles.items()}
     ids = None if lemma == "all" else [lemma]
 
@@ -196,16 +197,17 @@ def cmd_verify(config: RunConfig) -> Certificate:
         return model, run_battery(contexts[model], ids=sel)
 
     if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=min(config.jobs, 3)) as pool:
-            results = list(pool.map(battery_for, MODELS))
+        with ThreadPoolExecutor(max_workers=min(config.jobs, len(models))) as pool:
+            results = list(pool.map(battery_for, models))
     else:
-        results = [battery_for(m) for m in MODELS]
+        results = [battery_for(m) for m in models]
     for model, reports in results:
         for rep in reports:
             rep.lemma_id = "%s@%s" % (rep.lemma_id, model)
             cert.add(rep)
     if lemma == "all":
         cert.add(check_valuation(None))
+    if lemma == "all" and config.model == "all":
         fps = {m: model_fingerprint(contexts[m]) for m in MODELS}
         agree = len({str(sorted(fp.items())) for fp in fps.values()}) == 1
         cert.add(LemmaReport(
@@ -354,7 +356,7 @@ def make_parser():
 
     p = sub.add_parser("verify", help="run structure checks")
     p.add_argument("--lemma", default="all")
-    p.add_argument("--model", default="all")
+    p.add_argument("--model", default="all", choices=MODELS + ("all",))
     p.add_argument("--q", type=int, default=3)
     common(p)
 

@@ -48,9 +48,15 @@ class EssentialSlot:
     outer_order: int = 0
     order3_gen: AutoMap | None = None
 
-    def validate(self, ctx: StructureContext):
-        S = ctx.S
-        cent = S.centralizer(self.subgroup.members)
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self):
+        """Run once, at construction: the subgroup is self-centralizing in S,
+        and each automizer generator is defined on it and keeps element
+        orders and the centre."""
+        S = self.subgroup.group
+        cent = S.centralizer(S.generating_set(self.subgroup))
         if (cent.bits & ~self.subgroup.bits).any():
             raise ConfigurationError("slot subgroup is not self-centralizing in S")
         z = S.center_of(self.subgroup)
@@ -130,7 +136,7 @@ def essential_candidates(ctx: StructureContext):
         if sum(1 for e in ctx.six_E if e <= cand) != 3:
             raise ConfigurationError("candidate does not contain exactly 3 of the six "
                                      "elementary abelian subgroups")
-        cent = S.centralizer(cand.members)
+        cent = S.centralizer(S.generating_set(cand))
         if (cent.bits & ~cand.bits).any():
             raise ConfigurationError("candidate is not self-centralizing")
         out.append(cand)
@@ -180,8 +186,8 @@ def _map_group_order(domain: SubgroupBits, maps) -> int:
     return build_stab_chain(GroupHandle("automizer", gens)).order()
 
 
-def automizer_from_model(bundle: ModelBundle, ctx: StructureContext,
-                         overgroup_gens, order3_elem, tag: str) -> EssentialSlot:
+def automizer_from_model(bundle: ModelBundle, overgroup_gens, order3_elem,
+                         tag: str) -> EssentialSlot:
     """Slot for the 2-radical of one minimal overgroup P of S.
 
     The radical is the intersection of the three Sylow conjugates of S in
@@ -211,11 +217,9 @@ def automizer_from_model(bundle: ModelBundle, ctx: StructureContext,
     small = _map_group_order(radical, inner_maps)
     if big != 3 * small:
         raise ConfigurationError("outer automizer odd part is %s, not 3" % (big / small))
-    slot = EssentialSlot(subgroup=radical,
+    return EssentialSlot(subgroup=radical,
                          automizer_gens=inner_maps + outer_maps + [order3_map],
                          model_tag=tag, outer_order=6, order3_gen=order3_map)
-    slot.validate(ctx)
-    return slot
 
 
 # -- chamber model: the four minimal flag stabilizers ------------------------
@@ -245,7 +249,7 @@ def _perm_power(g, k):
     return out
 
 
-def chamber_parabolic_slots(bundle: ModelBundle, ctx: StructureContext):
+def chamber_parabolic_slots(bundle: ModelBundle):
     """One slot per minimal flag-stabilizer overgroup of the chamber Sylow."""
     ambient = bundle.ambient
     base = bundle.extras["flag_base"]
@@ -258,7 +262,7 @@ def chamber_parabolic_slots(bundle: ModelBundle, ctx: StructureContext):
             raise ConfigurationError("minimal flag stabilizer has order %d" % order)
         g3 = _order3_from_chain(over.chain, rng_seed=17 + omit)
         slots.append(automizer_from_model(
-            bundle, ctx, over.generators, g3,
+            bundle, over.generators, g3,
             tag="omega8plus2-parabolic-omit%d" % omit))
     return slots
 
@@ -352,8 +356,7 @@ def frame_line_action(frame, mat) -> np.ndarray:
     return out
 
 
-def frame_parabolic_slots(bundle: ModelBundle, ctx: StructureContext,
-                          frame_handle, tag_prefix: str):
+def frame_parabolic_slots(bundle: ModelBundle, frame_handle, tag_prefix: str):
     """Slots from the three minimal overgroups of S inside one frame group.
 
     The frame group maps onto the alternating group of its 8 lines; the
@@ -375,7 +378,7 @@ def frame_parabolic_slots(bundle: ModelBundle, ctx: StructureContext,
         g3 = dom.perm_of_matrix(mat)
         over_gens = [bundle.embedding[int(gi)] for gi in bundle.sylow.gen_indices]
         slots.append(automizer_from_model(
-            bundle, ctx, over_gens + [g3], g3,
+            bundle, over_gens + [g3], g3,
             tag="%s-parabolic-%d" % (tag_prefix, k)))
     return slots
 
@@ -501,7 +504,7 @@ def build_fusion_system(variant: str, bundle: ModelBundle,
     if variant.startswith("O8p2"):
         if bundle.provenance != "omega8plus2-flag":
             raise ConfigurationError("O8p2 systems are built over the flag model")
-        slots = chamber_parabolic_slots(bundle, ctx)
+        slots = chamber_parabolic_slots(bundle)
         matched = _match_slots(candidates, slots)
         if 0 not in matched:
             raise ConfigurationError("no parabolic radical equals C_S(Z2)")
@@ -514,9 +517,9 @@ def build_fusion_system(variant: str, bundle: ModelBundle,
         if bundle.provenance != "frame-gf3":
             raise ConfigurationError("PO8p3 systems are built over the frame model")
         frame1 = frame_group_of(bundle.extras["frame"])
-        slots = frame_parabolic_slots(bundle, ctx, frame1, "frame-standard")
+        slots = frame_parabolic_slots(bundle, frame1, "frame-standard")
         handle2, e2, pair2 = second_frame_group(bundle, ctx, candidates)
-        slots2 = frame_parabolic_slots(bundle, ctx, handle2, "frame-disjoint")
+        slots2 = frame_parabolic_slots(bundle, handle2, "frame-disjoint")
         matched1 = _match_slots(candidates, slots)
         slots_by_candidate = dict(zip(matched1, slots))
         matched2 = _match_slots(candidates, slots2)
@@ -562,8 +565,7 @@ def _match_slots(candidates, slots):
 
 
 def _validate_system(fs: FusionSystem):
-    for slot in fs.essentials:
-        slot.validate(fs.ctx)
+    """Slots validate themselves when built; the S-maps must act on all of S."""
     for a in fs.aut_s_gens:
         if a.domain is not None:
             raise ConfigurationError("S-maps must be defined on all of S")

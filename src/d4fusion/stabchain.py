@@ -180,14 +180,6 @@ class StabChain:
         return rec(0)
 
 
-def membership(chain: StabChain, p) -> bool:
-    return chain.contains(p)
-
-
-def random_element(chain: StabChain, rng_seed: int) -> Permutation:
-    return Permutation(chain.random_element(rng_seed))
-
-
 @dataclass
 class GroupHandle:
     """A named permutation group with optional certified chain."""

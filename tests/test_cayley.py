@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -68,8 +70,7 @@ def test_d8_upper_central_series(d8):
 
 
 def test_d8_derived_and_frattini(d8):
-    from d4fusion.cayley import derived_and_frattini
-    der, phi = derived_and_frattini(d8)
+    der, phi = d8.derived_subgroup(), d8.frattini()
     assert der.order == 2
     assert phi.order == 2
     assert np.array_equal(der.bits, phi.bits)
@@ -260,3 +261,133 @@ def test_automap_rejects_mutated_non_generator_image():
     swapped[[x, y]] = swapped[[y, x]]
     with pytest.raises(ClosureError):
         AutoMap(g, swapped, dom)
+
+
+# -- the subgroup algebra against definitions --------------------------------
+
+
+def small_groups():
+    r = Permutation.from_cycles(4, (0, 1, 2, 3))
+    s = Permutation.from_cycles(4, (1, 3))
+    return {"d8": perm_group([r, s]), "plus": heisenberg_2_4(plus=True),
+            "minus": heisenberg_2_4(plus=False)}
+
+
+def brute_subgroups(g):
+    """Closures of all subsets of at most three elements, by key."""
+    found = {}
+    for size in range(4):
+        for seeds in itertools.combinations(range(g.n), size):
+            sub = g.closure(seeds)
+            found.setdefault(sub.key(), sub)
+    return found
+
+
+@pytest.fixture(scope="module", params=["d8", "plus", "minus"])
+def small_group(request):
+    g = small_groups()[request.param]
+    return g, brute_subgroups(g)
+
+
+def test_subgroups_of_index_match_brute_force(small_group):
+    g, brute = small_group
+    for index in (2, 4, 8):
+        got = [sub.key() for sub in g.subgroups_of_index(index)]
+        assert len(set(got)) == len(got)
+        assert set(got) == {key for key, sub in brute.items()
+                            if sub.order * index == g.n}
+
+
+def test_center_series_and_derived_match_definitions(small_group):
+    g, brute = small_group
+    for sub in list(brute.values()) + [g.full_bits()]:
+        m = sub.members
+        block = g.comm[np.ix_(m, m)]
+        center = m[(block == 0).all(axis=1)]
+        assert np.array_equal(g.center_of(sub).members, center)
+        assert np.array_equal(g.derived_subgroup(sub).bits,
+                              g.closure(np.unique(block)).bits)
+        series, z = [], {0}
+        while True:
+            nxt = {int(x) for x, row in zip(m, block) if all(int(c) in z for c in row)}
+            if nxt == z:
+                break
+            z = nxt
+            series.append(sorted(z))
+            if len(z) == len(m):
+                break
+        assert [list(t.members) for t in g.upper_central_series(sub)] == series
+
+
+def test_derived_subgroup_is_a_normal_closure():
+    # in S4 the commutators of (0 1 2 3) and (0 1) generate a proper,
+    # non-normal subgroup of the derived subgroup A4
+    s4 = perm_group([Permutation.from_cycles(4, (0, 1, 2, 3)),
+                     Permutation.from_cycles(4, (0, 1))])
+    gens = s4.generating_set()
+    assert s4.closure(s4._commutators(gens, gens).ravel()).order < 12
+    m = np.arange(s4.n)
+    assert np.array_equal(s4.derived_subgroup().bits,
+                          s4.closure(np.unique(s4.comm[np.ix_(m, m)])).bits)
+    assert s4.derived_subgroup().order == 12
+
+
+def test_maximal_subgroups_reject_non_subgroups():
+    g = heisenberg_2_4()
+    dom = g.maximal_subgroups()[0]
+    extra = dom.bits.copy()
+    extra[int(np.flatnonzero(~dom.bits)[0])] = True
+    missing = dom.bits.copy()
+    missing[int(dom.members[-1])] = False
+    for bits in (extra, missing):
+        with pytest.raises(ClosureError):
+            g.maximal_subgroups(SubgroupBits(g, bits))
+
+
+def test_corrupted_quotient_coordinate_is_caught(monkeypatch):
+    g = heisenberg_2_4()
+    phi = g.closure(g.squares())
+    coords, basis = g.elementary_quotient_coords(phi)
+    assert [int(coords[b]) for b in basis] == [1, 2, 4, 8]
+    for x in (basis[0], int(np.flatnonzero(coords == 3)[0]), int(phi.members[1])):
+        bad = coords.copy()
+        bad[x] ^= 1
+        with pytest.raises(ClosureError):
+            g.check_quotient_coords(bad, basis, phi, g.full_bits())
+    # maximal_subgroups checks the coordinates it is handed
+    original = CayleyGroup._quotient_coords
+
+    def corrupted(self, k, sub):
+        coords, basis = original(self, k, sub)
+        coords[int(sub.members[-1])] ^= 1
+        return coords, basis
+
+    monkeypatch.setattr(CayleyGroup, "_quotient_coords", corrupted)
+    with pytest.raises(ClosureError):
+        g.maximal_subgroups()
+
+
+def test_is_extraspecial_near_misses():
+    for plus in (True, False):
+        g = heisenberg_2_4(plus)
+        assert g.is_extraspecial(g.full_bits())
+    # <squares> has order 2, but the centre is the whole group
+    z4z2 = perm_group([Permutation.from_cycles(6, (0, 1, 2, 3)),
+                       Permutation.from_cycles(6, (4, 5))])
+    assert len(z4z2.squares()) == 2
+    assert not z4z2.is_extraspecial(z4z2.full_bits())
+    # <squares> is trivial
+    elab = perm_group([Permutation.from_cycles(6, (2 * i, 2 * i + 1)) for i in range(3)])
+    assert elab.n == 8
+    assert not elab.is_extraspecial(elab.full_bits())
+
+
+def test_coset_reps_cover_only_the_subgroup(d8):
+    z = d8.center_of(d8.full_bits())
+    v4 = next(m for m in d8.maximal_subgroups() if d8.is_elementary_abelian(m))
+    whole = d8.coset_reps(z)
+    part = d8.coset_reps(z, v4)
+    assert np.array_equal(part[v4.members], whole[v4.members])
+    assert (part[~v4.bits] == -1).all()
+    for x in range(d8.n):
+        assert whole[x] == min(d8.mul(k, x) for k in z.members)

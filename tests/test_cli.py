@@ -45,6 +45,15 @@ def test_verify_single_lemma(tmp_path):
         assert r["witnesses"]["Z_order"] == 2
 
 
+def test_verify_single_model(tmp_path):
+    code = run(["verify", "--model", "affine", "--lemma", "frattini"], tmp_path)
+    assert code == 0
+    cert = json.loads((tmp_path / "certificate-verify.json").read_text())
+    assert [r["lemma_id"] for r in cert["reports"]] == ["frattini@affine"]
+    with pytest.raises(SystemExit):
+        run(["verify", "--model", "bogus"], tmp_path)
+
+
 def test_verify_accepts_spec_alias(tmp_path):
     code = run(["verify", "--lemma", "wc"], tmp_path)
     assert code == 0

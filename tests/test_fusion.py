@@ -1,8 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
 from d4fusion.cayley import inner_automap
 from d4fusion.fusion import (
+    EssentialSlot,
     aut_group_on_elab,
     check_O2,
     conjugation_automap,
@@ -257,3 +260,23 @@ def test_conjugation_outside_sylow_rejected(chamber_bundle, contexts):
     assert (outside < 0).any()
     with pytest.raises(ConfigurationError):
         conjugation_automap(chamber_bundle, f, g)
+
+
+def test_slot_moving_the_centre_is_rejected_at_construction(fusion_systems):
+    from d4fusion.perms import ConfigurationError
+    slot = fusion_systems["O8p2"].essentials[0]
+    P = slot.subgroup
+    S = P.group
+    z = S.center_of(P)
+    gen = slot.automizer_gens[0]
+    EssentialSlot(subgroup=P, automizer_gens=[gen], model_tag="copy")
+    # swap the images of a central involution and of a non-central one: the
+    # map still keeps element orders, but it moves Z(P)
+    zx = int(z.members[1])
+    y = next(int(x) for x in P.members
+             if not z.bits[x] and S.order_of[x] == S.order_of[zx])
+    bad = copy.copy(gen)
+    bad.images = gen.images.copy()
+    bad.images[[zx, y]] = bad.images[[y, zx]]
+    with pytest.raises(ConfigurationError, match="moves the center"):
+        EssentialSlot(subgroup=P, automizer_gens=[gen, bad], model_tag="bad")

@@ -113,6 +113,18 @@ def test_index2_subgroups_count(contexts):
     assert all(ctx.phi <= m for m in subs)
 
 
+def test_index8_subgroups_pass_closure_oracle(contexts):
+    ctx = contexts["affine"]
+    S = ctx.S
+    idx8 = S.subgroups_of_index(8)
+    assert len(idx8) == 1275
+    for sub in idx8:
+        assert sub.order == 512
+        S.check_closed(sub)
+    assert S.is_extraspecial(ctx.Q)
+    assert [sub for sub in idx8 if S.is_extraspecial(sub)] == [ctx.Q]
+
+
 def test_fingerprint_of_distinguished_subgroups(contexts):
     ctx = contexts["affine"]
     fp_q = ctx.S.fingerprint(ctx.Q)
