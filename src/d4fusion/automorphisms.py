@@ -27,6 +27,7 @@ import numpy as np
 
 from .cayley import AutoMap, CayleyGroup, check_isomorphism
 from .perms import ConfigurationError, ResourceError
+from .reports import write_json_atomic
 from .structure import StructureContext
 
 log = logging.getLogger(__name__)
@@ -471,16 +472,15 @@ def order3_automorphisms(ctx: StructureContext, budget_secs: float = 7200.0,
             exhausted = False
         except ResourceError:
             if checkpoint_path is not None:
-                with open(checkpoint_path, "w") as fh:
-                    json.dump({"done_taus": sorted(done_taus)}, fh)
+                write_json_atomic(checkpoint_path, {"done_taus": sorted(done_taus)})
             raise
         if stop_all:
             exhausted = False
             break
         done_taus.add(ti)
         if checkpoint_path is not None:
-            with open(checkpoint_path, "w") as fh:
-                json.dump({"done_taus": sorted(int(x) for x in done_taus)}, fh)
+            write_json_atomic(checkpoint_path,
+                              {"done_taus": sorted(int(x) for x in done_taus)})
     return SearchOutcome(found, nodes, time.monotonic() - t0, exhausted)
 
 

@@ -3,30 +3,23 @@
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 resource
 or configuration trouble.  A certificate JSON is written for outcomes 0
 and 1.  The cache directory (flag --cache-dir, else the D4FUSION_CACHE
-environment variable, else ./d4fusion-cache) holds chain caches, bundle
-caches, search checkpoints and the latest certificates.
+environment variable, else ./d4fusion-cache) holds the order-3 search
+checkpoints and the latest certificates.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .perms import ConfigurationError, Permutation, ResourceError
+from .perms import ConfigurationError, ResourceError
 from .reports import Certificate, LemmaReport, check_timer
-from .stabchain import chain_to_json, save_chain
-
-log = logging.getLogger(__name__)
 
 MODELS = ("omega8plus2", "affine", "frame")
 
@@ -40,17 +33,12 @@ class RunConfig:
     action: str = "build"
     q: int = 3
     cache_dir: Path = None
-    seed: int = 2024
     budget_secs: float = 7200.0
     out: Path = None
-    jobs: int = 1
-    verbosity: int = 0
 
     def __post_init__(self):
         if self.budget_secs <= 0:
             raise ConfigurationError("budgets must be positive")
-        if self.jobs < 1:
-            raise ConfigurationError("jobs must be positive")
 
     def echo(self) -> dict:
         return {
@@ -61,9 +49,7 @@ class RunConfig:
             "action": self.action,
             "q": self.q,
             "cache_dir": str(self.cache_dir),
-            "seed": self.seed,
             "budget_secs": self.budget_secs,
-            "jobs": self.jobs,
             "tool_version": __version__,
         }
 
@@ -80,45 +66,7 @@ def resolve_cache_dir(flag_value) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# bundle construction with caching
-
-
-def _bundle_cache_path(cache_dir: Path, model: str) -> Path:
-    return cache_dir / ("bundle-%s.json" % model)
-
-
-def _bundle_checksum(bundle) -> str:
-    h = hashlib.sha256()
-    h.update(bundle.embedding.tobytes())
-    return h.hexdigest()
-
-
-def save_bundle_cache(bundle, cache_dir: Path, model: str) -> None:
-    doc = {
-        "provenance": bundle.provenance,
-        "degree": bundle.degree,
-        "generators": [bundle.embedding[int(i)].tolist()
-                       for i in bundle.sylow.gen_indices],
-        "sig_cols": bundle.sig_cols.tolist(),
-        "element_checksum": _bundle_checksum(bundle),
-        "ambient_order_decimal": str(bundle.ambient.chain.order()),
-    }
-    with open(_bundle_cache_path(cache_dir, model), "w") as fh:
-        json.dump(doc, fh)
-
-
-def bundle_cache_validates(bundle, cache_dir: Path, model: str) -> bool:
-    path = _bundle_cache_path(cache_dir, model)
-    if not path.exists():
-        return False
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except ValueError:
-        return False
-    return (doc.get("provenance") == bundle.provenance
-            and doc.get("element_checksum") == _bundle_checksum(bundle)
-            and doc.get("ambient_order_decimal") == str(bundle.ambient.chain.order()))
+# bundle construction
 
 
 _BUILDERS = {}
@@ -135,17 +83,13 @@ def build_bundles(config: RunConfig, models=None):
             out[model] = _BUILDERS[model]
             continue
         if model == "omega8plus2":
-            ambient = build_omega8plus2()
-            bundle = sylow_via_chamber(ambient)
-            save_chain(ambient.chain, "omega8plus2",
-                       config.cache_dir / "chain-omega8plus2.json")
+            bundle = sylow_via_chamber(build_omega8plus2())
         elif model == "affine":
             bundle = build_affine_model()
         elif model == "frame":
             bundle = build_frame_model_gf3()
         else:
             raise ConfigurationError("unknown model %r" % model)
-        save_bundle_cache(bundle, config.cache_dir, model)
         _BUILDERS[model] = bundle
         out[model] = bundle
     return out
@@ -168,8 +112,6 @@ def cmd_construct(config: RunConfig) -> Certificate:
                 "ambient_order": bundle.ambient.chain.order(),
                 "degree": bundle.degree,
                 "provenance": bundle.provenance,
-                "cache_validates": bundle_cache_validates(bundle, config.cache_dir,
-                                                          model),
             },
             elapsed_ms=t.elapsed_ms,
             claim="model constructed with certified ambient chain and 4096-element "
@@ -191,18 +133,10 @@ def cmd_verify(config: RunConfig) -> Certificate:
     contexts = {m: StructureContext(b) for m, b in bundles.items()}
     ids = None if lemma == "all" else [lemma]
 
-    def battery_for(model):
+    for model in models:
         extra = ["a8"] if model == "affine" else []
         sel = ids if ids is not None else list(CHECKS) + extra
-        return model, run_battery(contexts[model], ids=sel)
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=min(config.jobs, len(models))) as pool:
-            results = list(pool.map(battery_for, models))
-    else:
-        results = [battery_for(m) for m in models]
-    for model, reports in results:
-        for rep in reports:
+        for rep in run_battery(contexts[model], ids=sel):
             rep.lemma_id = "%s@%s" % (rep.lemma_id, model)
             cert.add(rep)
     if lemma == "all":
@@ -344,13 +278,11 @@ def make_parser():
 
     def common(p):
         p.add_argument("--cache-dir", default=None)
-        p.add_argument("--seed", type=int, default=2024)
         p.add_argument("--budget-secs", type=float, default=7200.0)
         p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("-v", "--verbose", action="count", default=0)
 
-    p = sub.add_parser("construct", help="build models and write caches")
+    p = sub.add_parser("construct", help="build and certify the models")
     p.add_argument("--model", default="all", choices=MODELS + ("all",))
     common(p)
 
@@ -384,11 +316,8 @@ def main(argv=None) -> int:
         action=getattr(args, "action", "build"),
         q=getattr(args, "q", 3),
         cache_dir=resolve_cache_dir(args.cache_dir),
-        seed=args.seed,
         budget_secs=args.budget_secs,
         out=Path(args.out) if args.out else None,
-        jobs=args.jobs,
-        verbosity=args.verbose,
     )
     handler = {
         "construct": cmd_construct,

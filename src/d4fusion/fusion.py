@@ -29,9 +29,10 @@ from .groupmodels import (
     t_part_perms,
 )
 from .perms import ConfigurationError, Permutation, compose, inverse, perm_order
-from .quadforms import GF3_SPACE, PreconditionError, gf3_inverse
+from .quadforms import (GF3_SPACE, PreconditionError, gf2_nullspace, gf3_inverse,
+                        invariant_quadratic_forms, q)
 from .stabchain import GroupHandle, build_stab_chain, stabilizer_of_prefix
-from .structure import StructureContext, _gf2_nullspace_bits
+from .structure import StructureContext
 
 log = logging.getLogger(__name__)
 
@@ -270,51 +271,15 @@ def chamber_parabolic_slots(bundle: ModelBundle):
 # -- frame models: the three minimal overgroups over the letter action -------
 
 
-def _closure_order_capped(gen_arrays, cap):
-    ident = np.arange(gen_arrays[0].shape[0], dtype=np.uint16)
-    seen = {ident.tobytes()}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gen_arrays:
-                c = compose(a, g)
-                k = c.tobytes()
-                if k not in seen:
-                    seen.add(k)
-                    if len(seen) > cap:
-                        return len(seen)
-                    nxt.append(c)
-        frontier = nxt
-    return len(seen)
-
-
-def _element_set_key(gen_arrays) -> bytes:
-    ident = np.arange(gen_arrays[0].shape[0], dtype=np.uint16)
-    seen = {ident.tobytes()}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gen_arrays:
-                c = compose(a, g)
-                k = c.tobytes()
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(c)
-        frontier = nxt
-    h = hashlib.sha256()
-    for k in sorted(seen):
-        h.update(k)
-    return h.digest()
-
-
 def minimal_overgroups_in_alternating(t_gens):
     """Order-3 letter permutations generating the three minimal overgroups
     of an order-64 Sylow inside the alternating group on 8 letters.
 
     Deterministic scan in chain enumeration order, stopping once three
-    distinct overgroups of order 192 are collected.
+    distinct overgroups of order 192 are collected.  Two order-192 groups
+    containing T are equal iff one contains the other's extra generator, so
+    an element inside an overgroup already found is skipped.  So is an e
+    with some e * t of order not dividing 192: <T, e> cannot have order 192.
     """
     t_gens = [np.asarray(t, dtype=np.uint16) for t in t_gens]
     t_chain = build_stab_chain(GroupHandle("t", [Permutation(t) for t in t_gens]))
@@ -322,21 +287,22 @@ def minimal_overgroups_in_alternating(t_gens):
         raise ConfigurationError("letter image of the Sylow does not have order 64")
     a8 = GroupHandle("a8", [Permutation.from_cycles(8, (0, 1, k)) for k in range(2, 8)])
     a8_chain = build_stab_chain(a8)
-    found = {}
+    chains, found = [], []
     for e in a8_chain.elements():
         e = np.asarray(e, dtype=np.uint16)
-        if perm_order(e) != 3:
+        if perm_order(e) != 3 or any(c.contains(e) for c in chains):
             continue
-        if _closure_order_capped(t_gens + [e], 192) != 192:
+        if any(192 % perm_order(compose(e, t)) for t in t_gens):
             continue
-        key = _element_set_key(t_gens + [e])
-        if key not in found:
-            found[key] = e
+        chain = build_stab_chain(GroupHandle("overgroup", t_gens + [e]))
+        if chain.order() == 192:
+            chains.append(chain)
+            found.append(e)
             if len(found) == 3:
                 break
     if len(found) != 3:
         raise ConfigurationError("found %d minimal overgroups, expected 3" % len(found))
-    return list(found.values())
+    return found
 
 
 def frame_line_action(frame, mat) -> np.ndarray:
@@ -576,36 +542,32 @@ def _validate_system(fs: FusionSystem):
 
 
 def fuse_elements(fs: FusionSystem) -> FusionClassPartition:
-    """Finest partition closed under every generator map (orbit closure)."""
+    """Finest partition closed under every generator map (orbit closure).
+
+    Every element starts labelled by itself.  Each round moves the smaller
+    label across every edge (x, a(x)) in both directions, then replaces each
+    label by its own label.  A label is always a member of its element's
+    class and labels only decrease, so the rounds stop; at the fixpoint the
+    labels are constant on edges, hence on classes, and the least member m
+    of a class keeps label m, so every label is its class minimum.
+    """
     n = fs.s.n
-    parent = np.arange(n, dtype=np.int64)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            if rx < ry:
-                parent[ry] = rx
-            else:
-                parent[rx] = ry
-
+    src, dst = [], []
     for a in fs.all_generator_maps():
         dom = a.domain.members if a.domain is not None else np.arange(n)
-        for x in dom:
-            union(int(x), int(a.images[int(x)]))
-    roots = np.array([find(x) for x in range(n)], dtype=np.int64)
-    # canonicalize to the minimum of each class
-    reps = {}
-    for x in range(n):
-        r = int(roots[x])
-        reps[r] = min(reps.get(r, x), x)
-    class_id = np.array([reps[int(roots[x])] for x in range(n)], dtype=np.int64)
-    part = FusionClassPartition(class_id=class_id)
+        src.append(dom)
+        dst.append(a.images[dom])
+    src = np.concatenate(src).astype(np.int64)
+    dst = np.concatenate(dst).astype(np.int64)
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        prev = label.copy()
+        np.minimum.at(label, dst, label[src])
+        np.minimum.at(label, src, label[dst])
+        label = label[label]
+        if np.array_equal(label, prev):
+            break
+    part = FusionClassPartition(class_id=label)
     _validate_partition(fs, part)
     return part
 
@@ -702,109 +664,51 @@ def aut_group_on_elab(fs: FusionSystem, e: SubgroupBits):
     """Matrix group induced on one of the six elementary abelian subgroups.
 
     Every generator map defined on a domain containing e and sending e to
-    itself contributes a 6x6 GF(2) matrix; maps moving e are skipped with
-    a log entry.  Returns (order, matrices, invariant_form_info).
+    itself permutes the 64 vectors of e's verified GF(2)-coordinates, and
+    that permutation must be linear; maps moving e are skipped with a log
+    entry.  The action on e is faithful, so the matrix group's order is the
+    order of the permutation group the maps induce on e's members.
     """
     S = fs.s
-    members = [int(m) for m in e.members]
-    basis = []
-    span = {0}
-    for m in members:
-        if m in span:
-            continue
-        basis.append(m)
-        span |= {int(S.T[s, m]) for s in span}
+    coords, basis = S.elementary_quotient_coords(S.trivial_bits(), e)
     if len(basis) != 6:
         raise ConfigurationError("subgroup does not have rank 6")
-    coord_of = {0: 0}
-    for k, b in enumerate(basis):
-        for s, c in list(coord_of.items()):
-            coord_of[int(S.T[s, b])] = c | (1 << k)
-    applicable = []
-    applicable_set = set()
+    members = e.members
+    bits = (np.arange(64)[:, None] >> np.arange(6)) & 1
+    applicable, vec_perms, seen = [], [], set()
     skipped = 0
     for a in fs.all_generator_maps():
-        if a.domain is not None and not a.domain.bits[e.members].all():
+        if a.domain is not None and not a.domain.bits[members].all():
             skipped += 1
             continue
-        if not e.bits[a.images[e.members]].all():
+        if not e.bits[a.images[members]].all():
             skipped += 1
             log.debug("map does not stabilize the subgroup; skipped")
             continue
-        cols = []
-        for b in basis:
-            cols.append(coord_of[int(a.images[b])])
-        mat = tuple(cols)
-        if mat in applicable_set:
+        vp = np.empty(64, dtype=np.int64)
+        vp[coords[members]] = coords[a.images[members]]
+        if vp.tobytes() in seen:
             continue
-        applicable_set.add(mat)
-        # exactness: the matrix must reproduce the map on every member
-        for m in members:
-            img = 0
-            c = coord_of[m]
-            for k in range(6):
-                if (c >> k) & 1:
-                    img ^= mat[k]
-            if img != coord_of[int(a.images[m])]:
-                raise ConfigurationError("induced map is not linear on the subgroup")
-        applicable.append(mat)
-    # close under products
-    ident = tuple(1 << k for k in range(6))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for mat in frontier:
-            for g in applicable:
-                prod = tuple(_apply_bits(g, col) for col in mat)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-        if len(seen) > 100_000:
-            raise ConfigurationError("induced matrix group exploded")
-    order = len(seen)
-    form = _invariant_form_info(applicable)
+        seen.add(vp.tobytes())
+        # exactness: vp must be the linear map with columns vp[1 << k]
+        if not np.array_equal(np.bitwise_xor.reduce(bits * vp[1 << np.arange(6)],
+                                                    axis=1), vp):
+            raise ConfigurationError("induced map is not linear on the subgroup")
+        applicable.append(a)
+        vec_perms.append(vp)
+    order = _map_group_order(e, applicable) if applicable else 1
     return {"order": order, "generator_count": len(applicable),
-            "skipped_maps": skipped, "form": form}
+            "skipped_maps": skipped, "form": _invariant_form_info(vec_perms)}
 
 
-def _apply_bits(mat, vec_bits):
-    out = 0
-    for k in range(6):
-        if (vec_bits >> k) & 1:
-            out ^= mat[k]
-    return out
-
-
-def _invariant_form_info(mats):
-    """Quadratic forms on F_2^6 invariant under all matrices: solve the
-    21-coefficient linear system and classify the solution."""
-    def monomials(v):
-        bits = 0
-        pos = 0
-        for i in range(6):
-            if (v >> i) & 1:
-                bits |= 1 << pos
-            pos += 1
-        for i in range(6):
-            for j in range(i + 1, 6):
-                if (v >> i) & 1 and (v >> j) & 1:
-                    bits |= 1 << pos
-                pos += 1
-        return bits
-
-    rows = []
-    for mat in mats:
-        for v in range(64):
-            rows.append(monomials(v) ^ monomials(_apply_bits(mat, v)))
-    null = _gf2_nullspace_bits(rows, 21)
+def _invariant_form_info(vec_perms):
+    """Quadratic forms on F_2^6 invariant under the vector permutations,
+    classified when unique."""
+    null = invariant_quadratic_forms(vec_perms)
     info = {"space_dim": len(null)}
     if len(null) == 1:
         sol = null[0]
-        def q(v):
-            return bin(monomials(v) & sol).count("1") % 2
-        singular = sum(1 for v in range(1, 64) if q(v) == 0)
+        singular = sum(1 for v in range(1, 64) if q(sol, v) == 0)
         info["singular_count"] = singular
         info["plus_type"] = singular == 35
         # nondegeneracy of the polar form
@@ -812,12 +716,12 @@ def _invariant_form_info(mats):
         for i in range(6):
             row = 0
             for j in range(6):
-                bij = q((1 << i) ^ (1 << j)) ^ q(1 << i) ^ q(1 << j)
+                bij = q(sol, (1 << i) ^ (1 << j)) ^ q(sol, 1 << i) ^ q(sol, 1 << j)
                 row |= bij << j
             gram_rows.append(row)
-        rank = len(_gf2_nullspace_bits(gram_rows, 6))
-        info["polar_nullity"] = rank
-        info["nondegenerate"] = rank == 0
+        nullity = len(gf2_nullspace(gram_rows, 6))
+        info["polar_nullity"] = nullity
+        info["nondegenerate"] = nullity == 0
     return info
 
 

@@ -9,6 +9,10 @@ Two fixed spaces are shipped:
 GF(2) vectors are packed as 8-bit codes (bit i = coordinate i); GF(3)
 vectors are residue arrays with base-3 codes.  Matrices act on column
 vectors; "apply M then N" is the product N @ M.
+
+The GF(2) nullspace and the solver for quadratic forms on F_2^6 invariant
+under a set of vector permutations also live here, for the structure
+battery and the fusion fingerprints.
 """
 
 from __future__ import annotations
@@ -138,6 +142,63 @@ def gf2_rank(mat) -> int:
         rows = [r ^ pr if (r >> bit) & 1 else r for r in rows]
         rank += 1
     return rank
+
+
+def gf2_nullspace(rows, ncols):
+    """Nullspace basis of a GF(2) system whose rows are int bitmasks."""
+    pivots = {}  # pivot column -> fully reduced row
+    for row in rows:
+        r = row
+        for c, pr in pivots.items():
+            if (r >> c) & 1:
+                r ^= pr
+        if r:
+            c = r.bit_length() - 1
+            for c2 in list(pivots):
+                if (pivots[c2] >> c) & 1:
+                    pivots[c2] ^= r
+            pivots[c] = r
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = 1 << free
+        for c, pr in pivots.items():
+            if (pr >> free) & 1:
+                v |= 1 << c
+        if any(bin(pr & v).count("1") % 2 for pr in pivots.values()):
+            raise ConfigurationError("nullspace back-substitution failed")
+        basis.append(v)
+    return basis
+
+
+# ---------------------------------------------------------------------------
+# invariant quadratic forms on F_2^6 (vectors packed as 6-bit ints)
+
+_PAIRS6 = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+
+
+def monomials(v: int) -> int:
+    """The 21 monomials of v as a bitmask: x_i at bit i, then x_i x_j
+    (i < j, lexicographic) at bits 6..20."""
+    bits = v & 0x3F
+    for pos, (i, j) in enumerate(_PAIRS6, start=6):
+        if (v >> i) & (v >> j) & 1:
+            bits |= 1 << pos
+    return bits
+
+
+def invariant_quadratic_forms(perms):
+    """Basis of the quadratic forms invariant under each permutation of the
+    64 vectors: the solutions of Q(v) = Q(g v) in the 21 coefficients."""
+    mono = [monomials(v) for v in range(64)]
+    rows = [mono[v] ^ mono[int(g[v])] for g in perms for v in range(64)]
+    return gf2_nullspace(rows, 21)
+
+
+def q(sol: int, v: int) -> int:
+    """Value at v of the quadratic form with coefficient bitmask sol."""
+    return bin(monomials(v) & sol).count("1") % 2
 
 
 def gf3_rref(mat):

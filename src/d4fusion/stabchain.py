@@ -9,14 +9,12 @@ are stored as explicit image arrays.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .perms import (
-    DTYPE,
     ConfigurationError,
     Permutation,
     ResourceError,
@@ -26,8 +24,6 @@ from .perms import (
     inverse,
     is_identity,
 )
-
-CACHE_FORMAT_VERSION = 1
 
 
 def orbit(generators, point: int):
@@ -347,38 +343,3 @@ def stabilizer_of_prefix(g: GroupHandle, points) -> GroupHandle:
         domain_description=g.domain_description,
     )
     return handle
-
-
-def chain_to_json(chain: StabChain, group_name: str) -> dict:
-    return {
-        "format_version": CACHE_FORMAT_VERSION,
-        "group_name": group_name,
-        "degree": chain.degree,
-        "base": chain.base,
-        "strong_generators": [g.tolist() for g in chain.strong_generators()],
-        "orbit_lengths": chain.orbit_lengths(),
-        "order_decimal": str(chain.order()),
-    }
-
-
-def save_chain(chain: StabChain, group_name: str, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(chain_to_json(chain, group_name), fh)
-
-
-def load_chain(path, expected_name=None) -> StabChain:
-    """Load a cached chain and re-verify it from scratch before trusting it."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != CACHE_FORMAT_VERSION:
-        raise ConfigurationError("unknown chain cache format version")
-    if expected_name is not None and doc["group_name"] != expected_name:
-        raise ConfigurationError("chain cache is for a different group")
-    gens = [np.asarray(a, dtype=DTYPE) for a in doc["strong_generators"]]
-    handle = GroupHandle(doc["group_name"], [Permutation(a) for a in gens])
-    chain = build_stab_chain(handle, base_hint=doc["base"])
-    if chain.orbit_lengths() != doc["orbit_lengths"]:
-        raise ConfigurationError("cached orbit lengths do not re-verify")
-    if str(chain.order()) != doc["order_decimal"]:
-        raise ConfigurationError("cached order does not re-verify")
-    return chain

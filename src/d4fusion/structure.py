@@ -20,7 +20,8 @@ from .cayley import CayleyGroup, SubgroupBits, enumerate_elab_subgroups
 from .groupmodels import ModelBundle
 from .perms import ConfigurationError, Permutation, compose
 from .reports import LemmaReport, check_timer
-from .stabchain import GroupHandle, build_stab_chain
+from .quadforms import invariant_quadratic_forms, q
+from .stabchain import GroupHandle, build_stab_chain, orbit
 from .valuations import closed_form_families, two_part_valuation
 
 log = logging.getLogger(__name__)
@@ -453,34 +454,6 @@ def check_extraspecial_unique(ctx: StructureContext) -> LemmaReport:
     return _report("extraspecial", claim, t, ok, w)
 
 
-def _gf2_nullspace_bits(rows, ncols):
-    """Nullspace basis of a GF(2) system whose rows are int bitmasks."""
-    pivots = {}  # pivot column -> fully reduced row
-    for row in rows:
-        r = row
-        for c, pr in pivots.items():
-            if (r >> c) & 1:
-                r ^= pr
-        if r:
-            c = r.bit_length() - 1
-            for c2 in list(pivots):
-                if (pivots[c2] >> c) & 1:
-                    pivots[c2] ^= r
-            pivots[c] = r
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        v = 1 << free
-        for c, pr in pivots.items():
-            if (pr >> free) & 1:
-                v |= 1 << c
-        if any(bin(pr & v).count("1") % 2 for pr in pivots.values()):
-            raise ConfigurationError("nullspace back-substitution failed")
-        basis.append(v)
-    return basis
-
-
 def check_a8(ctx: StructureContext) -> LemmaReport:
     """Affine-model check of the alternating-group centralizer structure.
 
@@ -543,63 +516,25 @@ def check_a8(ctx: StructureContext) -> LemmaReport:
         w["shallow_space_size"] = len(shallow)
         w["shallow_isotropic"] = all(module.weight_form(m) == 0 for m in shallow)
         # the singular vectors are one orbit: the weight-4 classes
-        orbit = {module.subset((0, 1, 2, 3))}
-        frontier = list(orbit)
-        gens8 = a8_generators()
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for p in gens8:
-                    v = module.act(p, m)
-                    if v not in orbit:
-                        orbit.add(v)
-                        nxt.append(v)
-            frontier = nxt
+        gens64 = [module.linear_perm(p) for p in a8_generators()]
+        orbit_set = set(orbit(gens64, module.subset((0, 1, 2, 3))))
         singular = {m for m in range(1, 64) if module.weight_form(m) == 0}
-        w["weight4_orbit_size"] = len(orbit)
-        w["orbit_is_singular_set"] = orbit == singular
+        w["weight4_orbit_size"] = len(orbit_set)
+        w["orbit_is_singular_set"] = orbit_set == singular
 
-        # the invariant quadratic form is unique up to scalar
-        coords = np.zeros((64, 6), dtype=np.int64)
-        for m in range(64):
-            code = int(module.reps[m])
-            letters = [i for i in range(8) if (code >> i) & 1]
-            vec = np.zeros(6, dtype=np.int64)
-            for i in letters:
-                if 1 <= i <= 6:
-                    vec[i - 1] ^= 1
-                elif i == 7:
-                    vec ^= 1
-            coords[m] = vec
-
-        def monomials(vec):
-            bits = 0
-            pos = 0
-            for i in range(6):
-                if vec[i]:
-                    bits |= 1 << pos
-                pos += 1
-            for i in range(6):
-                for j in range(i + 1, 6):
-                    if vec[i] and vec[j]:
-                        bits |= 1 << pos
-                    pos += 1
-            return bits
-
-        rows = []
-        for p in gens8:
-            for m in range(64):
-                rows.append(monomials(coords[m]) ^ monomials(coords[module.act(p, m)]))
-        null = _gf2_nullspace_bits(rows, 21)
+        # the invariant quadratic form is unique up to scalar; coordinates:
+        # letters 1..6 are the unit vectors, letter 7 is the all-ones vector
+        reps = module.reps
+        coords = ((reps >> 1) & 0x3F) ^ (0x3F * ((reps >> 7) & 1))
+        vec_perms = []
+        for g in gens64:
+            vp = np.empty(64, dtype=np.int64)
+            vp[coords] = coords[g]
+            vec_perms.append(vp)
+        null = invariant_quadratic_forms(vec_perms)
         w["invariant_form_space_dim"] = len(null)
-        ok_form = len(null) == 1
-        if ok_form:
-            sol = null[0]
-            def eval_sol(vec):
-                mono = monomials(vec)
-                return bin(mono & sol).count("1") % 2
-            ok_form = all(eval_sol(coords[m]) == module.weight_form(m)
-                          for m in range(64))
+        ok_form = len(null) == 1 and all(
+            q(null[0], int(coords[m])) == module.weight_form(m) for m in range(64))
         w["form_matches_weight_form"] = ok_form
         ok = (w["a8_order"] == 20160 and w["centralizer_order"] == 192
               and w["qx_order"] == 32 and w["qx_extraspecial"]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from d4fusion import cli
+from d4fusion import cli, reports
 from d4fusion.reports import Certificate, LemmaReport
 
 
@@ -96,9 +96,11 @@ def test_report_collects_and_flags_failures(tmp_path):
     assert code == 1
 
 
-def test_verify_with_worker_pool(tmp_path):
-    code = run(["verify", "--lemma", "cent", "--jobs", "3"], tmp_path)
-    assert code == 0
+@pytest.mark.parametrize("flag", [["--jobs", "3"], ["--seed", "1"]])
+def test_removed_flags_are_refused(tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--lemma", "cent"] + flag, tmp_path)
+    assert exc.value.code == 2
 
 
 def test_fusion_o2_action(tmp_path):
@@ -112,17 +114,9 @@ def test_fusion_o2_action(tmp_path):
     assert len(frep["autFE_orders"]) == 6
 
 
-def test_bundle_cache_roundtrip(tmp_path, bundles):
-    cli.save_bundle_cache(bundles["affine"], tmp_path, "affine")
-    assert cli.bundle_cache_validates(bundles["affine"], tmp_path, "affine")
-    assert not cli.bundle_cache_validates(bundles["frame"], tmp_path, "affine")
-
-
 def test_config_validation():
     with pytest.raises(Exception):
         cli.RunConfig(command="verify", budget_secs=-1)
-    with pytest.raises(Exception):
-        cli.RunConfig(command="verify", jobs=0)
 
 
 def test_env_var_cache_dir(monkeypatch, tmp_path):
@@ -147,3 +141,23 @@ def test_report_does_not_count_itself(tmp_path):
     for _ in range(2):
         assert run(["report", "--out", str(own)], tmp_path) == 0
         assert len(json.loads(own.read_text())["reports"]) == 1
+
+
+def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "certificate-verify.json"
+    first = Certificate(config={})
+    first.add(LemmaReport("first", "pass", {}, 0))
+    first.write(path)
+    before = path.read_text()
+
+    def broken_dump(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(reports.json, "dump", broken_dump)
+    second = Certificate(config={})
+    second.add(LemmaReport("second", "fail", {}, 0))
+    with pytest.raises(OSError):
+        second.write(path)
+    assert path.read_text() == before
+    assert json.loads(before)["reports"][0]["lemma_id"] == "first"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]

@@ -10,14 +10,19 @@ from d4fusion.fusion import (
     check_O2,
     conjugation_automap,
     delete_slot,
+    FusionSystem,
     essential_candidates,
     fingerprint_fusion,
+    frame_line_action,
     fuse_elements,
     fusion_report,
     inner_only_system,
     involution_partition_matches_ambient,
+    minimal_overgroups_in_alternating,
     pair_of_elab,
 )
+from d4fusion.perms import ConfigurationError, perm_order
+from d4fusion.stabchain import GroupHandle, build_stab_chain
 
 
 def test_candidates_structure(contexts):
@@ -280,3 +285,66 @@ def test_slot_moving_the_centre_is_rejected_at_construction(fusion_systems):
     bad.images[[zx, y]] = bad.images[[y, zx]]
     with pytest.raises(ConfigurationError, match="moves the center"):
         EssentialSlot(subgroup=P, automizer_gens=[gen, bad], model_tag="bad")
+
+
+def test_aut_on_elab_rejects_nonlinear_map(fusion_systems, contexts):
+    fs = fusion_systems["O8p2"]
+    e = contexts["omega8plus2"].six_E[0]
+    members = e.members
+    source = next(a for a in fs.all_generator_maps()
+                  if (a.domain is None or a.domain.bits[members].all())
+                  and e.bits[a.images[members]].all())
+    # swapping the images of two nonidentity members of e keeps a bijection
+    # of e but breaks linearity
+    images = source.images.copy()
+    x, y = int(members[1]), int(members[2])
+    images[[x, y]] = images[[y, x]]
+    mutated = copy.copy(source)
+    mutated.images = images
+    broken = FusionSystem(ctx=fs.ctx, essentials=[], aut_s_gens=[mutated],
+                          variant="mutated")
+    assert aut_group_on_elab(FusionSystem(ctx=fs.ctx, essentials=[],
+                                          aut_s_gens=[source], variant="source"),
+                             e)["generator_count"] == 1
+    with pytest.raises(ConfigurationError, match="not linear"):
+        aut_group_on_elab(broken, e)
+
+
+def test_minimal_overgroups_are_three_distinct_order_192_groups(frame_bundle):
+    frame = frame_bundle.extras["frame"]
+    t_gens = [frame_line_action(frame, frame_bundle.matrices[int(gi)])
+              for gi in frame_bundle.sylow.gen_indices]
+    letters = minimal_overgroups_in_alternating(t_gens)
+    assert len(letters) == 3
+    element_sets = []
+    for rho in letters:
+        assert perm_order(rho) == 3
+        chain = build_stab_chain(GroupHandle("overgroup", t_gens + [rho]))
+        elements = sorted(e.tobytes() for e in chain.elements())
+        assert len(elements) == len(set(elements)) == 192
+        element_sets.append(elements)
+    assert len({tuple(s) for s in element_sets}) == 3
+
+
+@pytest.mark.parametrize("variant", ["O8p2", "PO8p3x3"])
+def test_fuse_elements_matches_union_find(fusion_systems, fusion_partitions, variant):
+    fs = fusion_systems[variant]
+    n = fs.s.n
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a in fs.all_generator_maps():
+        dom = a.domain.members if a.domain is not None else range(n)
+        for x in dom:
+            rx, ry = find(int(x)), find(int(a.images[int(x)]))
+            parent[max(rx, ry)] = min(rx, ry)
+    least = {}
+    for x in range(n):
+        least.setdefault(find(x), x)
+    expected = [least[find(x)] for x in range(n)]
+    assert fusion_partitions[variant].class_id.tolist() == expected

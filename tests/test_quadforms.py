@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from d4fusion.groupmodels import AffineModule, a8_generators
 from d4fusion.quadforms import (
     DIM,
     GF2_SPACE,
@@ -12,7 +13,10 @@ from d4fusion.quadforms import (
     gf2_rank,
     gf3_det,
     in_omega_gf3,
+    invariant_quadratic_forms,
     is_isometry_exhaustive,
+    monomials,
+    q,
     reflection,
     reflection_decomposition,
     spinor_norm,
@@ -191,3 +195,27 @@ def test_isometry_matrix_spot_check_rejects_garbage():
     bad[0, 0] = 1
     with pytest.raises(PreconditionError):
         IsometryMatrix(GF2_SPACE, bad)
+
+
+def test_identity_action_leaves_every_form_invariant():
+    basis = invariant_quadratic_forms([np.arange(64)])
+    assert sorted(basis) == [1 << k for k in range(21)]
+    # the basis form at bit 6 + pair index is the monomial x_0 x_1
+    assert [v for v in range(64) if q(1 << 6, v)] == [v for v in range(64) if v & 3 == 3]
+    assert monomials(0) == 0 and monomials(0b11) == 0b11 | 1 << 6
+
+
+def test_a8_module_has_one_invariant_form():
+    module = AffineModule()
+    # letters 1..6 are the unit vectors, letter 7 the all-ones vector
+    coords = np.array([sum(1 << (i - 1) for i in range(1, 7) if (c >> i) & 1)
+                       ^ (0x3F if (c >> 7) & 1 else 0) for c in module.reps])
+    assert sorted(coords) == list(range(64))
+    perms = []
+    for p in a8_generators():
+        vp = np.empty(64, dtype=np.int64)
+        vp[coords] = coords[module.linear_perm(p)]
+        perms.append(vp)
+    (sol,) = invariant_quadratic_forms(perms)
+    assert all(q(sol, int(coords[m])) == module.weight_form(m) for m in range(64))
+    assert sum(1 for v in range(1, 64) if q(sol, v) == 0) == 35

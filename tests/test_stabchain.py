@@ -1,16 +1,12 @@
 import itertools
 
 import numpy as np
-import pytest
 
 from d4fusion.perms import Permutation, compose, inverse
 from d4fusion.stabchain import (
     GroupHandle,
     build_stab_chain,
-    chain_to_json,
-    load_chain,
     orbit,
-    save_chain,
     stabilizer_of_prefix,
 )
 
@@ -173,24 +169,3 @@ def test_elements_enumeration_exact():
     chain = build_stab_chain(GroupHandle("s6", gens))
     seen = {e.tobytes() for e in chain.elements()}
     assert len(seen) == chain.order() == 720
-
-
-def test_cache_roundtrip(tmp_path):
-    gens = sym_gens(6)
-    chain = build_stab_chain(GroupHandle("s6", gens))
-    path = tmp_path / "chain.json"
-    save_chain(chain, "s6", path)
-    loaded = load_chain(path, expected_name="s6")
-    assert loaded.order() == 720
-    doc = chain_to_json(chain, "s6")
-    assert doc["order_decimal"] == "720"
-    assert doc["format_version"] == 1
-
-
-def test_cache_rejects_wrong_name(tmp_path):
-    gens = sym_gens(4)
-    chain = build_stab_chain(GroupHandle("s4", gens))
-    path = tmp_path / "chain.json"
-    save_chain(chain, "s4", path)
-    with pytest.raises(Exception):
-        load_chain(path, expected_name="other")
