@@ -17,7 +17,7 @@ table.
 
 from __future__ import annotations
 
-import itertools
+import hashlib
 import json
 import logging
 import time
@@ -35,6 +35,7 @@ log = logging.getLogger(__name__)
 _MIX1 = np.int64(0x9E3779B1)
 _MIX2 = np.int64(0x85EBCA77)
 _PRIME = np.int64((1 << 61) - 1)
+_BLOCK = 16  # rows per step of _round_features
 
 
 def _attribute_matrix(ctx: StructureContext) -> np.ndarray:
@@ -66,28 +67,56 @@ def _attribute_matrix(ctx: StructureContext) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _refine(colors: np.ndarray, features: np.ndarray) -> np.ndarray:
-    stacked = colors.astype(np.int64) * np.int64(1 << 32) + features % np.int64(1 << 32)
-    _, new = np.unique(stacked, return_inverse=True)
-    return new.astype(np.int64)
-
-
 def _round_features(S: CayleyGroup, colors: np.ndarray) -> np.ndarray:
-    """Order-independent hash of {(color(y), color(xy), color([x,y])) : y}."""
-    cy = colors[None, :]
-    cxy = colors[S.T]
-    ccm = colors[S.comm]
-    mix = (cy * _MIX1 + cxy * _MIX2 + ccm * (_MIX1 ^ _MIX2)) % _PRIME
-    mix = (mix * mix + cy) % _PRIME
-    feat = mix.sum(axis=1) % _PRIME
-    feat = (feat + colors[S.T[np.arange(S.n), np.arange(S.n)]]) % _PRIME
+    """Order-independent hash of {(color(y), color(xy), color([x,y])) : y}.
+
+    With c the colours, P = 2^61 - 1,
+    m(x, y) = c(y)*MIX1 + c(xy)*MIX2 + c([x,y])*(MIX1^MIX2) and
+    h(x, y) = (m(x, y)^2 + c(y)) mod P, row x hashes to
+
+        ((sum_y h(x, y)) mod P + c(x^2)) mod P.
+
+    The square, the `+ c(y)` and the row sum are int64 arithmetic that
+    wraps around modulo 2^64; that wraparound is part of the hash.
+    Colours are below 2^13, so m(x, y) < 3 * 2^45 < P needs no reduction.
+    Rows are hashed _BLOCK at a time in two reused (_BLOCK, n) int64
+    buffers, so no n x n temporary is ever built.
+    """
+    n = S.n
+    assert 0 <= colors.min() and colors.max() < 1 << 13, "colour ids exceed 2^13"
+    c_mix1 = colors * _MIX1
+    mix = np.empty((min(_BLOCK, n), n), dtype=np.int64)
+    part = np.empty_like(mix)
+    feat = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        m, p = mix[:hi - lo], part[:hi - lo]
+        # table entries are < n by construction; mode="raise" would copy via a buffer
+        np.take(colors, S.T[lo:hi], out=m, mode="clip")
+        m *= _MIX2
+        np.take(colors, S.comm[lo:hi], out=p, mode="clip")
+        p *= _MIX1 ^ _MIX2
+        m += p
+        m += c_mix1
+        m *= m
+        m += colors
+        np.remainder(m, _PRIME, out=m)
+        m.sum(axis=1, out=feat[lo:hi])
+    feat %= _PRIME
+    feat += colors[S.T[np.arange(n), np.arange(n)]]
+    feat %= _PRIME
     return feat
 
 
 def joint_colors(ctx1: StructureContext, ctx2: StructureContext):
-    """Stable element colors computed jointly so ids agree across groups."""
+    """Stable element colors computed jointly so ids agree across groups.
+
+    When both arguments are the same context the two halves are equal in
+    every round, so attributes and features are computed once and reused.
+    """
+    same = ctx2 is ctx1
     a1 = _attribute_matrix(ctx1)
-    a2 = _attribute_matrix(ctx2)
+    a2 = a1 if same else _attribute_matrix(ctx2)
     both = np.concatenate([a1, a2], axis=0)
     _, colors = np.unique(both, axis=0, return_inverse=True)
     colors = colors.astype(np.int64)
@@ -95,7 +124,7 @@ def joint_colors(ctx1: StructureContext, ctx2: StructureContext):
     c1, c2 = colors[:n1], colors[n1:]
     for _ in range(6):
         f1 = _round_features(ctx1.S, c1)
-        f2 = _round_features(ctx2.S, c2)
+        f2 = f1 if same else _round_features(ctx2.S, c2)
         stacked = np.concatenate([
             np.stack([c1, f1], axis=1), np.stack([c2, f2], axis=1)], axis=0)
         _, new = np.unique(stacked, axis=0, return_inverse=True)
@@ -343,36 +372,64 @@ def _frattini_action_candidates(ctx: StructureContext, coords):
     e_patterns = frozenset(
         frozenset(int(c) for c in np.unique(coords[e.members])) for e in ctx.six_E)
 
-    def apply(mat_cols, v):
-        out = 0
-        for bit in range(n_bits):
-            if (v >> bit) & 1:
-                out ^= mat_cols[bit]
-        return out
-
+    # all 16^4 column 4-tuples in itertools.product order, and the images of
+    # the 16 vectors under each: imgs[:, v] = XOR of the columns of v's bits
+    cols = np.indices((16,) * n_bits, dtype=np.uint8).reshape(n_bits, -1).T
+    imgs = np.zeros((len(cols), 16), dtype=np.uint8)
+    for v in range(1, 16):
+        imgs[:, v] = imgs[:, v & (v - 1)] ^ cols[:, (v & -v).bit_length() - 1]
+    # order exactly 3 (so also bijective), and the Q-coset vector fixed
+    ident = np.arange(16, dtype=np.uint8)
+    square = np.take_along_axis(imgs, imgs, axis=1)
+    cube = np.take_along_axis(imgs, square, axis=1)
+    keep = ((cube == ident).all(axis=1) & (imgs != ident).any(axis=1)
+            & (imgs[:, vq] == vq))
     out = []
-    for cols in itertools.product(range(16), repeat=4):
-        imgs = [apply(cols, v) for v in range(16)]
-        if len(set(imgs)) != 16:
+    for row in imgs[keep].astype(np.int64):
+        imgs_of = row.tolist()
+        if frozenset(imgs_of[c] for c in f1_coords) != f1_coords:
             continue
-        order3 = [imgs[imgs[imgs[v]]] for v in range(16)]
-        if order3 != list(range(16)) or imgs == list(range(16)):
+        if frozenset(imgs_of[c] for c in i0_coords) != i0_coords:
             continue
-        if imgs[vq] != vq:
-            continue
-        if frozenset(imgs[c] for c in f1_coords) != f1_coords:
-            continue
-        if frozenset(imgs[c] for c in i0_coords) != i0_coords:
-            continue
-        pats = frozenset(frozenset(imgs[c] for c in p) for p in e_patterns)
+        pats = frozenset(frozenset(imgs_of[c] for c in p) for p in e_patterns)
         if pats != e_patterns:
             continue
-        out.append(np.array(imgs, dtype=np.int64))
+        out.append(row)
     return out
 
 
 class _ActionDone(Exception):
     pass
+
+
+def _checkpoint_digest(S: CayleyGroup, taus) -> str:
+    """What a checkpoint's tau indices refer to: the table and the tau list."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(np.array(taus, dtype=np.int64).tobytes())
+    h.update(S.T.tobytes())
+    return h.hexdigest()
+
+
+def _load_checkpoint(path, digest: str) -> set:
+    """Tau indices already searched, or none if the checkpoint is for
+    another table, labelling or candidate order."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError:
+        return set()
+    except ValueError:
+        log.warning("ignoring unreadable order-3 checkpoint %s", path)
+        return set()
+    if not isinstance(doc, dict) or doc.get("digest") != digest:
+        log.warning("ignoring order-3 checkpoint %s: written for another table "
+                    "or tau list", path)
+        return set()
+    return {int(ti) for ti in doc.get("done_taus", ())}
+
+
+def _save_checkpoint(path, digest: str, done_taus) -> None:
+    write_json_atomic(path, {"digest": digest, "done_taus": sorted(done_taus)})
 
 
 def order3_automorphisms(ctx: StructureContext, budget_secs: float = 7200.0,
@@ -391,6 +448,9 @@ def order3_automorphisms(ctx: StructureContext, budget_secs: float = 7200.0,
     `limit` caps the total number of maps returned; `limit_per_tau` caps
     the number per induced Frattini-quotient action, which is how callers
     sample maps with different actions on the characteristic structure.
+    A checkpoint at `checkpoint_path` lists the taus already searched,
+    with a digest of S.T and of the tau list; one with another digest is
+    ignored, since its indices point into another list.
     """
     S = ctx.S
     t0 = time.monotonic()
@@ -403,11 +463,8 @@ def order3_automorphisms(ctx: StructureContext, budget_secs: float = 7200.0,
     nodes = 0
     done_taus = set()
     if checkpoint_path is not None:
-        try:
-            with open(checkpoint_path) as fh:
-                done_taus = set(json.load(fh)["done_taus"])
-        except (OSError, ValueError, KeyError):
-            done_taus = set()
+        digest = _checkpoint_digest(S, taus)
+        done_taus = _load_checkpoint(checkpoint_path, digest)
 
     coset_members = {}
     for v in range(16):
@@ -420,7 +477,7 @@ def order3_automorphisms(ctx: StructureContext, budget_secs: float = 7200.0,
 
     exhausted = True
     for ti, tau in enumerate(taus):
-        if str(ti) in done_taus or ti in done_taus:
+        if ti in done_taus:
             continue
         cand_lists = [candidates(a, tau) for a in anchors]
         tau_found = 0
@@ -472,15 +529,14 @@ def order3_automorphisms(ctx: StructureContext, budget_secs: float = 7200.0,
             exhausted = False
         except ResourceError:
             if checkpoint_path is not None:
-                write_json_atomic(checkpoint_path, {"done_taus": sorted(done_taus)})
+                _save_checkpoint(checkpoint_path, digest, done_taus)
             raise
         if stop_all:
             exhausted = False
             break
         done_taus.add(ti)
         if checkpoint_path is not None:
-            write_json_atomic(checkpoint_path,
-                              {"done_taus": sorted(int(x) for x in done_taus)})
+            _save_checkpoint(checkpoint_path, digest, done_taus)
     return SearchOutcome(found, nodes, time.monotonic() - t0, exhausted)
 
 

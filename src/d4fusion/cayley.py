@@ -114,57 +114,53 @@ class CayleyGroup:
         """Enumerate by breadth-first closure and build the table.
 
         `mul(a, b)` means "a then b"; `key` must injectively serialize
-        elements.  Generator columns of the table come straight out of the
-        closure products; the remaining columns follow by associativity
-        from the BFS decomposition b = parent * generator.
+        elements.  `mul` runs once per element and generator, in the
+        closure, which records cols[j, x] = x * g_j.  Each element b > 0
+        has a BFS decomposition b = f * g_j with f < b, so in BFS order
+
+            g * b = (g * f) * g_j = cols[j, g * f]    (the row of g)
+            T[b] = T[f][T[g_j]]                        (b * y = f * (g_j * y))
+
+        the first giving every generator's row, the second every row,
+        each row written contiguously.
         """
+        k = len(generators)
+        cols = np.zeros((k, max_order), dtype=IDX)
         elements = [identity]
         index = {key(identity): 0}
         parents = [(-1, -1)]
-        gen_cols = [[] for _ in generators]
         frontier = [0]
         while frontier:
             nxt = []
             for x in frontier:
                 for j, g in enumerate(generators):
                     prod = mul(elements[x], g)
-                    k = key(prod)
-                    idx = index.get(k)
+                    kp = key(prod)
+                    idx = index.get(kp)
                     if idx is None:
                         idx = len(elements)
                         if idx >= max_order:
                             raise ResourceError("group closure exceeded max_order")
                         elements.append(prod)
-                        index[k] = idx
+                        index[kp] = idx
                         parents.append((x, j))
                         nxt.append(idx)
-                    # defer: gen columns recorded below once all indices exist
+                    cols[j, x] = idx
             frontier = nxt
         n = len(elements)
-        # generator element indices
         gen_idx = [index[key(g)] for g in generators]
-        # generator columns: one pass of products per generator
-        T = np.zeros((n, n), dtype=IDX)
-        for j, g in enumerate(generators):
-            col = np.empty(n, dtype=IDX)
-            for x in range(n):
-                col[x] = index[key(mul(elements[x], g))]
-            gen_cols[j] = col
-            T[:, gen_idx[j]] = col
-        # remaining columns by T[:, f*g] = T[T[:, f], g]
-        T[:, 0] = np.arange(n, dtype=IDX)
-        done = np.zeros(n, dtype=bool)
-        done[0] = True
-        for gi in gen_idx:
-            done[gi] = True
+        gen_rows = np.empty((k, n), dtype=IDX)
+        gen_rows[:, 0] = gen_idx
         for b in range(1, n):
-            if done[b]:
-                continue
             f, j = parents[b]
-            if not done[f]:
+            if f >= b:
                 raise ConfigurationError("BFS parent order violated")
-            T[:, b] = gen_cols[j][T[:, f]]
-            done[b] = True
+            gen_rows[:, b] = cols[j, gen_rows[:, f]]
+        T = np.empty((n, n), dtype=IDX)
+        T[0] = np.arange(n, dtype=IDX)
+        for b in range(1, n):
+            f, j = parents[b]
+            T[b] = T[f][gen_rows[j]]
         return cls(T, gen_indices=gen_idx, parents=parents, elements=elements,
                    name=name)
 

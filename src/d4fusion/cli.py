@@ -180,12 +180,16 @@ def _isomorphism_reports(config: RunConfig, contexts):
     return out
 
 
-def _build_system(config: RunConfig, variant: str):
+def _build_system(config: RunConfig, variant: str, contexts: dict):
+    """Assemble a variant over its model, reusing the model's context from
+    `contexts` (model -> StructureContext), which is filled on first use."""
     from .fusion import build_fusion_system
     from .structure import StructureContext
     model = "omega8plus2" if variant.startswith("O8p2") else "frame"
     bundle = build_bundles(config, models=(model,))[model]
-    ctx = StructureContext(bundle)
+    if model not in contexts:
+        contexts[model] = StructureContext(bundle)
+    ctx = contexts[model]
     checkpoint = config.cache_dir / ("order3-%s.checkpoint.json" % model)
     return build_fusion_system(variant, bundle, ctx,
                                order3_budget=config.budget_secs,
@@ -196,10 +200,10 @@ def cmd_fusion(config: RunConfig) -> Certificate:
     from .fusion import (check_O2, fingerprint_fusion, fuse_elements, fusion_report)
     cert = Certificate(config=config.echo())
     if config.action == "compare":
-        fingerprints = {}
+        fingerprints, contexts = {}, {}
         with check_timer() as t:
             for variant in ("O8p2", "O8p2x3", "PO8p3", "PO8p3x3"):
-                fs = _build_system(config, variant)
+                fs = _build_system(config, variant, contexts)
                 fingerprints[variant] = fingerprint_fusion(fs)
         names = list(fingerprints)
         distinct = all(fingerprints[a] != fingerprints[b]
@@ -214,7 +218,7 @@ def cmd_fusion(config: RunConfig) -> Certificate:
         ))
         return cert
     with check_timer() as t:
-        fs = _build_system(config, config.variant)
+        fs = _build_system(config, config.variant, {})
         if config.action == "build":
             rep = fusion_report(fs)
         elif config.action == "classes":

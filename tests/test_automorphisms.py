@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,142 @@ def test_automappair_rejects_swapped_generator_images(isomorphisms):
     images[[a, b]] = images[[b, a]]
     with pytest.raises(ConfigurationError):
         AutoMapPair(iso.g1, iso.g2, images)
+
+
+# -- the colour refinement and the Frattini actions against references -------
+
+
+def _round_features_reference(S, colors):
+    """The unblocked formula, with n x n int64 temporaries."""
+    from d4fusion.automorphisms import _MIX1, _MIX2, _PRIME
+    cy = colors[None, :]
+    mix = (cy * _MIX1 + colors[S.T] * _MIX2 + colors[S.comm] * (_MIX1 ^ _MIX2)) % _PRIME
+    mix = (mix * mix + cy) % _PRIME
+    feat = mix.sum(axis=1) % _PRIME
+    return (feat + colors[S.T[np.arange(S.n), np.arange(S.n)]]) % _PRIME
+
+
+def _s5():
+    from d4fusion.cayley import CayleyGroup
+    from d4fusion.perms import Permutation, compose
+    gens = [Permutation.from_cycles(5, (0, 1, 2, 3, 4)).images,
+            Permutation.from_cycles(5, (0, 1)).images]
+    return CayleyGroup.from_generators(gens, mul=compose, key=bytes,
+                                       identity=np.arange(5, dtype=np.uint16))
+
+
+def test_blocked_round_features_match_unblocked(contexts):
+    from d4fusion.automorphisms import _BLOCK, _round_features
+    small = _s5()
+    assert small.n % _BLOCK != 0
+    rng = np.random.default_rng(7)
+    for S in (contexts["omega8plus2"].S, small):
+        for colors in (S.order_of.astype(np.int64),
+                       rng.integers(0, 1 << 13, S.n, dtype=np.int64)):
+            assert np.array_equal(_round_features(S, colors),
+                                  _round_features_reference(S, colors))
+
+
+def test_self_joint_colors_match_the_two_context_path(contexts):
+    import copy
+    ctx = contexts["omega8plus2"]
+    c1, c2 = joint_colors(ctx, ctx)
+    assert np.array_equal(c1, c2)
+    assert np.array_equal(c1, element_colors(ctx))
+    # a distinct context object takes the path that refines each half
+    d1, d2 = joint_colors(ctx, copy.copy(ctx))
+    assert np.array_equal(d1, c1) and np.array_equal(d2, c2)
+
+
+def test_round_features_memory_stays_small(contexts):
+    import tracemalloc
+    from d4fusion.automorphisms import _round_features
+    S = contexts["affine"].S
+    S.comm  # the commutator table is built once per group, before this
+    colors = element_colors(contexts["affine"])
+    tracemalloc.start()
+    try:
+        _round_features(S, colors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S.n == 4096 and peak < 64 * 2**20
+
+
+def _frattini_reference(ctx, coords):
+    """The per-tuple loop over itertools.product."""
+    import itertools
+    S = ctx.S
+    (vq,) = sorted({int(coords[x]) for x in ctx.Q.members} - {0})
+    f1 = S.centralizer(ctx.Z2.members)
+    f1_coords = frozenset(int(c) for c in np.unique(coords[f1.members]))
+    i0_coords = frozenset(int(c) for c in np.unique(coords[ctx.coset_rep == ctx.i0_coset]))
+    e_patterns = frozenset(frozenset(int(c) for c in np.unique(coords[e.members]))
+                           for e in ctx.six_E)
+    out = []
+    for cols in itertools.product(range(16), repeat=4):
+        imgs = [0] * 16
+        for v in range(16):
+            for bit in range(4):
+                if (v >> bit) & 1:
+                    imgs[v] ^= cols[bit]
+        if len(set(imgs)) != 16 or imgs == list(range(16)):
+            continue
+        if [imgs[imgs[imgs[v]]] for v in range(16)] != list(range(16)):
+            continue
+        if imgs[vq] != vq:
+            continue
+        if (frozenset(imgs[c] for c in f1_coords) != f1_coords
+                or frozenset(imgs[c] for c in i0_coords) != i0_coords):
+            continue
+        if frozenset(frozenset(imgs[c] for c in p) for p in e_patterns) != e_patterns:
+            continue
+        out.append(imgs)
+    return out
+
+
+@pytest.mark.parametrize("name", ["omega8plus2", "affine"])
+def test_frattini_actions_match_product_loop(contexts, name):
+    from d4fusion.automorphisms import _frattini_action_candidates
+    ctx = contexts[name]
+    coords, _ = ctx.S.elementary_quotient_coords(ctx.phi)
+    got = _frattini_action_candidates(ctx, coords)
+    assert got and all(t.dtype == np.int64 for t in got)
+    assert [t.tolist() for t in got] == _frattini_reference(ctx, coords)
+
+
+# -- order-3 checkpoints are bound to the table and the tau list -------------
+
+
+def _taus(ctx):
+    from d4fusion.automorphisms import _frattini_action_candidates
+    coords, _ = ctx.S.elementary_quotient_coords(ctx.phi)
+    return _frattini_action_candidates(ctx, coords)
+
+
+def test_matching_checkpoint_is_honoured(contexts, tmp_path):
+    from d4fusion.automorphisms import _checkpoint_digest, _save_checkpoint
+    ctx = contexts["omega8plus2"]
+    taus = _taus(ctx)
+    checkpoint = tmp_path / "order3.checkpoint.json"
+    _save_checkpoint(checkpoint, _checkpoint_digest(ctx.S, taus), range(len(taus)))
+    outcome = order3_automorphisms(ctx, limit=1, checkpoint_path=checkpoint)
+    assert outcome.found == [] and outcome.nodes == 0
+
+
+@pytest.mark.parametrize("foreign", ["other_model", "no_digest"])
+def test_foreign_checkpoint_is_ignored(contexts, tmp_path, caplog, foreign):
+    from d4fusion.automorphisms import _checkpoint_digest, _save_checkpoint
+    ctx = contexts["omega8plus2"]
+    taus = _taus(ctx)
+    checkpoint = tmp_path / "order3.checkpoint.json"
+    if foreign == "other_model":
+        other = contexts["frame"]
+        _save_checkpoint(checkpoint, _checkpoint_digest(other.S, _taus(other)),
+                         range(len(taus)))
+    else:
+        checkpoint.write_text(json.dumps({"done_taus": list(range(len(taus)))}))
+    with caplog.at_level("WARNING", logger="d4fusion.automorphisms"):
+        outcome = order3_automorphisms(ctx, limit=1, checkpoint_path=checkpoint)
+    assert outcome.found and outcome.nodes > 0
+    assert "ignoring order-3 checkpoint" in caplog.text

@@ -391,3 +391,49 @@ def test_coset_reps_cover_only_the_subgroup(d8):
     assert (part[~v4.bits] == -1).all()
     for x in range(d8.n):
         assert whole[x] == min(d8.mul(k, x) for k in z.members)
+
+
+# -- table construction against the definition -------------------------------
+
+
+def _heisenberg_plus_mul(a, b):
+    (va, za), (vb, zb) = a, b
+    return (tuple(x ^ y for x, y in zip(va, vb)),
+            za ^ zb ^ (vb[0] & va[1]) ^ (vb[2] & va[3]))
+
+
+def _perm_case(deg, *cycles):
+    gens = [Permutation.from_cycles(deg, c).images for c in cycles]
+    return gens, compose, bytes, np.arange(deg, dtype=np.uint16)
+
+
+TABLE_CASES = {
+    "d8": (8, lambda: _perm_case(4, (0, 1, 2, 3), (1, 3))),
+    "plus": (32, lambda: ([((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0), ((0, 0, 1, 0), 0),
+                           ((0, 0, 0, 1), 0)], _heisenberg_plus_mul, repr,
+                          ((0, 0, 0, 0), 0))),
+    "s4": (24, lambda: _perm_case(4, (0, 1, 2, 3), (0, 1), (1, 2))),
+    "s5": (120, lambda: _perm_case(5, (0, 1, 2, 3, 4), (0, 1), (1, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_from_generators_matches_brute_force_table(name):
+    """Every entry equals index[key(mul(a, b))], with mul run n * k times."""
+    order, case = TABLE_CASES[name]
+    gens, mul, key, ident = case()
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    g = CayleyGroup.from_generators(gens, mul=counted, key=key, identity=ident)
+    assert g.n == order
+    assert len(calls) == g.n * len(gens)
+    index = {key(e): i for i, e in enumerate(g.elements)}
+    ref = np.array([[index[key(mul(a, b))] for b in g.elements] for a in g.elements])
+    assert np.array_equal(g.T, ref)
+    assert g.gen_indices == [index[key(x)] for x in gens]
+    for b, (f, j) in enumerate(g.parents[1:], start=1):
+        assert f < b and g.T[f, g.gen_indices[j]] == b

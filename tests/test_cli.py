@@ -161,3 +161,23 @@ def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch):
     assert path.read_text() == before
     assert json.loads(before)["reports"][0]["lemma_id"] == "first"
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_fusion_compare_builds_one_context_per_model(tmp_path, monkeypatch):
+    from types import SimpleNamespace
+
+    from d4fusion import fusion
+    built = {}
+
+    def fake_build(variant, bundle, ctx, **kwargs):
+        built[variant] = ctx
+        return variant
+
+    monkeypatch.setattr(cli, "build_bundles", lambda config, models: {
+        m: SimpleNamespace(sylow=None) for m in models})
+    monkeypatch.setattr(fusion, "build_fusion_system", fake_build)
+    monkeypatch.setattr(fusion, "fingerprint_fusion", lambda fs: (fs, (), ()))
+    assert run(["fusion", "--action", "compare"], tmp_path) == 0
+    assert built["O8p2"] is built["O8p2x3"]
+    assert built["PO8p3"] is built["PO8p3x3"]
+    assert built["O8p2"] is not built["PO8p3"]
