@@ -197,7 +197,7 @@ def _build_system(config: RunConfig, variant: str, contexts: dict):
 
 
 def cmd_fusion(config: RunConfig) -> Certificate:
-    from .fusion import (check_O2, fingerprint_fusion, fuse_elements, fusion_report)
+    from .fusion import fingerprint_fusion, fusion_report
     cert = Certificate(config=config.echo())
     if config.action == "compare":
         fingerprints, contexts = {}, {}
@@ -218,17 +218,7 @@ def cmd_fusion(config: RunConfig) -> Certificate:
         ))
         return cert
     with check_timer() as t:
-        fs = _build_system(config, config.variant, {})
-        if config.action == "build":
-            rep = fusion_report(fs)
-        elif config.action == "classes":
-            part = fuse_elements(fs)
-            rep = fusion_report(fs, partition=part)
-        elif config.action == "o2":
-            o2 = check_O2(fs)
-            rep = fusion_report(fs, o2=o2)
-        else:
-            raise ConfigurationError("unknown fusion action %r" % config.action)
+        rep = fusion_report(_build_system(config, config.variant, {}))
     cert.fusion_reports.append(rep)
     cert.add(LemmaReport(
         lemma_id="fusion-%s-%s" % (config.variant, config.action),
@@ -300,7 +290,7 @@ def make_parser():
     p.add_argument("--variant", default="O8p2",
                    choices=("O8p2", "O8p2x3", "PO8p3", "PO8p3x3"))
     p.add_argument("--action", default="build",
-                   choices=("build", "classes", "o2", "compare"))
+                   choices=("build", "compare"))
     common(p)
 
     p = sub.add_parser("report", help="collect previously written certificates")

@@ -26,7 +26,6 @@ from .groupmodels import (
     frame_from_involutions,
     frame_group_of,
     perm_matrix,
-    t_part_perms,
 )
 from .perms import ConfigurationError, Permutation, compose, inverse, perm_order
 from .quadforms import (GF3_SPACE, PreconditionError, gf2_nullspace, gf3_inverse,
@@ -119,7 +118,6 @@ def essential_candidates(ctx: StructureContext):
     f1 = S.centralizer(ctx.Z2.members)
     if f1.order != 2048:
         raise ConfigurationError("C_S(Z2) does not have index 2")
-    S.check_closed(f1)
     if ctx.Q <= f1:
         raise ConfigurationError("Q unexpectedly centralizes Z2(S)")
     quot, rep_of, new_index = S.quotient_group(ctx.Q)
@@ -397,9 +395,11 @@ def _involution_lifts(bundle: ModelBundle, e: SubgroupBits):
 
 
 def _verify_sylow_inside(bundle: ModelBundle, handle: GroupHandle):
-    chain = handle.chain
-    for i in range(bundle.sylow.n):
-        if not chain.contains(bundle.embedding[i]):
+    """The embedded generators lie in the frame group, so all of S does:
+    they form a verified generating set, E is a homomorphism, and the
+    chain's group is closed."""
+    for gi in bundle.sylow.generating_set():
+        if not handle.chain.contains(bundle.embedding[gi]):
             raise ConfigurationError("the Sylow does not sit inside the frame group")
 
 
@@ -594,66 +594,26 @@ def check_O2(fs: FusionSystem) -> SubgroupBits:
     """Largest subgroup inside every essential subgroup that every generator
     map sends to itself.
 
-    Bottom-up: for each element of the intersection of the essentials,
-    close its orbit under all maps (and the subgroup it generates) until
-    stable; elements whose closure stays inside the intersection
-    contribute their closure subgroup, and the product of all such
-    subgroups is the answer.
+    Top-down fixpoint: start from R = the intersection of the essentials
+    and repeat R <- {x in R : a(x) in R for every generator map a} until
+    R stops changing.  R lies in every map's domain (a slot map's domain
+    is its slot; an S-map's is S), so each step intersects R with the
+    preimages a^-1(R), which are subgroups, and R stays a subgroup.  A
+    subgroup P inside R with a(P) = P for all a lies in every a^-1(R), so
+    it stays inside R.  At the fixpoint a(R) <= R, hence a(R) = R as a is
+    injective: R is invariant, and it contains every invariant subgroup.
     """
     S = fs.s
-    r0 = np.ones(S.n, dtype=bool)
+    r = np.ones(S.n, dtype=bool)
     for slot in fs.essentials:
-        r0 &= slot.subgroup.bits
-    maps = fs.all_generator_maps()
-    inverses = [a.inverse_map() for a in maps]
-    qualifying = np.zeros(S.n, dtype=bool)
-    qualifying[0] = True
-    disqualified = np.zeros(S.n, dtype=bool)
-    for x in np.flatnonzero(r0):
-        x = int(x)
-        if qualifying[x] or disqualified[x]:
-            continue
-        closure_bits = S.closure([x]).bits
-        ok = True
-        while True:
-            if (closure_bits & ~r0).any():
-                ok = False
-                break
-            grown = closure_bits.copy()
-            members = np.flatnonzero(closure_bits)
-            for a, ainv in zip(maps, inverses):
-                if a.domain is None:
-                    grown[a.images[members]] = True
-                    grown[ainv.images[members]] = True
-                else:
-                    inside = members[a.domain.bits[members]]
-                    grown[a.images[inside]] = True
-                    grown[ainv.images[inside]] = True
-            if (grown & ~r0).any():
-                ok = False
-                break
-            if np.array_equal(grown, closure_bits):
-                break
-            closure_bits = S.closure(np.flatnonzero(grown)).bits
-        if ok:
-            qualifying |= closure_bits
-        else:
-            disqualified[x] = True
-    result = S.closure(np.flatnonzero(qualifying))
-    # the product of qualifying subgroups must itself be invariant
-    members = result.members
-    for a in maps:
-        if a.domain is None:
-            imgs = a.images[members]
-        else:
-            if not a.domain.bits[members].all():
-                raise ConfigurationError("the candidate radical leaves a map domain")
-            imgs = a.images[members]
-        if not result.bits[imgs].all():
-            raise ConfigurationError("the candidate radical is not invariant")
-    if (result.bits & ~r0).any():
-        raise ConfigurationError("the candidate radical escapes the essentials")
-    return result
+        r &= slot.subgroup.bits
+    images = np.stack([a.images for a in fs.all_generator_maps()])
+    while True:
+        members = np.flatnonzero(r)
+        keep = r[images[:, members]].all(axis=0)
+        if keep.all():
+            return SubgroupBits(S, r)
+        r[members[~keep]] = False
 
 
 # ---------------------------------------------------------------------------

@@ -96,31 +96,36 @@ class StructureContext:
 
     @cached_property
     def coset_data(self):
-        """Per nontrivial coset: the commutator subgroup [Q, s] and its shape.
+        """Per nontrivial coset Qs: the commutator subgroup [Q, s] and its shape.
 
-        Computed for every representative of every coset, with the
-        rep-independence of [Q, s] asserted along the way.
+        [Q, s] is closed once per coset, at its least member.  It is the
+        same for every member once `check_commutator_witnesses` passes:
+        Q is extraspecial, so Z(Q) = Q' = <z>, and Q contains Phi(S), so
+        it is normal and [Q, s] <= Q.  [Q, s] is normalised by Q, since
+        [q, s]^x = [qx, s] [x, s]^-1.  Holding some y in Q outside Z(Q),
+        it holds y^x = yz for an x in Q with [y, x] = z, hence z.  Then
+        for x, q in Q, [x, sq] = [x, q] [x, s]^q with [x, q] in <z>, so
+        [Q, sq] <= [Q, s], and the same argument from sq gives equality.
         """
-        S, Q = self.S, self.Q
-        qm = Q.members
+        S = self.S
         out = {}
         for rep in self.nontrivial_cosets:
             members = np.flatnonzero(self.coset_rep == rep)
-            sub = None
-            for s in members:
-                seeds = np.unique(S.comm[qm, int(s)])
-                cs = S.closure(seeds)
-                if sub is None:
-                    sub = cs
-                elif not np.array_equal(sub.bits, cs.bits):
-                    raise ConfigurationError("[Q, s] depends on the coset representative")
-            is_ea = S.is_elementary_abelian(sub)
+            self.check_commutator_witnesses(members)
+            sub = S.closure(np.unique(S.comm[self.Q.members, rep]))
             out[rep] = {
                 "commutator": sub,
-                "elementary_abelian": is_ea,
+                "elementary_abelian": S.is_elementary_abelian(sub),
                 "members": members,
             }
         return out
+
+    def check_commutator_witnesses(self, members) -> None:
+        """Raise unless every s in `members` has some [q, s], q in Q, outside Z(Q)."""
+        S, Q = self.S, self.Q
+        outside = ~S.center_of(Q).bits[S.comm[np.ix_(Q.members, members)]]
+        if not outside.any(axis=0).all():
+            raise ConfigurationError("[Q, s] lies in Z(Q) for some s of the coset")
 
     @cached_property
     def i0_coset(self) -> int:

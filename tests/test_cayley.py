@@ -182,8 +182,32 @@ def test_automap_identity_and_inner(d8):
     assert ident.map_order() == 1
     inner = inner_automap(d8, d8.gen_indices[0])
     assert inner.map_order() in (1, 2, 4)
-    comp = inner.then(inner.inverse_map())
-    assert np.array_equal(comp.images, np.arange(d8.n, dtype=np.uint16))
+
+
+def swapped_table(g):
+    """g's table with two non-generator entries of one row swapped.
+
+    The rows stay permutations and the identity, inverse and generator
+    columns are kept, so only the associativity check can see it.
+    """
+    T = g.T.copy()
+    x = g.n - 1
+    ys = list(itertools.islice(
+        (y for y in range(1, g.n)
+         if y not in g.gen_indices and y not in (x, int(g.inv[x]))
+         and not g.closure([y]).bits[x]), 2))
+    T[x, ys] = T[x, ys[::-1]]
+    return T
+
+
+@pytest.mark.parametrize("group,with_gens", [("plus", True), ("plus", False),
+                                              ("affine_sylow", True)])
+def test_table_with_swapped_non_generator_entries_is_rejected(group, with_gens, request):
+    g = (heisenberg_2_4() if group == "plus"
+         else request.getfixturevalue("affine_bundle").sylow)
+    T = swapped_table(g)
+    with pytest.raises(ClosureError, match="associative"):
+        CayleyGroup(T, gen_indices=g.gen_indices if with_gens else None)
 
 
 def test_automap_rejects_non_multiplicative(d8):

@@ -96,15 +96,18 @@ def test_report_collects_and_flags_failures(tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("flag", [["--jobs", "3"], ["--seed", "1"]])
+@pytest.mark.parametrize("flag", [["--jobs", "3"], ["--seed", "1"],
+                                  ["--action", "o2"], ["--action", "classes"]])
 def test_removed_flags_are_refused(tmp_path, flag):
+    command = ["fusion"] if flag[0] == "--action" else ["verify", "--lemma", "cent"]
     with pytest.raises(SystemExit) as exc:
-        run(["verify", "--lemma", "cent"] + flag, tmp_path)
+        run(command + flag, tmp_path)
     assert exc.value.code == 2
 
 
 def test_fusion_o2_action(tmp_path):
-    code = run(["fusion", "--variant", "O8p2", "--action", "o2"], tmp_path)
+    # `build` reports the fusion classes and the radical in one run
+    code = run(["fusion", "--variant", "O8p2", "--action", "build"], tmp_path)
     assert code == 0
     cert = json.loads((tmp_path / "certificate-fusion.json").read_text())
     (frep,) = cert["fusion_reports"]

@@ -103,7 +103,61 @@ def test_deleting_f1_recovers_q(fusion_systems, contexts):
         cands = essential_candidates(ctx)
         smaller = delete_slot(fusion_systems[variant], cands[0])
         o2 = check_O2(smaller)
-        assert ctx.Q <= o2
+        assert o2 == ctx.Q
+
+
+def reference_radical(fs):
+    """Bottom-up reference for check_O2: x lies in the radical iff the least
+    map-invariant subgroup containing x stays inside every essential."""
+    S = fs.s
+    r0 = np.ones(S.n, dtype=bool)
+    for slot in fs.essentials:
+        r0 &= slot.subgroup.bits
+    maps = fs.all_generator_maps()
+    out = np.zeros(S.n, dtype=bool)
+    for x in np.flatnonzero(r0):
+        if out[x]:
+            continue
+        bits = S.closure([int(x)]).bits
+        while not (bits & ~r0).any():
+            grown = bits.copy()
+            for a in maps:
+                grown[a.images[np.flatnonzero(bits)]] = True
+            if np.array_equal(grown, bits):
+                out |= bits
+                break
+            bits = S.closure(np.flatnonzero(grown)).bits
+    return out
+
+
+def test_check_O2_matches_bottom_up_reference(fusion_systems):
+    for variant in ("O8p2", "PO8p3"):
+        fs = fusion_systems[variant]
+        systems = [fs, inner_only_system(fs)]
+        systems += [delete_slot(fs, slot.subgroup) for slot in fs.essentials]
+        for system in systems:
+            assert np.array_equal(check_O2(system).bits, reference_radical(system))
+
+
+def test_deleting_one_overgroup_slot(fusion_systems, contexts):
+    # O8p2: the radical is the E lying in the two remaining Q-overgroup slots
+    fs = fusion_systems["O8p2"]
+    ctx = contexts["omega8plus2"]
+    cands = essential_candidates(ctx)
+    essential = [k for k in range(1, 5) if k != fs.notes["non_essential_candidate"]]
+    assert len(essential) == 3
+    for k in essential:
+        smaller = delete_slot(fs, cands[k])
+        o2 = check_O2(smaller)
+        assert o2.order == 64
+        rest = tuple(j for j in essential if j != k)
+        (e,) = [e for e in ctx.six_E if pair_of_elab(ctx, cands, e) == rest]
+        assert o2 == e
+    # PO8p3: any three of the four overgroup slots still force a trivial radical
+    fs = fusion_systems["PO8p3"]
+    cands = essential_candidates(contexts["frame"])
+    for k in range(1, 5):
+        assert check_O2(delete_slot(fs, cands[k])).order == 1
 
 
 def test_deleting_q_slot_changes_fingerprint(fusion_systems, fusion_fingerprints):

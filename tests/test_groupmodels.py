@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from d4fusion.groupmodels import (
     standard_frame,
     verify_embedding,
 )
-from d4fusion.perms import Permutation, compose, inverse
+from d4fusion.perms import ConfigurationError, Permutation, compose, inverse
 from d4fusion.quadforms import GF2_SPACE, GF3_SPACE, PreconditionError, gf3_det
 from d4fusion.stabchain import GroupHandle, build_stab_chain, stabilizer_of_prefix
 
@@ -114,6 +116,18 @@ def test_chamber_matrices_match_perms(chamber_bundle, omega_handle):
 def test_embedding_verification_all_models(bundles):
     for bundle in bundles.values():
         verify_embedding(bundle)  # raises on any failure
+
+
+@pytest.mark.parametrize("pick", ["first", "identity"])
+def test_embedding_check_rejects_swapped_rows(affine_bundle, pick):
+    gens = set(affine_bundle.sylow.generating_set())
+    others = [i for i in range(1, SYLOW_ORDER) if i not in gens]
+    x, y = (others[0], others[1]) if pick == "first" else (0, others[-1])
+    emb = affine_bundle.embedding.copy()
+    emb[[x, y]] = emb[[y, x]]
+    twin = dataclasses.replace(affine_bundle, embedding=emb)
+    with pytest.raises(ConfigurationError):
+        verify_embedding(twin)
 
 
 def test_bundle_index_lookup(chamber_bundle):

@@ -1,13 +1,15 @@
 import itertools
 
 import numpy as np
+import pytest
 
-from d4fusion.perms import Permutation, compose, inverse
+from d4fusion.perms import ConfigurationError, Permutation, compose, inverse, is_identity
 from d4fusion.stabchain import (
     GroupHandle,
     build_stab_chain,
     orbit,
     stabilizer_of_prefix,
+    verify_chain,
 )
 
 
@@ -169,3 +171,60 @@ def test_elements_enumeration_exact():
     chain = build_stab_chain(GroupHandle("s6", gens))
     seen = {e.tobytes() for e in chain.elements()}
     assert len(seen) == chain.order() == 720
+
+
+def schreier_resift_fails(chain):
+    """Reference oracle: sift every Schreier generator of every level again."""
+    for i, lv in enumerate(chain.levels):
+        for p in lv.orbit:
+            for s in lv.gens:
+                q = int(s[p])
+                schreier = compose(compose(lv.transversal[p], s),
+                                   inverse(lv.transversal[q]))
+                residue, _ = chain.sift(schreier, start=i + 1)
+                if not is_identity(residue):
+                    return True
+    return False
+
+
+def test_built_chains_pass_the_schreier_resift(affine_bundle):
+    cases = [sym_gens(7),
+             [Permutation.from_cycles(8, (0, 1, 2, 3), (4, 5)),
+              Permutation.from_cycles(8, (0, 2))]]
+    for gens in cases:
+        for hint in (None, [3, 1]):
+            chain = build_stab_chain(GroupHandle("g", gens), base_hint=hint)
+            assert not schreier_resift_fails(chain)
+    assert not schreier_resift_fails(affine_bundle.ambient.chain)
+
+
+def s6_chain():
+    gens = sym_gens(6)
+    chain = build_stab_chain(GroupHandle("s6", gens))
+    verify_chain(chain, [g.images for g in gens])
+    return chain
+
+
+def test_verify_chain_rejects_a_tampered_transversal_entry():
+    chain = s6_chain()
+    lv = chain.levels[0]
+    p, other = lv.orbit[1], lv.orbit[2]
+    lv.transversal[p] = lv.transversal[other]
+    with pytest.raises(ConfigurationError, match="reach its point"):
+        verify_chain(chain)
+
+
+def test_verify_chain_rejects_a_generator_moving_an_earlier_base_point():
+    chain = s6_chain()
+    base0 = chain.levels[0].base
+    mover = next(s for s in chain.levels[0].gens if int(s[base0]) != base0)
+    chain.levels[1].gens.append(mover)
+    with pytest.raises(ConfigurationError, match="earlier base point"):
+        verify_chain(chain)
+
+
+def test_verify_chain_rejects_an_original_generator_outside():
+    chain = build_stab_chain(GroupHandle("a4", [Permutation.from_cycles(4, (0, 1, 2)),
+                                                Permutation.from_cycles(4, (1, 2, 3))]))
+    with pytest.raises(ConfigurationError, match="not in the constructed chain"):
+        verify_chain(chain, [Permutation.from_cycles(4, (0, 1)).images])

@@ -48,6 +48,30 @@ def test_coset_witnesses(batteries):
         assert "i0_has_involutions" in rep.witnesses
 
 
+def test_coset_data_matches_per_element_closures(contexts):
+    # reference: close [Q, s] for every member s of every coset
+    ctx = contexts["affine"]
+    S, qm = ctx.S, ctx.Q.members
+    assert len(ctx.coset_data) == 7
+    for rep, data in ctx.coset_data.items():
+        assert np.array_equal(data["members"], np.flatnonzero(ctx.coset_rep == rep))
+        for s in data["members"]:
+            sub = S.closure(np.unique(S.comm[qm, int(s)]))
+            assert np.array_equal(sub.bits, data["commutator"].bits)
+        assert data["elementary_abelian"] == S.is_elementary_abelian(data["commutator"])
+
+
+def test_commutator_witness_check_rejects_s_with_central_commutators(contexts):
+    ctx = contexts["affine"]
+    rep = ctx.nontrivial_cosets[0]
+    members = np.flatnonzero(ctx.coset_rep == rep)
+    ctx.check_commutator_witnesses(members)
+    # [Q, q] <= Q' = Z(Q) for q in Q
+    inside_q = int(np.flatnonzero(ctx.Q.bits & ~ctx.Z.bits)[0])
+    with pytest.raises(ConfigurationError, match="Z\\(Q\\)"):
+        ctx.check_commutator_witnesses(np.append(members, inside_q))
+
+
 def test_frattini_witnesses(batteries):
     for data in batteries.values():
         rep = reports_by_id(data)["frattini"]
