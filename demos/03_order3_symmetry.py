@@ -14,12 +14,9 @@ coset, and the six elementary abelian subgroups permuted in two 3-cycles.
 
 import time
 
-import numpy as np
-
 from d4fusion.automorphisms import order3_automorphisms, order3_behavior
-from d4fusion.cayley import AutoMap
 from d4fusion.groupmodels import build_omega8plus2, sylow_via_chamber
-from d4fusion.rootmodel import build_root_model, root_model_matches, triality_automap
+from d4fusion.rootmodel import chamber_triality
 from d4fusion.structure import StructureContext
 
 omega = build_omega8plus2()
@@ -27,12 +24,7 @@ chamber = sylow_via_chamber(omega)
 ctx = StructureContext(chamber)
 
 t0 = time.time()
-root_group = build_root_model()
-tri = triality_automap(root_group)
-translation = root_model_matches(chamber.matrices)
-inverse = np.empty_like(translation)
-inverse[translation] = np.arange(len(translation))
-tri_chamber = AutoMap(ctx.S, translation[tri.images[inverse]].astype(np.uint16))
+tri_chamber = chamber_triality(chamber)
 print("diagram symmetry transported in %.1fs, order %d" %
       (time.time() - t0, tri_chamber.map_order()))
 print("behavior:", order3_behavior(ctx, tri_chamber))

@@ -17,20 +17,14 @@ table.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cayley import AutoMap, CayleyGroup, check_isomorphism
 from .perms import ConfigurationError, ResourceError
-from .reports import write_json_atomic
 from .structure import StructureContext
-
-log = logging.getLogger(__name__)
 
 _MIX1 = np.int64(0x9E3779B1)
 _MIX2 = np.int64(0x85EBCA77)
@@ -262,76 +256,73 @@ def _anchors_for(ctx: StructureContext, colors: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# isomorphism search
+# the backtrack engine and the isomorphism search
 
 
 @dataclass
 class SearchOutcome:
     found: list
     nodes: int
-    elapsed_s: float
-    exhausted: bool
 
     @property
     def ok(self):
         return bool(self.found)
 
 
+def _backtrack(S1, S2, c1, c2, anchors, prefixes, cand_lists, deadline, stats,
+               name):
+    """Yield the full image array of every surviving leaf, depth first.
+
+    Level d tries the colour- and pair-filtered candidates for anchor d and
+    keeps those whose images extend to the subgroup generated by the first
+    d + 1 anchors; each candidate tried is one node, counted in
+    stats["nodes"].  The last prefix is the whole of S1, so a leaf's
+    evaluation is already the full map.  Past `deadline` (time.monotonic())
+    the search `name` raises ResourceError carrying `stats`.
+    """
+    def rec(depth, chosen, img_local):
+        if time.monotonic() > deadline:
+            raise ResourceError("%s exceeded its budget" % name, stats=dict(stats))
+        if depth == len(anchors):
+            full = np.zeros(S1.n, dtype=np.uint16)
+            full[prefixes[-1].elements] = img_local.astype(np.uint16)
+            yield full
+            return
+        cands = _pair_filter(S1, S2, c1, c2, anchors[:depth], chosen,
+                             anchors[depth], cand_lists[depth])
+        for b in cands:
+            stats["nodes"] += 1
+            trial = chosen + [int(b)]
+            img = _evaluate_prefix(prefixes[depth], S2.T, trial)
+            if img is not None:
+                yield from rec(depth + 1, trial, img)
+
+    yield from rec(0, [], None)
+
+
 def find_isomorphism(ctx1: StructureContext, ctx2: StructureContext,
-                     budget_secs: float = 7200.0, limit: int = 1) -> SearchOutcome:
+                     budget_secs: float = 7200.0) -> SearchOutcome:
     """Backtrack for a multiplicative bijection g1 -> g2.
 
     Anchor images run over color-matched candidates; each extension is
     validated by evaluating the generated subgroup in both groups in
-    parallel.  A returned map is exhaustively verified.
+    parallel.  The first leaf is returned, exhaustively verified.
     """
     S1, S2 = ctx1.S, ctx2.S
-    t0 = time.monotonic()
+    deadline = time.monotonic() + budget_secs
     if S1.n != S2.n:
-        return SearchOutcome([], 0, 0.0, True)
+        return SearchOutcome([], 0)
     c1, c2 = joint_colors(ctx1, ctx2)
     if sorted(c1.tolist()) != sorted(c2.tolist()):
-        return SearchOutcome([], 0, time.monotonic() - t0, True)
+        return SearchOutcome([], 0)
     anchors, _ = _anchors_for(ctx1, c1)
     prefixes = _anchor_prefixes(S1, anchors)
     cand_lists = [np.flatnonzero(c2 == c1[a]) for a in anchors]
-    found = []
-    nodes = 0
-    exhausted = True
-
-    def rec(depth, chosen):
-        nonlocal nodes, exhausted
-        if found and len(found) >= limit:
-            return True
-        if time.monotonic() - t0 > budget_secs:
-            raise ResourceError("isomorphism search exceeded its budget",
-                                stats={"nodes": nodes, "found": len(found)})
-        if depth == 4:
-            img_local = _evaluate_prefix(prefixes[3], S2.T, chosen)
-            if img_local is None:
-                return False
-            full = np.zeros(S1.n, dtype=np.uint16)
-            full[prefixes[3].elements] = img_local.astype(np.uint16)
-            candidate = AutoMapPair(S1, S2, full)
-            found.append(candidate)
-            return len(found) >= limit
-        cands = _pair_filter(S1, S2, c1, c2, anchors[:depth], chosen,
-                             anchors[depth], cand_lists[depth])
-        for b in cands:
-            nodes += 1
-            trial = chosen + [int(b)]
-            if _evaluate_prefix(prefixes[depth], S2.T, trial) is None:
-                continue
-            if rec(depth + 1, trial):
-                return True
-        return False
-
-    try:
-        rec(0, [])
-    except ResourceError:
-        exhausted = False
-        raise
-    return SearchOutcome(found, nodes, time.monotonic() - t0, exhausted)
+    stats = {"nodes": 0}
+    full = next(_backtrack(S1, S2, c1, c2, anchors, prefixes, cand_lists, deadline,
+                           stats, "isomorphism search"), None)
+    found = [] if full is None else [AutoMapPair(S1, S2, full)]
+    return SearchOutcome(found, stats["nodes"])
 
 
 class AutoMapPair:
@@ -398,146 +389,48 @@ def _frattini_action_candidates(ctx: StructureContext, coords):
     return out
 
 
-class _ActionDone(Exception):
-    pass
-
-
-def _checkpoint_digest(S: CayleyGroup, taus) -> str:
-    """What a checkpoint's tau indices refer to: the table and the tau list."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(np.array(taus, dtype=np.int64).tobytes())
-    h.update(S.T.tobytes())
-    return h.hexdigest()
-
-
-def _load_checkpoint(path, digest: str) -> set:
-    """Tau indices already searched, or none if the checkpoint is for
-    another table, labelling or candidate order."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError:
-        return set()
-    except ValueError:
-        log.warning("ignoring unreadable order-3 checkpoint %s", path)
-        return set()
-    if not isinstance(doc, dict) or doc.get("digest") != digest:
-        log.warning("ignoring order-3 checkpoint %s: written for another table "
-                    "or tau list", path)
-        return set()
-    return {int(ti) for ti in doc.get("done_taus", ())}
-
-
-def _save_checkpoint(path, digest: str, done_taus) -> None:
-    write_json_atomic(path, {"digest": digest, "done_taus": sorted(done_taus)})
-
-
 def order3_automorphisms(ctx: StructureContext, budget_secs: float = 7200.0,
-                         limit: int | None = None,
-                         limit_per_tau: int | None = None,
-                         checkpoint_path=None) -> SearchOutcome:
-    """All order-3 automorphisms of S, by pruned backtrack over anchor images.
+                         limit: int | None = None) -> SearchOutcome:
+    """Order-3 automorphisms of S, by pruned backtrack over anchor images.
 
     Soundness of the pruning: Q, Phi(S), the central series, F1 and the
     set of six elementary abelian subgroups are characteristic (verified
     facts), and an order-3 automorphism induces an order-3 action on
     S/Phi(S) because the kernel of that restriction is a 2-group.  Every
     returned map passes the exhaustive multiplicativity check and has
-    order exactly 3.
+    order exactly 3.  `limit` caps the number of maps returned.
 
-    `limit` caps the total number of maps returned; `limit_per_tau` caps
-    the number per induced Frattini-quotient action, which is how callers
-    sample maps with different actions on the characteristic structure.
-    A checkpoint at `checkpoint_path` lists the taus already searched,
-    with a digest of S.T and of the tau list; one with another digest is
-    ignored, since its indices point into another list.
+    No map is returned twice.  The anchors generate S (`_anchors_for`
+    checks this), so a map is fixed by the anchor images, and within one
+    action the backtrack visits each anchor tuple once.  The anchors also
+    span S/Phi(S) and every candidate lies over its anchor's image under
+    the action, so maps from different actions differ on S/Phi(S).
     """
     S = ctx.S
-    t0 = time.monotonic()
+    deadline = time.monotonic() + budget_secs
     colors = element_colors(ctx)
     anchors, coords = _anchors_for(ctx, colors)
     prefixes = _anchor_prefixes(S, anchors)
-    taus = _frattini_action_candidates(ctx, coords)
+    identity = np.arange(S.n, dtype=np.uint16)
     found = []
-    seen = set()
-    nodes = 0
-    done_taus = set()
-    if checkpoint_path is not None:
-        digest = _checkpoint_digest(S, taus)
-        done_taus = _load_checkpoint(checkpoint_path, digest)
-
-    coset_members = {}
-    for v in range(16):
-        coset_members[v] = np.flatnonzero(coords == v)
-
-    def candidates(anchor, tau):
-        target = int(tau[int(coords[anchor])])
-        pool = coset_members[target]
-        return pool[colors[pool] == colors[anchor]]
-
-    exhausted = True
-    for ti, tau in enumerate(taus):
-        if ti in done_taus:
-            continue
-        cand_lists = [candidates(a, tau) for a in anchors]
-        tau_found = 0
-
-        def rec(depth, chosen):
-            nonlocal nodes, tau_found
-            if limit is not None and len(found) >= limit:
-                return True
-            if time.monotonic() - t0 > budget_secs:
-                raise ResourceError(
-                    "order-3 automorphism search exceeded its budget",
-                    stats={"nodes": nodes, "found": len(found), "tau": ti})
-            if depth == 4:
-                img_local = _evaluate_prefix(prefixes[3], S.T, chosen)
-                if img_local is None:
-                    return False
-                full = np.zeros(S.n, dtype=np.uint16)
-                full[prefixes[3].elements] = img_local.astype(np.uint16)
-                cube = full[full[full]]
-                if not np.array_equal(cube, np.arange(S.n, dtype=np.uint16)):
-                    return False
-                if np.array_equal(full, np.arange(S.n, dtype=np.uint16)):
-                    return False
-                key = full.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    found.append(AutoMap(S, full))
-                    tau_found += 1
-                if limit is not None and len(found) >= limit:
-                    return True
-                if limit_per_tau is not None and tau_found >= limit_per_tau:
-                    raise _ActionDone()
-                return False
-            cands = _pair_filter(S, S, colors, colors, anchors[:depth], chosen,
-                                 anchors[depth], cand_lists[depth])
-            for b in cands:
-                nodes += 1
-                trial = chosen + [int(b)]
-                if _evaluate_prefix(prefixes[depth], S.T, trial) is None:
-                    continue
-                if rec(depth + 1, trial):
-                    return True
-            return False
-
-        try:
-            stop_all = rec(0, [])
-        except _ActionDone:
-            stop_all = False
-            exhausted = False
-        except ResourceError:
-            if checkpoint_path is not None:
-                _save_checkpoint(checkpoint_path, digest, done_taus)
-            raise
-        if stop_all:
-            exhausted = False
+    stats = {"nodes": 0, "found": 0}
+    for ti, tau in enumerate(_frattini_action_candidates(ctx, coords)):
+        if limit is not None and len(found) >= limit:
             break
-        done_taus.add(ti)
-        if checkpoint_path is not None:
-            _save_checkpoint(checkpoint_path, digest, done_taus)
-    return SearchOutcome(found, nodes, time.monotonic() - t0, exhausted)
+        stats["tau"] = ti
+        cand_lists = []
+        for a in anchors:
+            pool = np.flatnonzero(coords == tau[int(coords[a])])
+            cand_lists.append(pool[colors[pool] == colors[a]])
+        for full in _backtrack(S, S, colors, colors, anchors, prefixes, cand_lists,
+                               deadline, stats, "order-3 automorphism search"):
+            if (np.array_equal(full[full[full]], identity)
+                    and not np.array_equal(full, identity)):
+                found.append(AutoMap(S, full))
+                stats["found"] = len(found)
+                if limit is not None and len(found) >= limit:
+                    break
+    return SearchOutcome(found, stats["nodes"])
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 resource
 or configuration trouble.  A certificate JSON is written for outcomes 0
 and 1.  The cache directory (flag --cache-dir, else the D4FUSION_CACHE
-environment variable, else ./d4fusion-cache) holds the order-3 search
-checkpoints and the latest certificates.
+environment variable, else ./d4fusion-cache) holds the latest
+certificate of each command, unless --out names another path.
 """
 
 from __future__ import annotations
@@ -189,11 +189,8 @@ def _build_system(config: RunConfig, variant: str, contexts: dict):
     bundle = build_bundles(config, models=(model,))[model]
     if model not in contexts:
         contexts[model] = StructureContext(bundle)
-    ctx = contexts[model]
-    checkpoint = config.cache_dir / ("order3-%s.checkpoint.json" % model)
-    return build_fusion_system(variant, bundle, ctx,
-                               order3_budget=config.budget_secs,
-                               order3_checkpoint=checkpoint)
+    return build_fusion_system(variant, bundle, contexts[model],
+                               order3_budget=config.budget_secs)
 
 
 def cmd_fusion(config: RunConfig) -> Certificate:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .automorphisms import order3_automorphisms
 from .cayley import AutoMap, CayleyGroup, SubgroupBits
 from .domains import singular_objects
 from .groupmodels import (
@@ -30,6 +31,7 @@ from .groupmodels import (
 from .perms import ConfigurationError, Permutation, compose, inverse, perm_order
 from .quadforms import (GF3_SPACE, PreconditionError, gf2_nullspace, gf3_inverse,
                         invariant_quadratic_forms, q)
+from .rootmodel import chamber_triality
 from .stabchain import GroupHandle, build_stab_chain, stabilizer_of_prefix
 from .structure import StructureContext
 
@@ -426,41 +428,19 @@ def compatible_order3_map(ctx: StructureContext, candidates, auto: AutoMap):
     return fixed[0]
 
 
-def select_order3_map(ctx: StructureContext, candidates, need_fixed=None,
-                      budget_secs: float = 3600.0, checkpoint_path=None) -> AutoMap:
-    """An order-3 automorphism compatible with a variant's requirements.
-
-    Different order-3 automorphisms fix different members of the four
-    Q-containing candidates (one per induced quotient action), so the
-    search samples one map per action and keeps the first whose fixed
-    candidate matches `need_fixed` (any, when None).
-    """
-    from .automorphisms import order3_automorphisms
-    outcome = order3_automorphisms(ctx, budget_secs=budget_secs, limit=12,
-                                   limit_per_tau=1,
-                                   checkpoint_path=checkpoint_path)
-    for auto in outcome.found:
-        fixed = compatible_order3_map(ctx, candidates, auto)
-        if need_fixed is None or fixed == need_fixed:
-            return auto
-    raise ConfigurationError(
-        "no order-3 automorphism among %d sampled fixes candidate %s"
-        % (len(outcome.found), need_fixed))
-
-
 def build_fusion_system(variant: str, bundle: ModelBundle,
                         ctx: StructureContext | None = None,
                         order3: AutoMap | None = None,
-                        order3_budget: float = 3600.0,
-                        order3_checkpoint=None) -> FusionSystem:
+                        order3_budget: float = 3600.0) -> FusionSystem:
     """Assemble one of the four systems over the given Sylow realization.
 
     O8p2 variants expect the flag-model bundle; PO8p3 variants expect the
     frame-model bundle (slots come from two frame groups with disjoint
     candidate pairs).  ":3" variants additionally require a verified
     order-3 map on S fixing F1 and exactly one other candidate; for
-    O8p2x3 the fixed candidate must be the non-essential one, and when no
-    map is supplied a compatible one is searched for.
+    O8p2x3 the fixed candidate must be the non-essential one.  When no
+    map is supplied, O8p2x3 takes the root-model triality and PO8p3x3 the
+    first map of the order-3 search; notes["order3_source"] says which.
     """
     if variant not in VARIANTS:
         raise ConfigurationError("unknown variant %r" % variant)
@@ -500,10 +480,16 @@ def build_fusion_system(variant: str, bundle: ModelBundle,
     aut_s = inner_aut_s_maps(bundle)
     if variant.endswith("x3"):
         need = notes.get("non_essential_candidate") if variant == "O8p2x3" else None
-        if order3 is None:
-            order3 = select_order3_map(ctx, candidates, need_fixed=need,
-                                       budget_secs=order3_budget,
-                                       checkpoint_path=order3_checkpoint)
+        if order3 is None and variant == "O8p2x3":
+            order3 = chamber_triality(bundle)
+            notes["order3_source"] = "root-triality"
+        elif order3 is None:
+            outcome = order3_automorphisms(ctx, budget_secs=order3_budget, limit=1)
+            if not outcome.ok:
+                raise ConfigurationError("the order-3 search found no map")
+            order3 = outcome.found[0]
+            notes["order3_source"] = "search"
+            notes["order3_search_nodes"] = outcome.nodes
         fixed = compatible_order3_map(ctx, candidates, order3)
         notes["order3_fixed_candidate"] = fixed
         if need is not None and fixed != need:

@@ -15,19 +15,6 @@ from pathlib import Path
 from . import __version__
 
 
-def write_json_atomic(path, doc) -> None:
-    """Write doc as JSON to a temporary file beside path, then rename it over
-    path: a reader sees the old file or the new one, never a partial one."""
-    tmp = Path("%s.tmp" % path)
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _encode(value):
     if isinstance(value, bool):
         return value
@@ -109,4 +96,13 @@ class Certificate:
         }
 
     def write(self, path) -> None:
-        write_json_atomic(path, self.to_json())
+        """Write the JSON to a temporary file beside path, then rename it over
+        path: a reader sees the old file or the new one, never a partial one."""
+        tmp = Path("%s.tmp" % path)
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(self.to_json(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)

@@ -126,8 +126,8 @@ def triality_automap(group: CayleyGroup) -> AutoMap:
 
     Images are produced by substituting rotated generators into each
     element's breadth-first factorization; the AutoMap constructor then
-    checks multiplicativity on every pair, so a wrong substitution cannot
-    survive.
+    checks the generator-column identity on every element, which forces
+    multiplicativity, so a wrong substitution cannot survive.
     """
     rot = triality_root_permutation()
     gen_idx = group.gen_indices
@@ -158,3 +158,17 @@ def root_model_matches(bundle_matrices) -> np.ndarray:
                                      "the chamber is not the standard one")
         out[i] = j
     return out
+
+
+def chamber_triality(bundle) -> AutoMap:
+    """The root-model triality carried onto the flag-model Sylow subgroup.
+
+    The root model and the bundle hold the same matrices
+    (`root_model_matches`), so conjugating the verified diagram map by that
+    index translation gives a map on `bundle.sylow`, verified again there.
+    """
+    tri = triality_automap(build_root_model())
+    trans = root_model_matches(bundle.matrices)
+    inv = np.empty_like(trans)
+    inv[trans] = np.arange(len(trans))
+    return AutoMap(bundle.sylow, trans[tri.images[inv]].astype(np.uint16))

@@ -240,22 +240,17 @@ def check_cosets(ctx: StructureContext) -> LemmaReport:
     with check_timer() as t:
         S, Q, Z = ctx.S, ctx.Q, ctx.Z
         qm = Q.members
-        zm = set(int(z) for z in Z.members)
         shapes = {}
         cent_ok = True
         for rep, data in ctx.coset_data.items():
             sub = data["commutator"]
-            # centralizer of s modulo Z(Q), as a subgroup of Q
-            s = int(data["members"][0])
+            # centralizer modulo Z(Q) in Q of every coset member s (one column
+            # per s), which must not depend on s
+            hits = Z.bits[S.comm[np.ix_(qm, data["members"])]]
+            if not (hits == hits[:, :1]).all():
+                cent_ok = False
             cent_bits = np.zeros(S.n, dtype=bool)
-            hits = qm[np.isin(S.comm[qm, s], list(zm))]
-            cent_bits[hits] = True
-            for s2 in data["members"][1:]:
-                hits2 = qm[np.isin(S.comm[qm, int(s2)], list(zm))]
-                other = np.zeros(S.n, dtype=bool)
-                other[hits2] = True
-                if not np.array_equal(other, cent_bits):
-                    cent_ok = False
+            cent_bits[qm[hits[:, 0]]] = True
             lifted = np.zeros(S.n, dtype=bool)
             for z in Z.members:
                 lifted[S.T[sub.members, int(z)]] = True

@@ -2,17 +2,15 @@
 
 import time
 
-import numpy as np
 import pytest
 
-from d4fusion.cayley import AutoMap
 from d4fusion.groupmodels import (
     build_affine_model,
     build_frame_model_gf3,
     build_omega8plus2,
     sylow_via_chamber,
 )
-from d4fusion.rootmodel import build_root_model, root_model_matches, triality_automap
+from d4fusion import rootmodel
 from d4fusion.structure import StructureContext, run_battery
 
 
@@ -70,14 +68,8 @@ def batteries(contexts):
 
 
 @pytest.fixture(scope="session")
-def chamber_triality(chamber_bundle, contexts):
-    rm = build_root_model()
-    tri = triality_automap(rm)
-    trans = root_model_matches(chamber_bundle.matrices)
-    inv = np.empty_like(trans)
-    inv[trans] = np.arange(len(trans))
-    images = trans[tri.images[inv]].astype(np.uint16)
-    return AutoMap(contexts["omega8plus2"].S, images)
+def chamber_triality(chamber_bundle):
+    return rootmodel.chamber_triality(chamber_bundle)
 
 
 @pytest.fixture(scope="session")
@@ -104,19 +96,13 @@ def isomorphisms(contexts):
 
 
 @pytest.fixture(scope="session")
-def fusion_systems(bundles, contexts, chamber_triality, order3_searches):
+def fusion_systems(bundles, contexts):
+    """The four systems, each built as the CLI builds it."""
     from d4fusion.fusion import build_fusion_system
     systems = {}
-    systems["O8p2"] = build_fusion_system(
-        "O8p2", bundles["omega8plus2"], contexts["omega8plus2"])
-    systems["O8p2x3"] = build_fusion_system(
-        "O8p2x3", bundles["omega8plus2"], contexts["omega8plus2"],
-        order3=chamber_triality)
-    systems["PO8p3"] = build_fusion_system(
-        "PO8p3", bundles["frame"], contexts["frame"])
-    systems["PO8p3x3"] = build_fusion_system(
-        "PO8p3x3", bundles["frame"], contexts["frame"],
-        order3=order3_searches["frame"]["outcome"].found[0])
+    for variant in ("O8p2", "O8p2x3", "PO8p3", "PO8p3x3"):
+        model = "omega8plus2" if variant.startswith("O8p2") else "frame"
+        systems[variant] = build_fusion_system(variant, bundles[model], contexts[model])
     return systems
 
 

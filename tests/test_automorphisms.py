@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -94,17 +92,16 @@ def test_mismatched_sizes_fail_fast(contexts):
     assert isinstance(out, SearchOutcome) and not out.ok
 
 
-def test_budget_raises_resource_error_and_checkpoints(contexts, tmp_path):
+@pytest.mark.parametrize("search", ["order3", "isomorphism"])
+def test_budget_raises_resource_error(contexts, search):
     from d4fusion.perms import ResourceError
-    checkpoint = tmp_path / "order3.checkpoint.json"
-    with pytest.raises(ResourceError):
-        order3_automorphisms(contexts["affine"], budget_secs=1e-9,
-                             checkpoint_path=checkpoint)
-    assert checkpoint.exists()
-    # a resumed run with a real budget completes
-    outcome = order3_automorphisms(contexts["affine"], budget_secs=600, limit=1,
-                                   checkpoint_path=checkpoint)
-    assert outcome.found
+    ctx = contexts["affine"]
+    with pytest.raises(ResourceError) as exc:
+        if search == "order3":
+            order3_automorphisms(ctx, budget_secs=1e-9)
+        else:
+            find_isomorphism(ctx, contexts["omega8plus2"], budget_secs=1e-9)
+    assert exc.value.stats["nodes"] == 0
 
 
 def test_exhaustive_small_limit_consistency(contexts):
@@ -227,40 +224,3 @@ def test_frattini_actions_match_product_loop(contexts, name):
     got = _frattini_action_candidates(ctx, coords)
     assert got and all(t.dtype == np.int64 for t in got)
     assert [t.tolist() for t in got] == _frattini_reference(ctx, coords)
-
-
-# -- order-3 checkpoints are bound to the table and the tau list -------------
-
-
-def _taus(ctx):
-    from d4fusion.automorphisms import _frattini_action_candidates
-    coords, _ = ctx.S.elementary_quotient_coords(ctx.phi)
-    return _frattini_action_candidates(ctx, coords)
-
-
-def test_matching_checkpoint_is_honoured(contexts, tmp_path):
-    from d4fusion.automorphisms import _checkpoint_digest, _save_checkpoint
-    ctx = contexts["omega8plus2"]
-    taus = _taus(ctx)
-    checkpoint = tmp_path / "order3.checkpoint.json"
-    _save_checkpoint(checkpoint, _checkpoint_digest(ctx.S, taus), range(len(taus)))
-    outcome = order3_automorphisms(ctx, limit=1, checkpoint_path=checkpoint)
-    assert outcome.found == [] and outcome.nodes == 0
-
-
-@pytest.mark.parametrize("foreign", ["other_model", "no_digest"])
-def test_foreign_checkpoint_is_ignored(contexts, tmp_path, caplog, foreign):
-    from d4fusion.automorphisms import _checkpoint_digest, _save_checkpoint
-    ctx = contexts["omega8plus2"]
-    taus = _taus(ctx)
-    checkpoint = tmp_path / "order3.checkpoint.json"
-    if foreign == "other_model":
-        other = contexts["frame"]
-        _save_checkpoint(checkpoint, _checkpoint_digest(other.S, _taus(other)),
-                         range(len(taus)))
-    else:
-        checkpoint.write_text(json.dumps({"done_taus": list(range(len(taus)))}))
-    with caplog.at_level("WARNING", logger="d4fusion.automorphisms"):
-        outcome = order3_automorphisms(ctx, limit=1, checkpoint_path=checkpoint)
-    assert outcome.found and outcome.nodes > 0
-    assert "ignoring order-3 checkpoint" in caplog.text

@@ -184,3 +184,19 @@ def test_fusion_compare_builds_one_context_per_model(tmp_path, monkeypatch):
     assert built["O8p2"] is built["O8p2x3"]
     assert built["PO8p3"] is built["PO8p3x3"]
     assert built["O8p2"] is not built["PO8p3"]
+
+
+def test_fusion_o8p2x3_repeats_in_one_cache_dir(tmp_path, fusion_systems,
+                                                fusion_partitions):
+    tables = []
+    for _ in range(2):
+        assert run(["fusion", "--variant", "O8p2x3"], tmp_path) == 0
+        cert = json.loads((tmp_path / "certificate-fusion.json").read_text())
+        (frep,) = cert["fusion_reports"]
+        assert frep["notes"]["order3_source"] == "root-triality"
+        tables.append(frep["class_table"])
+    assert tables[0] == tables[1]
+    assert not list(tmp_path.glob("order3-*.checkpoint.json"))
+    fs = fusion_systems["O8p2x3"]
+    expected = fusion_partitions["O8p2x3"].class_table(fs.s.order_of)
+    assert [(r["order"], r["size"], r["count"]) for r in tables[0]] == list(expected)

@@ -68,16 +68,34 @@ def test_non_essential_candidate_matches_order3_fixed(fusion_systems):
     assert notes["order3_fixed_candidate"] == notes["non_essential_candidate"]
 
 
-def test_incompatible_order3_rejected(fusion_systems, chamber_bundle, contexts):
-    from d4fusion.fusion import build_fusion_system, select_order3_map
-    from d4fusion.perms import ConfigurationError
+def test_incompatible_order3_rejected(fusion_systems, chamber_bundle, contexts,
+                                      order3_searches):
+    from d4fusion.fusion import build_fusion_system, compatible_order3_map
     ctx = contexts["omega8plus2"]
     cands = essential_candidates(ctx)
-    non_ess = fusion_systems["O8p2"].notes["non_essential_candidate"]
-    other = next(k for k in range(1, 5) if k != non_ess)
-    wrong = select_order3_map(ctx, cands, need_fixed=other, budget_secs=600)
+    wrong = order3_searches["omega8plus2"]["outcome"].found[0]
+    # premise: the first searched map fixes a Q-overgroup candidate other
+    # than the non-essential one
+    assert fusion_systems["O8p2"].notes["non_essential_candidate"] == 4
+    assert compatible_order3_map(ctx, cands, wrong) == 1
     with pytest.raises(ConfigurationError):
         build_fusion_system("O8p2x3", chamber_bundle, ctx, order3=wrong)
+
+
+def test_order3_sources_are_recorded(fusion_systems):
+    notes = {v: fs.notes for v, fs in fusion_systems.items()}
+    assert "order3_source" not in notes["O8p2"] and "order3_source" not in notes["PO8p3"]
+    assert notes["O8p2x3"]["order3_source"] == "root-triality"
+    assert notes["PO8p3x3"]["order3_source"] == "search"
+    assert notes["PO8p3x3"]["order3_search_nodes"] > 0
+
+
+def test_o8p2x3_involution_classes(fusion_systems, fusion_partitions):
+    # the root triality fuses the three classes of size 68 and keeps 103 and 188
+    fs = fusion_systems["O8p2x3"]
+    table = fusion_partitions["O8p2x3"].class_table(fs.s.order_of)
+    sizes = [size for order, size, count in table if order == 2 for _ in range(count)]
+    assert sorted(sizes) == [103, 188, 204]
 
 
 def test_inner_conjugation_is_inner_automap(chamber_bundle, contexts):
