@@ -9,8 +9,10 @@ the left-to-right convention of the rest of the package:
 Subgroups are boolean vectors over element indices.  Centres,
 centralizers, central series, derived subgroups and the index-2 descent
 work against a verified generating set of the subgroup, at O(|H| * k) for
-a subgroup H with k generators.  The commutator matrix
-``comm[x, y] = x^-1 y^-1 x y`` is precomputed lazily for direct scans.
+a subgroup H with k generators.  The full commutator matrix
+``comm[x, y] = x^-1 y^-1 x y`` is built lazily, for the scans that read
+most of its rows (colour refinement, the elementary abelian search);
+everything else gathers the few commutators it needs (`_commutators`).
 """
 
 from __future__ import annotations
@@ -225,12 +227,25 @@ class CayleyGroup:
 
     @property
     def comm(self) -> np.ndarray:
-        """comm[x, y] = x^-1 y^-1 x y, computed once."""
+        """comm[x, y] = x^-1 y^-1 x y = T[T[x^-1, y^-1], T[x, y]], computed once.
+
+        Rows are filled 64 at a time by one flat gather through a reused
+        index buffer, so no n x n index temporary is ever built.
+        """
         if self._comm is None:
             n = self.n
-            a = self.T[np.ix_(self.inv, self.inv)]
-            a = self.T[a, np.arange(n, dtype=IDX)[:, None]]
-            self._comm = self.T[a, np.arange(n, dtype=IDX)[None, :]]
+            comm = np.empty((n, n), dtype=IDX)
+            flat = self.T.ravel()
+            buf = np.empty((min(64, n), n), dtype=np.intp)
+            for lo in range(0, n, 64):
+                hi = min(lo + 64, n)
+                idx = buf[:hi - lo]
+                idx[...] = self.T[self.inv[lo:hi]][:, self.inv]
+                idx *= n
+                idx += self.T[lo:hi]
+                # table entries are < n by construction; mode="raise" would copy
+                np.take(flat, idx, out=comm[lo:hi], mode="clip")
+            self._comm = comm
         return self._comm
 
     # -- subgroups ----------------------------------------------------------
@@ -522,7 +537,7 @@ class CayleyGroup:
 
     def is_abelian(self, sub: SubgroupBits) -> bool:
         m = sub.members
-        return bool((self.comm[np.ix_(m, m)] == 0).all())
+        return bool((self._commutators(m, m) == 0).all())
 
     def is_elementary_abelian(self, sub: SubgroupBits) -> bool:
         m = sub.members

@@ -209,6 +209,7 @@ def cmd_fusion(config: RunConfig) -> Certificate:
             lemma_id="fusion-compare",
             status="pass" if distinct else "fail",
             witnesses={v: {"essentials": fp[0], "class_rows": len(fp[1]),
+                           "class_table": [list(row) for row in fp[1]],
                            "autFE": list(fp[2])} for v, fp in fingerprints.items()},
             elapsed_ms=t.elapsed_ms,
             claim="the four variants have pairwise distinct fingerprints",

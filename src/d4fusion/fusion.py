@@ -445,38 +445,18 @@ def build_fusion_system(variant: str, bundle: ModelBundle,
     if variant not in VARIANTS:
         raise ConfigurationError("unknown variant %r" % variant)
     ctx = ctx or StructureContext(bundle)
-    candidates = essential_candidates(ctx)
-    notes = {}
+    if ctx.bundle is not bundle:
+        raise ConfigurationError("the structure context belongs to another bundle")
+    candidates = _once(ctx, "candidates", lambda: essential_candidates(ctx))
     if variant.startswith("O8p2"):
         if bundle.provenance != "omega8plus2-flag":
             raise ConfigurationError("O8p2 systems are built over the flag model")
-        slots = chamber_parabolic_slots(bundle)
-        matched = _match_slots(candidates, slots)
-        if 0 not in matched:
-            raise ConfigurationError("no parabolic radical equals C_S(Z2)")
-        missing = [k for k in range(1, 5) if k not in matched]
-        if len(missing) != 1:
-            raise ConfigurationError("expected exactly one non-radical candidate")
-        notes["non_essential_candidate"] = missing[0]
-        notes["non_essential_witness"] = "not the radical of any minimal flag stabilizer"
+        slots, notes = _once(ctx, "slots", lambda: _chamber_slots(bundle, candidates))
     else:
         if bundle.provenance != "frame-gf3":
             raise ConfigurationError("PO8p3 systems are built over the frame model")
-        frame1 = frame_group_of(bundle.extras["frame"])
-        slots = frame_parabolic_slots(bundle, frame1, "frame-standard")
-        handle2, e2, pair2 = second_frame_group(bundle, ctx, candidates)
-        slots2 = frame_parabolic_slots(bundle, handle2, "frame-disjoint")
-        matched1 = _match_slots(candidates, slots)
-        slots_by_candidate = dict(zip(matched1, slots))
-        matched2 = _match_slots(candidates, slots2)
-        for k, slot in zip(matched2, slots2):
-            if k not in slots_by_candidate:
-                slots_by_candidate[k] = slot
-        if sorted(slots_by_candidate) != [0, 1, 2, 3, 4]:
-            raise ConfigurationError("frame models cover candidates %s, not all five"
-                                     % sorted(slots_by_candidate))
-        notes["second_frame_pair"] = pair2
-        slots = [slots_by_candidate[k] for k in sorted(slots_by_candidate)]
+        slots, notes = _once(ctx, "slots", lambda: _frame_slots(bundle, ctx, candidates))
+    slots, notes = list(slots), dict(notes)
     aut_s = inner_aut_s_maps(bundle)
     if variant.endswith("x3"):
         need = notes.get("non_essential_candidate") if variant == "O8p2x3" else None
@@ -501,6 +481,45 @@ def build_fusion_system(variant: str, bundle: ModelBundle,
                       notes=notes)
     _validate_system(fs)
     return fs
+
+
+def _once(ctx: StructureContext, key: str, build):
+    """build(), run once per context: the variants over one model share it."""
+    if key not in ctx.memo:
+        ctx.memo[key] = build()
+    return ctx.memo[key]
+
+
+def _chamber_slots(bundle: ModelBundle, candidates):
+    """The four parabolic slots of O8+(2), and notes naming the candidate
+    that is no slot radical."""
+    slots = chamber_parabolic_slots(bundle)
+    matched = _match_slots(candidates, slots)
+    if 0 not in matched:
+        raise ConfigurationError("no parabolic radical equals C_S(Z2)")
+    missing = [k for k in range(1, 5) if k not in matched]
+    if len(missing) != 1:
+        raise ConfigurationError("expected exactly one non-radical candidate")
+    return slots, {"non_essential_candidate": missing[0],
+                   "non_essential_witness": "not the radical of any minimal flag "
+                                            "stabilizer"}
+
+
+def _frame_slots(bundle: ModelBundle, ctx: StructureContext, candidates):
+    """One slot per candidate, from two frame groups with disjoint pairs."""
+    frame1 = frame_group_of(bundle.extras["frame"])
+    slots = frame_parabolic_slots(bundle, frame1, "frame-standard")
+    handle2, _, pair2 = second_frame_group(bundle, ctx, candidates)
+    slots2 = frame_parabolic_slots(bundle, handle2, "frame-disjoint")
+    slots_by_candidate = dict(zip(_match_slots(candidates, slots), slots))
+    for k, slot in zip(_match_slots(candidates, slots2), slots2):
+        if k not in slots_by_candidate:
+            slots_by_candidate[k] = slot
+    if sorted(slots_by_candidate) != [0, 1, 2, 3, 4]:
+        raise ConfigurationError("frame models cover candidates %s, not all five"
+                                 % sorted(slots_by_candidate))
+    return ([slots_by_candidate[k] for k in sorted(slots_by_candidate)],
+            {"second_frame_pair": pair2})
 
 
 def _match_slots(candidates, slots):

@@ -148,7 +148,11 @@ def root_model_matches(bundle_matrices) -> np.ndarray:
     element index carrying the same matrix; raises if the two element sets
     differ (they must coincide for the standard chamber stabilizer).
     """
-    group = build_root_model()
+    return _translation(build_root_model(), bundle_matrices)
+
+
+def _translation(group: CayleyGroup, bundle_matrices) -> np.ndarray:
+    """`root_model_matches` against an already built root model."""
     lookup = {matrix_key(m): i for i, m in enumerate(bundle_matrices)}
     out = np.empty(group.n, dtype=np.int64)
     for i, m in enumerate(group.elements):
@@ -166,9 +170,11 @@ def chamber_triality(bundle) -> AutoMap:
     The root model and the bundle hold the same matrices
     (`root_model_matches`), so conjugating the verified diagram map by that
     index translation gives a map on `bundle.sylow`, verified again there.
+    The root model is built once, for both the map and the translation.
     """
-    tri = triality_automap(build_root_model())
-    trans = root_model_matches(bundle.matrices)
+    group = build_root_model()
+    tri = triality_automap(group)
+    trans = _translation(group, bundle.matrices)
     inv = np.empty_like(trans)
     inv[trans] = np.arange(len(trans))
     return AutoMap(bundle.sylow, trans[tri.images[inv]].astype(np.uint16))

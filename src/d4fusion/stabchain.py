@@ -1,10 +1,13 @@
 """Stabilizer chains (base and strong generating sets) for permutation groups.
 
-The construction is the deterministic Schreier-Sims algorithm: every
-Schreier generator of every level is sifted, so a finished chain is a
-certificate for the group order, not a Monte-Carlo estimate.  Degrees up
-to ~2000 and orders up to ~10^13 are the intended envelope; transversals
-are stored as explicit image arrays.
+The construction is the deterministic Schreier-Sims algorithm, so a
+finished chain is a certificate for the group order, not a Monte-Carlo
+estimate.  Every Schreier generator of every level is sifted, except when
+a chain is re-based for a group whose order an earlier verified chain
+already proves: that build stops as soon as the product of its basic
+orbit lengths reaches the known order, which is exact (see
+`build_stab_chain`).  Degrees up to ~2000 and orders up to ~10^13 are the
+intended envelope; transversals are stored as explicit image arrays.
 """
 
 from __future__ import annotations
@@ -209,7 +212,26 @@ def build_stab_chain(g: GroupHandle, base_hint=None, max_seconds=None) -> StabCh
 
     base_hint is used as a base prefix (kept even when redundant), which
     is how flag stabilizers are carved out downstream.
+
+    `stabilizer_of_prefix` re-bases a group whose order a verified chain
+    already proves, and its build stops at the top of a level once the
+    product of the basic orbit lengths equals that order.  The stop is
+    exact.  Level i's strong generators S(i) fix b_0..b_(i-1), and D_i is
+    the orbit of b_i under <S(i)>.  As <S(i+1)> <= <S(i)>_(b_i),
+    |<S(i)>| = |D_i| |<S(i)>_(b_i)| >= |D_i| |<S(i+1)>|, and by induction
+    prod |D_i| <= |<S(0)>| <= |G|.  Equality forces <S(0)> = G,
+    <S(i+1)> = <S(i)>_(b_i) at every level and a trivial stabilizer of
+    the last base point in the last level's group: the chain is complete,
+    and every Schreier generator left unsifted would sift to the identity
+    (Seress, Permutation Group Algorithms, 2003, ch. 4; Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).  A
+    build that ends with another order raises.
     """
+    return _schreier_sims(g, base_hint, max_seconds, target_order=None)
+
+
+def _schreier_sims(g: GroupHandle, base_hint, max_seconds, target_order) -> StabChain:
+    """The build loop; with target_order = |G| it stops as described above."""
     degree = g.degree
     chain = StabChain(degree=degree)
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
@@ -251,6 +273,11 @@ def build_stab_chain(g: GroupHandle, base_hint=None, max_seconds=None) -> StabCh
     i = len(chain.levels) - 1
     while i >= 0:
         check_budget()
+        if target_order is not None:
+            for lv in chain.levels:
+                fresh(lv)
+            if chain.order() == target_order:
+                break
         lv = chain.levels[i]
         fresh(lv)
         stuck = None
@@ -274,6 +301,10 @@ def build_stab_chain(g: GroupHandle, base_hint=None, max_seconds=None) -> StabCh
                 if chain.levels[j].dirty:
                     chain.levels[j].recompute(degree)
             i = stuck
+    if target_order is not None and chain.order() != target_order:
+        raise ConfigurationError(
+            "re-based chain has order %d, but the recorded chain has order %d"
+            % (chain.order(), target_order))
     verify_chain(chain, g.generators)
     g.chain = chain
     return chain
@@ -289,6 +320,8 @@ def verify_chain(chain: StabChain, original_gens=None) -> None:
     exit every level passed its sift against the final deeper levels, and
     by Schreier's lemma each level's group is the base-point stabilizer
     of the one above (Seress, Permutation Group Algorithms, 2003, ch. 4).
+    A re-based build that stopped at a known order skipped some of those
+    sifts; there the order equality proves the same (`build_stab_chain`).
     What remains: each transversal element reaches its point, no strong
     generator moves an earlier base point, and every original generator
     is a member.  Raises on any failure; afterwards order() is exact.
@@ -313,7 +346,9 @@ def stabilizer_of_prefix(g: GroupHandle, points) -> GroupHandle:
     """Pointwise stabilizer of an ordered point list, as a fresh handle.
 
     The points are forced to the front of the base, so the stabilizer's
-    strong generators fall out of the chain directly.
+    strong generators fall out of the chain directly.  When they are not
+    already a prefix of g.chain's base, the chain is rebuilt with them in
+    front (`_rebased_chain`); g.chain stays as it is.
     """
     points = [int(p) for p in points]
     if not points:
@@ -322,13 +357,12 @@ def stabilizer_of_prefix(g: GroupHandle, points) -> GroupHandle:
         return GroupHandle(g.name, [Permutation(a) for a in g.generators], g.chain,
                            g.domain_description)
     chain = g.chain
-    if chain is None or chain.base[: len(points)] != points:
-        chain = build_stab_chain(
+    if chain is None:
+        chain = g.chain = build_stab_chain(
             GroupHandle(g.name, [Permutation(a) for a in g.generators]),
-            base_hint=points,
-        )
-        if g.chain is None:
-            g.chain = chain
+            base_hint=points)
+    elif chain.base[: len(points)] != points:
+        chain = _rebased_chain(g, points)
     k = len(points)
     sub = StabChain(degree=chain.degree, levels=chain.levels[k:])
     if k < len(chain.levels):
@@ -344,3 +378,19 @@ def stabilizer_of_prefix(g: GroupHandle, points) -> GroupHandle:
         domain_description=g.domain_description,
     )
     return handle
+
+
+def _rebased_chain(g: GroupHandle, points) -> StabChain:
+    """A chain of G = <g.generators> with base prefix `points`.
+
+    The build stops once its order reaches |g.chain| (`build_stab_chain`).
+    Every generator is checked to lie in g.chain's group H first, so
+    G <= H and the build's orbit product is at most |G| <= |H|: reaching
+    |H| proves G = H and a complete chain.  A recorded chain of a larger
+    group is never reached, and the build raises.
+    """
+    for arr in g.generators:
+        if not g.chain.contains(arr):
+            raise ConfigurationError("a generator lies outside the recorded chain")
+    return _schreier_sims(GroupHandle(g.name, [Permutation(a) for a in g.generators]),
+                          points, None, target_order=g.chain.order())

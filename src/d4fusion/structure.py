@@ -33,6 +33,9 @@ class StructureContext:
     def __init__(self, bundle: ModelBundle):
         self.bundle = bundle
         self.S = bundle.sylow
+        # what later layers derive from this context alone (the fusion
+        # candidates and slots), built once and read by every later caller
+        self.memo = {}
 
     @cached_property
     def series(self):
@@ -112,7 +115,7 @@ class StructureContext:
         for rep in self.nontrivial_cosets:
             members = np.flatnonzero(self.coset_rep == rep)
             self.check_commutator_witnesses(members)
-            sub = S.closure(np.unique(S.comm[self.Q.members, rep]))
+            sub = S.closure(np.unique(S._commutators(self.Q.members, [rep])))
             out[rep] = {
                 "commutator": sub,
                 "elementary_abelian": S.is_elementary_abelian(sub),
@@ -123,7 +126,7 @@ class StructureContext:
     def check_commutator_witnesses(self, members) -> None:
         """Raise unless every s in `members` has some [q, s], q in Q, outside Z(Q)."""
         S, Q = self.S, self.Q
-        outside = ~S.center_of(Q).bits[S.comm[np.ix_(Q.members, members)]]
+        outside = ~S.center_of(Q).bits[S._commutators(Q.members, members)]
         if not outside.any(axis=0).all():
             raise ConfigurationError("[Q, s] lies in Z(Q) for some s of the coset")
 
@@ -143,9 +146,10 @@ class StructureContext:
         qm = Q.members
         found = {}
         invol = np.flatnonzero((S.order_of == 2) & ~Q.bits)
-        for s in invol:
+        commuting = S._commutators(qm, invol) == 0
+        for col, s in enumerate(invol):
             s = int(s)
-            cq = qm[S.comm[qm, s] == 0]
+            cq = qm[commuting[:, col]]
             if 2 * len(cq) != 64:
                 continue
             bits = np.zeros(S.n, dtype=bool)

@@ -343,6 +343,16 @@ def test_center_series_and_derived_match_definitions(small_group):
         assert [list(t.members) for t in g.upper_central_series(sub)] == series
 
 
+def test_commutator_table_matches_the_definition():
+    # S5 has 120 elements: one full block of 64 rows and a shorter last one
+    s5 = perm_group([Permutation.from_cycles(5, (0, 1, 2, 3, 4)),
+                     Permutation.from_cycles(5, (0, 1))])
+    els = s5.elements
+    for x, y in itertools.product(range(s5.n), repeat=2):
+        want = compose(compose(compose(els[s5.inv[x]], els[s5.inv[y]]), els[x]), els[y])
+        assert np.array_equal(els[s5.comm[x, y]], want)
+
+
 def test_derived_subgroup_is_a_normal_closure():
     # in S4 the commutators of (0 1 2 3) and (0 1) generate a proper,
     # non-normal subgroup of the derived subgroup A4

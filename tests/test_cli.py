@@ -200,3 +200,33 @@ def test_fusion_o8p2x3_repeats_in_one_cache_dir(tmp_path, fusion_systems,
     fs = fusion_systems["O8p2x3"]
     expected = fusion_partitions["O8p2x3"].class_table(fs.s.order_of)
     assert [(r["order"], r["size"], r["count"]) for r in tables[0]] == list(expected)
+
+
+# (element order, class size, class count) of the O8p2 fusion classes
+O8P2_CLASS_TABLE = [[1, 1, 1], [2, 68, 3], [2, 103, 1], [2, 188, 1], [4, 40, 1],
+                    [4, 448, 3], [4, 576, 1], [4, 1384, 1], [8, 128, 2]]
+
+
+def test_fusion_compare_builds_candidates_and_slots_once_per_model(tmp_path,
+                                                                    monkeypatch):
+    from d4fusion import fusion
+    calls = dict.fromkeys(("essential_candidates", "chamber_parabolic_slots",
+                           "frame_parabolic_slots"), 0)
+    for name in calls:
+        def counted(*args, _real=getattr(fusion, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(fusion, name, counted)
+    assert run(["fusion", "--action", "compare"], tmp_path) == 0
+    # one context per model; each model has two frame groups
+    assert calls == {"essential_candidates": 2, "chamber_parabolic_slots": 1,
+                     "frame_parabolic_slots": 2}
+    cert = json.loads((tmp_path / "certificate-fusion.json").read_text())
+    (rep,) = cert["reports"]
+    witnesses = rep["witnesses"]
+    assert witnesses["O8p2"]["class_table"] == O8P2_CLASS_TABLE
+    x3_involutions = [size for order, size, count in witnesses["O8p2x3"]["class_table"]
+                      if order == 2 for _ in range(count)]
+    assert sorted(x3_involutions) == [103, 188, 204]
+    tables = [str(w["class_table"]) for w in witnesses.values()]
+    assert len(set(tables)) == 4

@@ -420,3 +420,16 @@ def test_fuse_elements_matches_union_find(fusion_systems, fusion_partitions, var
         least.setdefault(find(x), x)
     expected = [least[find(x)] for x in range(n)]
     assert fusion_partitions[variant].class_id.tolist() == expected
+
+
+def test_o8p2_path_builds_no_commutator_table(omega_handle):
+    # a fresh bundle: the session's bundle carries the table other tests build
+    from d4fusion.fusion import build_fusion_system
+    from d4fusion.groupmodels import sylow_via_chamber
+    from d4fusion.structure import StructureContext
+    flag = sylow_via_chamber(omega_handle)
+    fs = build_fusion_system("O8p2", flag, StructureContext(flag))
+    table = fuse_elements(fs).class_table(flag.sylow.order_of)
+    assert flag.sylow._comm is None
+    assert table == ((1, 1, 1), (2, 68, 3), (2, 103, 1), (2, 188, 1), (4, 40, 1),
+                     (4, 448, 3), (4, 576, 1), (4, 1384, 1), (8, 128, 2))

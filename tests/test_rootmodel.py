@@ -1,5 +1,6 @@
 import numpy as np
 
+from d4fusion import rootmodel
 from d4fusion.quadforms import GF2_SPACE, dickson, is_isometry_exhaustive
 from d4fusion.rootmodel import (
     build_root_model,
@@ -53,3 +54,16 @@ def test_triality_is_verified_order_three():
 def test_root_model_matches_chamber(chamber_bundle):
     trans = root_model_matches(chamber_bundle.matrices)
     assert len(set(trans.tolist())) == 4096
+
+
+def test_chamber_triality_builds_the_root_model_once(chamber_bundle, monkeypatch):
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return build_root_model()
+
+    monkeypatch.setattr(rootmodel, "build_root_model", counted)
+    tri = rootmodel.chamber_triality(chamber_bundle)
+    assert len(calls) == 1
+    assert tri.map_order() == 3

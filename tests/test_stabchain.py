@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from d4fusion import stabchain
 from d4fusion.perms import ConfigurationError, Permutation, compose, inverse, is_identity
 from d4fusion.stabchain import (
     GroupHandle,
+    StabChain,
     build_stab_chain,
     orbit,
     stabilizer_of_prefix,
@@ -228,3 +230,48 @@ def test_verify_chain_rejects_an_original_generator_outside():
                                                 Permutation.from_cycles(4, (1, 2, 3))]))
     with pytest.raises(ConfigurationError, match="not in the constructed chain"):
         verify_chain(chain, [Permutation.from_cycles(4, (0, 1)).images])
+
+
+def alt_gens(n):
+    return [Permutation.from_cycles(n, (0, 1, k)) for k in range(2, n)]
+
+
+def same_chain(a, b):
+    return (a.base == b.base
+            and [lv.orbit for lv in a.levels] == [lv.orbit for lv in b.levels]
+            and all(len(x.gens) == len(y.gens)
+                    and all(np.array_equal(s, t) for s, t in zip(x.gens, y.gens))
+                    for x, y in zip(a.levels, b.levels)))
+
+
+def test_rebase_equals_a_full_build_with_the_base_hint(affine_bundle):
+    s6 = GroupHandle("s6", sym_gens(6))
+    s7 = GroupHandle("s7", sym_gens(7))
+    for g in (s6, s7):
+        build_stab_chain(g)
+    cases = [(s6, [4, 2]), (s7, [6, 0, 3]), (affine_bundle.ambient, None)]
+    for g, points in cases:
+        recorded = g.chain
+        if points is None:
+            points = recorded.base[:3][::-1]
+        assert recorded.base[:len(points)] != points
+        full = build_stab_chain(GroupHandle("full", [Permutation(a) for a in g.generators]),
+                                base_hint=points)
+        rebased = stabchain._rebased_chain(g, points)
+        assert same_chain(rebased, full)
+        assert not schreier_resift_fails(rebased)
+        sub = stabilizer_of_prefix(g, points)
+        assert same_chain(sub.chain, StabChain(full.degree, full.levels[len(points):]))
+        assert g.chain is recorded
+
+
+def test_rebase_against_a_larger_recorded_chain_raises():
+    a6 = GroupHandle("a6", alt_gens(6), chain=build_stab_chain(GroupHandle("s6", sym_gens(6))))
+    with pytest.raises(ConfigurationError, match="order 360.*order 720"):
+        stabilizer_of_prefix(a6, [4, 2])
+
+
+def test_rebase_against_a_smaller_recorded_chain_raises():
+    s6 = GroupHandle("s6", sym_gens(6), chain=build_stab_chain(GroupHandle("a6", alt_gens(6))))
+    with pytest.raises(ConfigurationError, match="outside the recorded chain"):
+        stabilizer_of_prefix(s6, [4, 2])
