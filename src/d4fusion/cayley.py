@@ -10,9 +10,10 @@ Subgroups are boolean vectors over element indices.  Centres,
 centralizers, central series, derived subgroups and the index-2 descent
 work against a verified generating set of the subgroup, at O(|H| * k) for
 a subgroup H with k generators.  The full commutator matrix
-``comm[x, y] = x^-1 y^-1 x y`` is built lazily, for the scans that read
-most of its rows (colour refinement, the elementary abelian search);
-everything else gathers the few commutators it needs (`_commutators`).
+``comm[x, y] = x^-1 y^-1 x y`` is built lazily, for colour refinement,
+which reads every row; everything else, the elementary abelian search
+on the involution commuting graph included, gathers the commutators it
+needs (`_commutators`).
 """
 
 from __future__ import annotations
@@ -63,9 +64,6 @@ class SubgroupBits:
 
     def __le__(self, other) -> bool:
         return bool((~other.bits[self.members]).sum() == 0)
-
-    def serialize(self):
-        return [int(i) for i in self.members]
 
     @property
     def is_elementary_abelian(self) -> bool:
@@ -216,10 +214,6 @@ class CayleyGroup:
     def mul(self, a, b):
         return int(self.T[int(a), int(b)])
 
-    def conj(self, x, g):
-        """g^-1 x g."""
-        return int(self.T[self.T[self.inv[int(g)], int(x)], int(g)])
-
     def conj_map_images(self, g) -> np.ndarray:
         """The inner automorphism x -> g^-1 x g as a full image array."""
         g = int(g)
@@ -229,8 +223,9 @@ class CayleyGroup:
     def comm(self) -> np.ndarray:
         """comm[x, y] = x^-1 y^-1 x y = T[T[x^-1, y^-1], T[x, y]], computed once.
 
-        Rows are filled 64 at a time by one flat gather through a reused
-        index buffer, so no n x n index temporary is ever built.
+        Colour refinement is its only reader.  Rows are filled 64 at a
+        time by one flat gather through a reused index buffer, so no n x n
+        index temporary is ever built.
         """
         if self._comm is None:
             n = self.n
@@ -376,10 +371,13 @@ class CayleyGroup:
         return np.unique(self.T[m, m])
 
     def frattini(self, sub: SubgroupBits | None = None) -> SubgroupBits:
-        """Frattini subgroup of a 2-group, computed two independent ways.
+        """Frattini subgroup of a 2-group, computed two ways that must agree.
 
-        Route 1: closure of commutators and squares.  Route 2: literal
-        intersection of all maximal subgroups.  Both must agree.
+        Route 1: closure of the derived subgroup and the squares.  Route 2:
+        the intersection of all maximal subgroups, which `maximal_subgroups`
+        builds as hyperplane preimages over <squares>, so it is <squares>
+        itself.  The two routes are not independent: what their agreement
+        proves is that the derived subgroup lies in <squares>.
         """
         if sub is None:
             sub = self.full_bits()
@@ -766,9 +764,6 @@ class AutoMap:
     def apply(self, x):
         return int(self.images[int(x)])
 
-    def then(self, other: "AutoMap") -> "AutoMap":
-        return AutoMap(self.group, other.images[self.images], self.domain)
-
     def map_order(self) -> int:
         k = 1
         cur = self.images
@@ -792,72 +787,57 @@ def inner_automap(g: CayleyGroup, elem: int, domain: SubgroupBits | None = None)
 
 
 def enumerate_elab_subgroups(g: CayleyGroup, rank: int,
-                             universe: SubgroupBits | None = None,
                              avoid: SubgroupBits | None = None,
                              max_nodes: int = 5_000_000):
     """All elementary abelian subgroups of 2^rank elements, exhaustively.
 
-    Depth-first search over greedy-minimal generating sequences.  When
-    ``avoid`` is given, only subgroups with at least one member outside
-    ``avoid`` are wanted: elements outside sort first in the priority
-    order, so those subgroups start their canonical basis outside and the
-    root loop can skip inside elements entirely.
+    Depth-first search over greedy-minimal bases on the commuting graph of
+    g's involutions, in local indices (orderly generation, McKay 1998).  A
+    node is the array of the non-identity members of its span; a candidate
+    t commutes with the whole span and is the least member of its coset
+    t * span, so every subgroup is made once, from its greedy-minimal
+    basis.  The product table stores the identity as -1, which makes the
+    members of the span fail that test.  When ``avoid`` is given, only
+    subgroups with a member outside ``avoid`` are wanted: a stable sort
+    puts the involutions outside ``avoid`` first, so those subgroups start
+    their basis outside and the roots inside are skipped.  The node count
+    is the number of spans visited, leaves included.
     """
-    n = g.n
-    inv_mask = (g.order_of == 2)
-    if universe is not None:
-        inv_mask = inv_mask & universe.bits
-    prio = np.arange(n, dtype=np.int64)
+    invol = np.flatnonzero(g.order_of == 2)
+    roots = len(invol)
     if avoid is not None:
-        prio = prio + np.where(avoid.bits, np.int64(n), np.int64(0))
+        invol = invol[np.argsort(avoid.bits[invol], kind="stable")]
+        roots = int((~avoid.bits[invol]).sum())
+    local = np.full(g.n, -1, dtype=np.int64)
+    local[invol] = np.arange(len(invol))
+    commute = g._commutators(invol, invol) == 0
+    # only commuting pairs are read: their product is the identity or an involution
+    prod = local[g.T[np.ix_(invol, invol)]]
     target = 1 << rank
-    found = {}
+    found = []
     nodes = 0
 
-    comm = g.comm
-
-    def extend(basis, span_arr, span_bits, cmask, last_prio):
+    def extend(span, cmask, last):
         nonlocal nodes
         nodes += 1
         if nodes > max_nodes:
             raise ResourceError("elementary abelian search exceeded its node budget",
                                 stats={"nodes": nodes, "found": len(found)})
-        if len(basis) == rank:
-            key = span_bits.tobytes()
-            if key not in found:
-                found[key] = g.subgroup(span_bits, verify=True)
+        if len(span) + 1 == target:
+            bits = np.zeros(g.n, dtype=bool)
+            bits[0] = True
+            bits[invol[span]] = True
+            found.append(g.subgroup(bits, verify=True))
             return
         # capacity prune: every future member is an involution commuting
         # with the current span
-        if int((inv_mask & cmask).sum()) + 1 < target:
+        if int(cmask.sum()) + 1 < target:
             return
-        cand = np.flatnonzero(inv_mask & cmask & ~span_bits)
-        if len(cand) == 0:
-            return
-        cand = cand[prio[cand] > last_prio]
-        if len(cand) == 0:
-            return
-        # greedy-minimal condition: candidate is the prio-min of its coset
-        prods = g.T[np.ix_(cand, span_arr)]
-        keep = prio[prods].min(axis=1) >= prio[cand]
-        cand = cand[keep]
+        cand = last + 1 + np.flatnonzero(cmask[last + 1:])
+        cand = cand[prod[np.ix_(cand, span)].min(axis=1) > cand]
         for t in cand:
-            t = int(t)
-            new_span = np.unique(np.concatenate([span_arr, g.T[t, span_arr]]))
-            nb = span_bits.copy()
-            nb[new_span] = True
-            extend(basis + [t], new_span, nb, cmask & (comm[t] == 0), prio[t])
+            extend(np.concatenate([span, [t], prod[t, span]]), cmask & commute[t], t)
 
-    roots = np.flatnonzero(inv_mask)
-    if avoid is not None:
-        roots = roots[~avoid.bits[roots]]
-    roots = roots[np.argsort(prio[roots])]
-    ident_bits = np.zeros(n, dtype=bool)
-    ident_bits[0] = True
-    for r in roots:
-        r = int(r)
-        span_arr = np.array([0, r], dtype=np.int64)
-        sb = ident_bits.copy()
-        sb[r] = True
-        extend([r], span_arr, sb, (comm[r] == 0), prio[r])
-    return list(found.values()), nodes
+    for r in range(roots):
+        extend(np.array([r]), commute[r], r)
+    return found, nodes

@@ -248,9 +248,6 @@ class ConcatenatedDomain(IndexedDomain):
             total += p.size
         self.size = total
 
-    def offset_of(self, part_index: int) -> int:
-        return self.offsets[part_index]
-
     def perm_of_matrix(self, mat) -> np.ndarray:
         blocks = []
         for p, off in zip(self.parts, self.offsets):

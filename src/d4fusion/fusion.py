@@ -194,7 +194,8 @@ def automizer_from_model(bundle: ModelBundle, overgroup_gens, order3_elem,
     The radical is the intersection of the three Sylow conjugates of S in
     P; conjugation by the P-generators gives the automizer maps.  The
     induced group on the radical must exceed the S-conjugation image by an
-    odd factor of exactly 3 (so the outer automizer is of order 6).
+    odd factor of exactly 3 (so the outer automizer is of order 6).  That
+    image is S / C_S(R) for the radical R, read off one centralizer.
     """
     S = bundle.sylow
     g3 = np.asarray(order3_elem, dtype=np.uint16)
@@ -215,7 +216,7 @@ def automizer_from_model(bundle: ModelBundle, overgroup_gens, order3_elem,
     if order3_map.map_order() != 3:
         raise ConfigurationError("conjugation by the order-3 element has wrong order")
     big = _map_group_order(radical, inner_maps + outer_maps + [order3_map])
-    small = _map_group_order(radical, inner_maps)
+    small = S.n // S.centralizer(S.generating_set(radical)).order
     if big != 3 * small:
         raise ConfigurationError("outer automizer odd part is %s, not 3" % (big / small))
     return EssentialSlot(subgroup=radical,

@@ -122,10 +122,6 @@ def eval_quadratic(space: QuadraticSpace, v):
 # GF(2) linear algebra on packed rows
 
 
-def gf2_matmul(a, b):
-    return (np.asarray(a, dtype=np.uint8) @ np.asarray(b, dtype=np.uint8)) % 2
-
-
 def gf2_rank(mat) -> int:
     rows = [int(np.dot(np.asarray(r, dtype=np.int64) & 1, 1 << np.arange(len(r))))
             for r in np.asarray(mat) % 2]
@@ -287,7 +283,6 @@ class IsometryMatrix:
     space: QuadraticSpace
     entries: np.ndarray
     _dickson: int | None = field(default=None, repr=False)
-    _spinor: str | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=np.uint8) % self.space.field_order
@@ -299,23 +294,11 @@ class IsometryMatrix:
         return (self.entries @ (np.asarray(v, dtype=np.int64) % self.space.field_order)) \
             % self.space.field_order
 
-    def then(self, other: "IsometryMatrix") -> "IsometryMatrix":
-        """self followed by other."""
-        return IsometryMatrix(self.space,
-                              (other.entries.astype(np.int64) @ self.entries) %
-                              self.space.field_order)
-
     @property
     def dickson_bit(self) -> int:
         if self._dickson is None:
             self._dickson = dickson(self.space, self.entries)
         return self._dickson
-
-    @property
-    def spinor_class(self) -> str:
-        if self._spinor is None:
-            self._spinor = spinor_norm(self.space, self.entries)
-        return self._spinor
 
 
 def spot_check_isometry(space, mat, rng_seed=0, samples=32) -> None:

@@ -124,9 +124,6 @@ class StabChain:
     def orbit_lengths(self):
         return [len(lv.orbit) for lv in self.levels]
 
-    def strong_generators(self):
-        return list(self.levels[0].gens) if self.levels else []
-
     def sift(self, g, start: int = 0):
         """Strip g through levels >= start.
 

@@ -216,6 +216,12 @@ def check_cent(ctx: StructureContext) -> LemmaReport:
 
 
 def check_sixe(ctx: StructureContext) -> LemmaReport:
+    """The coset scan of `six_E` against one exhaustive search.
+
+    The search finds every elementary abelian subgroup of order 64;
+    ``inside_Q_count`` counts those that lie in Q, and ``search_nodes`` is
+    the node count of that one unrestricted search.
+    """
     claim = ("exactly 6 elementary abelian subgroups of order 64, each meeting Q "
              "in index 2; the scan is certified complete by exhaustive search")
     with check_timer() as t:
@@ -224,16 +230,16 @@ def check_sixe(ctx: StructureContext) -> LemmaReport:
         w = {"count": len(es)}
         w["index_in_Q"] = [int(e.order // np.count_nonzero(e.bits & Q.bits))
                            for e in es]
-        inside, _ = enumerate_elab_subgroups(S, rank=6, universe=Q)
-        w["inside_Q_count"] = len(inside)
-        complete, nodes = enumerate_elab_subgroups(S, rank=6, avoid=Q)
+        complete, nodes = enumerate_elab_subgroups(S, rank=6)
+        inside = sum(1 for e in complete if e <= Q)
+        w["inside_Q_count"] = inside
         w["search_nodes"] = nodes
-        w["search_count"] = len(complete)
+        w["search_count"] = len(complete) - inside
         same = {e.key() for e in es} == {e.key() for e in complete}
         w["scan_matches_search"] = bool(same)
         w["coset_bijection"] = len(ctx.E_coset) == 6
         ok = (len(es) == 6 and all(i == 2 for i in w["index_in_Q"])
-              and len(inside) == 0 and same and w["coset_bijection"])
+              and inside == 0 and same and w["coset_bijection"])
     return _report("sixe", claim, t, ok, w)
 
 
@@ -250,7 +256,7 @@ def check_cosets(ctx: StructureContext) -> LemmaReport:
             sub = data["commutator"]
             # centralizer modulo Z(Q) in Q of every coset member s (one column
             # per s), which must not depend on s
-            hits = Z.bits[S.comm[np.ix_(qm, data["members"])]]
+            hits = Z.bits[S._commutators(qm, data["members"])]
             if not (hits == hits[:, :1]).all():
                 cent_ok = False
             cent_bits = np.zeros(S.n, dtype=bool)
@@ -309,7 +315,7 @@ def check_cosetpairs(ctx: StructureContext) -> LemmaReport:
                 prod_sub = S.closure(prods)
                 prod_orders.add(prod_sub.order // Z.order)
                 # iterated commutator [[Q,si], sj] mod Z
-                seeds = np.unique(S.comm[am, sb])
+                seeds = np.unique(S._commutators(am, [sb]))
                 dsub = S.closure(seeds)
                 lift = S.closure(np.concatenate([dsub.members, Z.members]))
                 double_orders.add(lift.order // Z.order)
@@ -331,7 +337,7 @@ def check_eintersect(ctx: StructureContext) -> LemmaReport:
         for i in range(len(es)):
             for j in range(i + 1, len(es)):
                 inter = es[i].bits & es[j].bits
-                seeds = np.unique(S.comm[np.ix_(es[i].members, es[j].members)])
+                seeds = np.unique(S._commutators(es[i].members, es[j].members))
                 csub = S.closure(seeds)
                 inter_orders.add(int(inter.sum()))
                 if not np.array_equal(csub.bits, inter):
@@ -363,47 +369,45 @@ def check_z3(ctx: StructureContext) -> LemmaReport:
 
 
 def check_z3meet(ctx: StructureContext) -> LemmaReport:
+    """Centralizers in Q of the involutions outside Q, one gather per E.
+
+    For x in Ei and y in Ej outside Q, C_Q(x) inter C_Q(y) equals the
+    intersection I = Ei inter Ej iff I lies in Q, every member of I
+    centralizes x and y, and no q in Q outside I centralizes both.  The
+    last is one boolean product per pair (i, j), of the centralizer
+    columns of Ei and Ej restricted to the rows of Q outside I.
+    """
     claim = ("for involutions x, y outside Q in different E's: "
              "Ex inter Ey = C_Q(x) inter C_Q(y) inside Z3(S); and C_Q(s) lies in "
              "Z3(S) for involutions over the distinguished coset")
     with check_timer() as t:
         S, Q, z3 = ctx.S, ctx.Q, ctx.Z3
         qm = Q.members
-        ok = True
         es = ctx.six_E
         outside = [np.flatnonzero(e.bits & ~Q.bits) for e in es]
-        for i in range(len(es)):
-            for j in range(i + 1, len(es)):
-                if ((es[i].bits & es[j].bits) & ~z3.bits).any():
-                    ok = False
+        ok = not any(((es[i].bits & es[j].bits) & ~z3.bits).any()
+                     for i in range(len(es)) for j in range(i + 1, len(es)))
+        # cent[i][q, x]: q in Q centralizes the x-th member of Ei outside Q
+        cent = [S._commutators(qm, o) == 0 for o in outside]
         exhaustive_pairs = 0
         for i in range(len(es)):
             for j in range(len(es)):
                 if i == j:
                     continue
+                exhaustive_pairs += len(outside[i]) * len(outside[j])
                 inter_bits = es[i].bits & es[j].bits
-                for x in outside[i]:
-                    cx = S.comm[qm, int(x)] == 0
-                    for y in outside[j]:
-                        exhaustive_pairs += 1
-                        hits = qm[cx & (S.comm[qm, int(y)] == 0)]
-                        cq = np.zeros(S.n, dtype=bool)
-                        cq[hits] = True
-                        if not np.array_equal(inter_bits, cq):
-                            ok = False
-                            break
-                    else:
-                        continue
-                    break
+                inside = inter_bits[qm]
+                both = (cent[i][~inside].T.astype(np.int32)
+                        @ cent[j][~inside].astype(np.int32))
+                ok = (ok and not (inter_bits & ~Q.bits).any()
+                      and cent[i][inside].all() and cent[j][inside].all()
+                      and not both.any())
         w = {"pairs_checked": exhaustive_pairs}
         i0_members = ctx.coset_data[ctx.i0_coset]["members"]
         i0_inv = i0_members[S.order_of[i0_members] == 2]
         w["i0_involutions"] = int(len(i0_inv))
-        cq_in_z3 = True
-        for s in i0_inv:
-            hits = qm[S.comm[qm, int(s)] == 0]
-            if (~z3.bits[hits]).any():
-                cq_in_z3 = False
+        cq = S._commutators(qm, i0_inv) == 0
+        cq_in_z3 = not (cq & ~z3.bits[qm][:, None]).any()
         w["CQ_of_i0_involutions_in_Z3"] = cq_in_z3
         ok = ok and cq_in_z3
     return _report("z3meet", claim, t, ok, w)

@@ -168,6 +168,32 @@ def test_elab_enumeration_count_oracle():
     assert len(subs_out) == 35 - 7
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_elab_enumeration_matches_brute_force_on_d8xd8(rank):
+    # oracle: close every rank-sized set of involutions and keep the
+    # elementary abelian closures of the right order
+    gens = [Permutation.from_cycles(8, (0, 1, 2, 3)), Permutation.from_cycles(8, (1, 3)),
+            Permutation.from_cycles(8, (4, 5, 6, 7)), Permutation.from_cycles(8, (5, 7))]
+    g = perm_group(gens)
+    invol = np.flatnonzero(g.order_of == 2)
+    assert (g.n, len(invol)) == (64, 35)
+    want = {}
+    for seed in itertools.combinations(invol, rank):
+        sub = g.closure(seed)
+        if sub.order == 1 << rank and g.is_elementary_abelian(sub):
+            want[sub.key()] = sub
+    avoid = g.closure(g.gen_indices[:3])  # D8 x C4, of index 2
+    assert avoid.order == 32
+    for restrict in (None, avoid):
+        subs, nodes = enumerate_elab_subgroups(g, rank=rank, avoid=restrict)
+        keys = [s.key() for s in subs]
+        assert len(keys) == len(set(keys))  # each subgroup is made once
+        expected = {k for k, s in want.items() if restrict is None or not s <= restrict}
+        assert set(keys) == expected and expected
+        assert nodes >= len(subs)
+    assert g._comm is None
+
+
 def test_elab_enumeration_finds_full_rank():
     gens = [Permutation.from_cycles(6, (0, 1)), Permutation.from_cycles(6, (2, 3)),
             Permutation.from_cycles(6, (4, 5))]

@@ -1,12 +1,17 @@
+import copy
+
 import numpy as np
 import pytest
 
 from d4fusion.perms import ConfigurationError, Permutation, compose
 from d4fusion.cayley import CayleyGroup
+from d4fusion.groupmodels import build_affine_model
 from d4fusion.structure import (
     CHECK_ALIASES,
     StructureContext,
+    check_sixe,
     check_valuation,
+    check_z3meet,
     model_fingerprint,
     run_battery,
 )
@@ -31,12 +36,87 @@ def test_center_witnesses(batteries):
 
 
 def test_six_elab_witnesses(batteries):
-    for data in batteries.values():
+    # search_nodes: the spans visited by the one unrestricted rank-6 search
+    nodes = {"omega8plus2": 45031, "affine": 46351, "frame": 46999}
+    for name, data in batteries.items():
         rep = reports_by_id(data)["sixe"]
         assert rep.witnesses["count"] == 6
         assert rep.witnesses["index_in_Q"] == [2] * 6
         assert rep.witnesses["inside_Q_count"] == 0
+        assert rep.witnesses["search_count"] == 6
+        assert rep.witnesses["search_nodes"] == nodes[name]
         assert rep.witnesses["scan_matches_search"]
+
+
+def test_battery_builds_no_commutator_table():
+    # a fresh bundle: the shared fixture bundles carry the table that colour
+    # refinement builds
+    ctx = StructureContext(build_affine_model())
+    reports = run_battery(ctx) + run_battery(ctx, ids=["a8"])
+    assert len(reports) == 11 and all(r.passed for r in reports)
+    assert ctx.S._comm is None
+
+
+def seeded(ctx, **cached):
+    """A copy of ctx whose named cached properties are replaced."""
+    broken = copy.copy(ctx)
+    broken.__dict__.update(cached)
+    return broken
+
+
+def test_z3meet_fails_when_z3_is_replaced_by_z2(contexts):
+    ctx = contexts["affine"]
+    assert check_z3meet(ctx).passed
+    rep = check_z3meet(seeded(ctx, series=[ctx.Z, ctx.Z2, ctx.Z2]))
+    assert rep.status == "fail"
+    assert rep.witnesses["CQ_of_i0_involutions_in_Z3"] is False
+
+
+def test_z3meet_fails_when_an_e_meets_another_in_less(contexts):
+    # E0 cut down to H u Hx, with H a hyperplane of E0 inter Q that misses
+    # part of E0 inter E1: C_Q(x) inter C_Q(y) is still E0 inter E1, while
+    # the seeded intersection has order 4
+    ctx = contexts["affine"]
+    S, Q = ctx.S, ctx.Q
+    e0, e1 = ctx.six_E[:2]
+    meet = S.subgroup(e0.bits & e1.bits)
+    h = next(m for m in S.maximal_subgroups(S.subgroup(e0.bits & Q.bits))
+             if not meet <= m)
+    x = int(np.flatnonzero(e0.bits & ~Q.bits)[0])
+    cut = S.closure(list(h.members) + [x])
+    assert cut.order == 32 and (cut.bits & e1.bits).sum() == 4
+    rep = check_z3meet(seeded(ctx, six_E=[cut] + ctx.six_E[1:]))
+    assert rep.status == "fail"
+    assert rep.witnesses["CQ_of_i0_involutions_in_Z3"] is True
+
+
+def test_z3meet_matches_per_pair_reference(contexts):
+    # reference: C_Q(x) inter C_Q(y) as a set, for every pair (x, y)
+    ctx = contexts["affine"]
+    S, Q = ctx.S, ctx.Q
+    qm = Q.members
+    outside = [np.flatnonzero(e.bits & ~Q.bits) for e in ctx.six_E]
+    cent = {int(x): set(qm[S._commutators(qm, [x])[:, 0] == 0]) for o in outside for x in o}
+    pairs = 0
+    for i, ei in enumerate(ctx.six_E):
+        for j, ej in enumerate(ctx.six_E):
+            if i != j:
+                inter = set(np.flatnonzero(ei.bits & ej.bits))
+                for x in outside[i]:
+                    for y in outside[j]:
+                        assert cent[int(x)] & cent[int(y)] == inter
+                        pairs += 1
+    rep = check_z3meet(ctx)
+    assert rep.passed and rep.witnesses["pairs_checked"] == pairs
+
+
+def test_sixe_fails_when_one_e_is_dropped(contexts):
+    ctx = contexts["affine"]
+    rep = check_sixe(seeded(ctx, six_E=ctx.six_E[:5]))
+    assert rep.status == "fail"
+    assert rep.witnesses["count"] == 5
+    assert rep.witnesses["search_count"] == 6
+    assert rep.witnesses["scan_matches_search"] is False
 
 
 def test_coset_witnesses(batteries):
