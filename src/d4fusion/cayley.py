@@ -25,6 +25,7 @@ import numpy as np
 from .perms import ConfigurationError, ResourceError
 
 IDX = np.uint16
+_ROOT_BLOCK = 8  # roots per level-synchronous step of enumerate_elab_subgroups
 
 
 class ClosureError(ValueError):
@@ -791,10 +792,10 @@ def enumerate_elab_subgroups(g: CayleyGroup, rank: int,
                              max_nodes: int = 5_000_000):
     """All elementary abelian subgroups of 2^rank elements, exhaustively.
 
-    Depth-first search over greedy-minimal bases on the commuting graph of
-    g's involutions, in local indices (orderly generation, McKay 1998).  A
-    node is the array of the non-identity members of its span; a candidate
-    t commutes with the whole span and is the least member of its coset
+    Search over greedy-minimal bases on the commuting graph of g's
+    involutions, in local indices (orderly generation, McKay 1998).  A node
+    is the array of the non-identity members of its span; a candidate t
+    commutes with the whole span and is the least member of its coset
     t * span, so every subgroup is made once, from its greedy-minimal
     basis.  The product table stores the identity as -1, which makes the
     members of the span fail that test.  When ``avoid`` is given, only
@@ -802,42 +803,54 @@ def enumerate_elab_subgroups(g: CayleyGroup, rank: int,
     puts the involutions outside ``avoid`` first, so those subgroups start
     their basis outside and the roots inside are skipped.  The node count
     is the number of spans visited, leaves included.
+
+    The roots are taken _ROOT_BLOCK at a time, in ascending order, and each
+    block is searched one depth per step: the spans of a depth are the rows
+    of one (nodes, 2^depth - 1) array.  Row-major `np.nonzero` emits the
+    children node by node, each node's in ascending t, so the nodes of every
+    depth, leaves included, stay in lexicographic order of their bases:
+    the order in which a depth-first search visits them.
     """
     invol = np.flatnonzero(g.order_of == 2)
     roots = len(invol)
     if avoid is not None:
         invol = invol[np.argsort(avoid.bits[invol], kind="stable")]
         roots = int((~avoid.bits[invol]).sum())
-    local = np.full(g.n, -1, dtype=np.int64)
+    if len(invol) >= 1 << 15:
+        raise ConfigurationError("too many involutions for int16 local indices")
+    local = np.full(g.n, -1, dtype=np.int16)
     local[invol] = np.arange(len(invol))
     commute = g._commutators(invol, invol) == 0
     # only commuting pairs are read: their product is the identity or an involution
     prod = local[g.T[np.ix_(invol, invol)]]
+    cols = np.arange(len(invol))
     target = 1 << rank
     found = []
     nodes = 0
-
-    def extend(span, cmask, last):
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise ResourceError("elementary abelian search exceeded its node budget",
-                                stats={"nodes": nodes, "found": len(found)})
-        if len(span) + 1 == target:
-            bits = np.zeros(g.n, dtype=bool)
-            bits[0] = True
-            bits[invol[span]] = True
-            found.append(g.subgroup(bits, verify=True))
-            return
-        # capacity prune: every future member is an involution commuting
-        # with the current span
-        if int(cmask.sum()) + 1 < target:
-            return
-        cand = last + 1 + np.flatnonzero(cmask[last + 1:])
-        cand = cand[prod[np.ix_(cand, span)].min(axis=1) > cand]
-        for t in cand:
-            extend(np.concatenate([span, [t], prod[t, span]]), cmask & commute[t], t)
-
-    for r in range(roots):
-        extend(np.array([r]), commute[r], r)
+    for lo in range(0, roots, _ROOT_BLOCK):
+        last = np.arange(lo, min(lo + _ROOT_BLOCK, roots), dtype=np.int16)
+        span, cmask = last[:, None], commute[last]
+        while len(last):
+            nodes += len(last)
+            if nodes > max_nodes:
+                raise ResourceError("elementary abelian search exceeded its node budget",
+                                    stats={"nodes": nodes, "found": len(found)})
+            if span.shape[1] + 1 == target:
+                for row in span:
+                    bits = np.zeros(g.n, dtype=bool)
+                    bits[0] = True
+                    bits[invol[row]] = True
+                    found.append(g.subgroup(bits, verify=True))
+                break
+            # capacity prune: every future member is an involution commuting
+            # with the current span
+            keep = cmask.sum(axis=1) + 1 >= target
+            span, cmask, last = span[keep], cmask[keep], last[keep]
+            node, t = np.nonzero(cmask & (cols > last[:, None]))
+            base = span[node]
+            coset = prod[t[:, None], base]
+            minimal = coset.min(axis=1) > t
+            node, last, base = node[minimal], t[minimal].astype(np.int16), base[minimal]
+            span = np.concatenate([base, last[:, None], coset[minimal]], axis=1)
+            cmask = cmask[node] & commute[last]
     return found, nodes

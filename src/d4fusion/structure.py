@@ -483,8 +483,8 @@ def check_a8(ctx: StructureContext) -> LemmaReport:
         chain = build_stab_chain(handle)
         w = {"a8_order": chain.order()}
         x = Permutation.from_cycles(8, (0, 1), (2, 3), (4, 5), (6, 7)).images
-        cent = [np.asarray(e, dtype=np.uint16) for e in chain.elements()
-                if np.array_equal(compose(e, x), compose(x, e))]
+        elems = np.stack(list(chain.elements()))
+        cent = list(elems[(x[elems] == elems[:, x]).all(axis=1)])
         w["centralizer_order"] = len(cent)
         cgrp = CayleyGroup.from_generators(
             cent, mul=compose, key=lambda a: a.tobytes(),

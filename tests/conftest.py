@@ -123,3 +123,11 @@ def fusion_fingerprints(fusion_systems, fusion_partitions):
     from d4fusion.fusion import fingerprint_fusion
     return {v: fingerprint_fusion(fs, fusion_partitions[v])
             for v, fs in fusion_systems.items()}
+
+
+@pytest.fixture(scope="session")
+def ambient_oracle_O8p2(fusion_systems, fusion_partitions, chamber_bundle):
+    """The O8p2 involution classes against ambient conjugacy (one BFS)."""
+    from d4fusion.fusion import involution_partition_matches_ambient
+    return involution_partition_matches_ambient(
+        fusion_systems["O8p2"], fusion_partitions["O8p2"], chamber_bundle)

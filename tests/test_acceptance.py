@@ -131,11 +131,8 @@ def test_criterion_06_fusion_systems(fusion_systems, fusion_radicals, contexts):
                  "centralizer slot recovers Q (%.0fs)" % elapsed)
 
 
-def test_criterion_07_fusion_oracle(fusion_systems, fusion_partitions,
-                                    chamber_bundle):
-    from d4fusion.fusion import involution_partition_matches_ambient
-    result = involution_partition_matches_ambient(
-        fusion_systems["O8p2"], fusion_partitions["O8p2"], chamber_bundle)
+def test_criterion_07_fusion_oracle(ambient_oracle_O8p2):
+    result = ambient_oracle_O8p2
     ok = result["agree"] and result["fusion_classes"] == result["ambient_classes"]
     _line(7, ok, "flag-model involution fusion equals ambient conjugacy: "
                  "%d involutions, %d classes" % (result["involutions"],

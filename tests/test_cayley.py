@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from d4fusion.cayley import (
     enumerate_elab_subgroups,
     inner_automap,
 )
-from d4fusion.perms import Permutation, compose
+from d4fusion.perms import Permutation, ResourceError, compose
 
 
 def perm_group(gens):
@@ -168,6 +169,50 @@ def test_elab_enumeration_count_oracle():
     assert len(subs_out) == 35 - 7
 
 
+def reference_elab_search(g, rank, avoid=None):
+    """The depth-first form of the search: one recursive call per node."""
+    invol = np.flatnonzero(g.order_of == 2)
+    roots = len(invol)
+    if avoid is not None:
+        invol = invol[np.argsort(avoid.bits[invol], kind="stable")]
+        roots = int((~avoid.bits[invol]).sum())
+    local = np.full(g.n, -1, dtype=np.int64)
+    local[invol] = np.arange(len(invol))
+    commute = g._commutators(invol, invol) == 0
+    prod = local[g.T[np.ix_(invol, invol)]]
+    target = 1 << rank
+    found = []
+    nodes = 0
+
+    def extend(span, cmask, last):
+        nonlocal nodes
+        nodes += 1
+        if len(span) + 1 == target:
+            bits = np.zeros(g.n, dtype=bool)
+            bits[0] = True
+            bits[invol[span]] = True
+            found.append(g.subgroup(bits, verify=True))
+            return
+        if int(cmask.sum()) + 1 < target:
+            return
+        cand = last + 1 + np.flatnonzero(cmask[last + 1:])
+        cand = cand[prod[np.ix_(cand, span)].min(axis=1) > cand]
+        for t in cand:
+            extend(np.concatenate([span, [t], prod[t, span]]), cmask & commute[t], t)
+
+    for r in range(roots):
+        extend(np.array([r]), commute[r], r)
+    return found, nodes
+
+
+def assert_same_search(g, rank, avoid=None):
+    subs, nodes = enumerate_elab_subgroups(g, rank=rank, avoid=avoid)
+    want, want_nodes = reference_elab_search(g, rank, avoid)
+    assert nodes == want_nodes
+    assert [s.key() for s in subs] == [s.key() for s in want]
+    return subs
+
+
 @pytest.mark.parametrize("rank", [2, 3])
 def test_elab_enumeration_matches_brute_force_on_d8xd8(rank):
     # oracle: close every rank-sized set of involutions and keep the
@@ -185,12 +230,11 @@ def test_elab_enumeration_matches_brute_force_on_d8xd8(rank):
     avoid = g.closure(g.gen_indices[:3])  # D8 x C4, of index 2
     assert avoid.order == 32
     for restrict in (None, avoid):
-        subs, nodes = enumerate_elab_subgroups(g, rank=rank, avoid=restrict)
+        subs = assert_same_search(g, rank, restrict)
         keys = [s.key() for s in subs]
         assert len(keys) == len(set(keys))  # each subgroup is made once
         expected = {k for k, s in want.items() if restrict is None or not s <= restrict}
         assert set(keys) == expected and expected
-        assert nodes >= len(subs)
     assert g._comm is None
 
 
@@ -201,6 +245,29 @@ def test_elab_enumeration_finds_full_rank():
     subs, _ = enumerate_elab_subgroups(g, rank=3)
     assert len(subs) == 1
     assert subs[0].order == 8
+
+
+def test_elab_search_matches_depth_first_reference_on_affine_s(contexts):
+    ctx = contexts["affine"]
+    assert len(assert_same_search(ctx.S, 6)) == 6
+    assert assert_same_search(ctx.S, 4, avoid=ctx.Q)
+
+
+def test_elab_search_budget_raises_resource_error(contexts):
+    with pytest.raises(ResourceError) as info:
+        enumerate_elab_subgroups(contexts["affine"].S, rank=6, max_nodes=1000)
+    assert info.value.stats["nodes"] > 1000
+
+
+def test_elab_search_memory_stays_small(contexts):
+    S = contexts["affine"].S
+    tracemalloc.start()
+    try:
+        subs, _ = enumerate_elab_subgroups(S, rank=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(subs) == 6 and peak < 16 * 2 ** 20
 
 
 def test_automap_identity_and_inner(d8):

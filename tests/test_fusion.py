@@ -17,7 +17,6 @@ from d4fusion.fusion import (
     fuse_elements,
     fusion_report,
     inner_only_system,
-    involution_partition_matches_ambient,
     minimal_overgroups_in_alternating,
     pair_of_elab,
 )
@@ -234,10 +233,8 @@ def test_x3_partition_coarser(fusion_systems, fusion_partitions):
         len(np.unique(fusion_partitions["O8p2"].class_id))
 
 
-def test_ambient_oracle_matches_O8p2(fusion_systems, fusion_partitions,
-                                     chamber_bundle):
-    result = involution_partition_matches_ambient(
-        fusion_systems["O8p2"], fusion_partitions["O8p2"], chamber_bundle)
+def test_ambient_oracle_matches_O8p2(ambient_oracle_O8p2):
+    result = ambient_oracle_O8p2
     assert result["agree"]
     assert result["involutions"] == 495
     assert result["fusion_classes"] == result["ambient_classes"]

@@ -90,6 +90,27 @@ def test_z3meet_fails_when_an_e_meets_another_in_less(contexts):
     assert rep.witnesses["CQ_of_i0_involutions_in_Z3"] is True
 
 
+def test_pair_intersections_cover_z3(contexts):
+    # why no seeded Z3 can fail the i0 part alone: a set holding every
+    # Ei inter Ej holds all of Z3, and C_Q(s) lies in Z3
+    for ctx in contexts.values():
+        es = ctx.six_E
+        union = np.zeros(ctx.S.n, dtype=bool)
+        for i in range(len(es)):
+            for j in range(i + 1, len(es)):
+                union |= es[i].bits & es[j].bits
+        assert np.array_equal(union, ctx.Z3.bits)
+
+
+def test_z3meet_fails_when_the_i0_coset_is_misidentified(contexts):
+    # an involution s of an E-coset has C_Q(s) = E inter Q of order 32,
+    # which is not in Z3; the pair part does not read the i0 coset
+    ctx = contexts["affine"]
+    rep = check_z3meet(seeded(ctx, i0_coset=next(iter(ctx.E_coset))))
+    assert rep.status == "fail"
+    assert rep.witnesses["CQ_of_i0_involutions_in_Z3"] is False
+
+
 def test_z3meet_matches_per_pair_reference(contexts):
     # reference: C_Q(x) inter C_Q(y) as a set, for every pair (x, y)
     ctx = contexts["affine"]
@@ -116,6 +137,19 @@ def test_sixe_fails_when_one_e_is_dropped(contexts):
     assert rep.status == "fail"
     assert rep.witnesses["count"] == 5
     assert rep.witnesses["search_count"] == 6
+    assert rep.witnesses["scan_matches_search"] is False
+
+
+def test_sixe_fails_when_one_e_is_repeated(contexts):
+    # six entries, each of index 2 in E, over a consistent coset map: only
+    # the comparison with the search can see the missing E
+    ctx = contexts["affine"]
+    es = ctx.six_E
+    rep = check_sixe(seeded(ctx, six_E=[es[0]] + es[:5], E_coset=dict(ctx.E_coset)))
+    assert rep.status == "fail"
+    assert rep.witnesses["count"] == 6
+    assert rep.witnesses["index_in_Q"] == [2] * 6
+    assert rep.witnesses["coset_bijection"] is True
     assert rep.witnesses["scan_matches_search"] is False
 
 
