@@ -36,11 +36,10 @@ def _attribute_matrix(ctx: StructureContext) -> np.ndarray:
     """Raw isomorphism-invariant attributes, one row per element."""
     S = ctx.S
     n = S.n
-    cent = (S.comm == 0).sum(axis=1).astype(np.int64)
-    labels = S.conjugacy_classes()
-    _, counts = np.unique(labels, return_counts=True)
-    size_of = dict(zip(np.unique(labels).tolist(), counts.tolist()))
-    class_size = np.array([size_of[int(l)] for l in labels], dtype=np.int64)
+    # |C_S(x)| = n / |x^S|, by the orbit-stabiliser theorem
+    _, label_ids, class_size = np.unique(S.conjugacy_classes(), return_inverse=True,
+                                         return_counts=True)
+    cent_order = n // class_size[label_ids]
     e_membership = np.zeros(n, dtype=np.int64)
     for e in ctx.six_E:
         e_membership += e.bits
@@ -48,8 +47,7 @@ def _attribute_matrix(ctx: StructureContext) -> np.ndarray:
     f1 = S.centralizer(ctx.Z2.members)
     cols = [
         S.order_of.astype(np.int64),
-        cent,
-        class_size,
+        cent_order,
         ctx.Q.bits.astype(np.int64),
         ctx.phi.bits.astype(np.int64),
         ctx.Z2.bits.astype(np.int64),
@@ -61,77 +59,98 @@ def _attribute_matrix(ctx: StructureContext) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _round_features(S: CayleyGroup, colors: np.ndarray) -> np.ndarray:
-    """Order-independent hash of {(color(y), color(xy), color([x,y])) : y}.
+def _mod_prime(v: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """v mod P in place, for int64 v of any sign, without integer division.
 
-    With c the colours, P = 2^61 - 1,
-    m(x, y) = c(y)*MIX1 + c(xy)*MIX2 + c([x,y])*(MIX1^MIX2) and
+    Let u = v mod 2^64.  As 2^61 = 1 (mod P), u = (u >> 61) + (u & P)
+    (mod P), and as 2^64 = 8 (mod P), v = u - 8 [v < 0] (mod P).  The
+    arithmetic shift v >> 61 is (u >> 61) - 8 [v < 0], so
+    r = (v >> 61) + (v & P) = v (mod P) with -4 <= r <= P + 2.  Two
+    conditional steps finish: subtracting P where r >= P gives [-4, P),
+    and adding P where that is negative gives [0, P).  The result equals
+    np.remainder(v, P) bit for bit.  `tmp` is int64 scratch of v's shape.
+    """
+    np.right_shift(v, 61, out=tmp)
+    v &= _PRIME
+    v += tmp
+    np.subtract(v, _PRIME, out=v, where=v >= _PRIME)
+    np.add(v, _PRIME, out=v, where=v < 0)
+    return v
+
+
+def _round_features(S: CayleyGroup, colors: np.ndarray) -> np.ndarray:
+    """Order-independent hash of {(color(y), color(xy)) : y} and color(x^2).
+
+    With c the colours, P = 2^61 - 1, m(x, y) = c(y)*MIX1 + c(xy)*MIX2 and
     h(x, y) = (m(x, y)^2 + c(y)) mod P, row x hashes to
 
         ((sum_y h(x, y)) mod P + c(x^2)) mod P.
 
     The square, the `+ c(y)` and the row sum are int64 arithmetic that
     wraps around modulo 2^64; that wraparound is part of the hash.
-    Colours are below 2^13, so m(x, y) < 3 * 2^45 < P needs no reduction.
-    Rows are hashed _BLOCK at a time in two reused (_BLOCK, n) int64
-    buffers, so no n x n temporary is ever built.
+    Colours are below 2^13, so m(x, y) < 2^46 needs no reduction.  Every
+    mod P is `_mod_prime`.  Rows are hashed _BLOCK at a time in two reused
+    (_BLOCK, n) int64 buffers, so no n x n temporary is ever built.
     """
     n = S.n
     assert 0 <= colors.min() and colors.max() < 1 << 13, "colour ids exceed 2^13"
     c_mix1 = colors * _MIX1
     mix = np.empty((min(_BLOCK, n), n), dtype=np.int64)
-    part = np.empty_like(mix)
+    tmp = np.empty_like(mix)
     feat = np.empty(n, dtype=np.int64)
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        m, p = mix[:hi - lo], part[:hi - lo]
+        m = mix[:hi - lo]
         # table entries are < n by construction; mode="raise" would copy via a buffer
         np.take(colors, S.T[lo:hi], out=m, mode="clip")
         m *= _MIX2
-        np.take(colors, S.comm[lo:hi], out=p, mode="clip")
-        p *= _MIX1 ^ _MIX2
-        m += p
         m += c_mix1
         m *= m
         m += colors
-        np.remainder(m, _PRIME, out=m)
+        _mod_prime(m, tmp[:hi - lo])
         m.sum(axis=1, out=feat[lo:hi])
-    feat %= _PRIME
+    _mod_prime(feat, tmp[0])
     feat += colors[S.T[np.arange(n), np.arange(n)]]
-    feat %= _PRIME
-    return feat
-
-
-def joint_colors(ctx1: StructureContext, ctx2: StructureContext):
-    """Stable element colors computed jointly so ids agree across groups.
-
-    When both arguments are the same context the two halves are equal in
-    every round, so attributes and features are computed once and reused.
-    """
-    same = ctx2 is ctx1
-    a1 = _attribute_matrix(ctx1)
-    a2 = a1 if same else _attribute_matrix(ctx2)
-    both = np.concatenate([a1, a2], axis=0)
-    _, colors = np.unique(both, axis=0, return_inverse=True)
-    colors = colors.astype(np.int64)
-    n1 = ctx1.S.n
-    c1, c2 = colors[:n1], colors[n1:]
-    for _ in range(6):
-        f1 = _round_features(ctx1.S, c1)
-        f2 = f1 if same else _round_features(ctx2.S, c2)
-        stacked = np.concatenate([
-            np.stack([c1, f1], axis=1), np.stack([c2, f2], axis=1)], axis=0)
-        _, new = np.unique(stacked, axis=0, return_inverse=True)
-        new = new.astype(np.int64)
-        if np.array_equal(new[:n1], c1) and np.array_equal(new[n1:], c2):
-            break
-        c1, c2 = new[:n1], new[n1:]
-    return c1, c2
+    return _mod_prime(feat, tmp[0])
 
 
 def element_colors(ctx: StructureContext) -> np.ndarray:
-    c1, _ = joint_colors(ctx, ctx)
-    return c1
+    """Stable element colours of S, refined once per context.
+
+    Start from the ranks of the attribute rows; each round ranks the
+    pairs (colour, `_round_features`), until the partition is stable or
+    six rounds have passed.
+    """
+    def refine():
+        _, colors = np.unique(_attribute_matrix(ctx), axis=0, return_inverse=True)
+        colors = colors.astype(np.int64)
+        for _ in range(6):
+            feat = _round_features(ctx.S, colors)
+            _, new = np.unique(np.stack([colors, feat], axis=1), axis=0,
+                               return_inverse=True)
+            new = new.astype(np.int64)
+            if np.array_equal(new, colors):
+                break
+            colors = new
+        return colors
+
+    return ctx.once("colors", refine)
+
+
+def joint_colors(ctx1: StructureContext, ctx2: StructureContext):
+    """Element colours of both groups, with ids that agree across them.
+
+    Each group is refined on its own (`element_colors`).  Colours are
+    ranks of isomorphism-invariant values.  If S1 and S2 are isomorphic,
+    an isomorphism carries the attribute rows of S1 onto those of S2 and,
+    round by round, the multiset of (colour, feature) pairs of S1 onto
+    that of S2.  Equal multisets have the same distinct values, so the
+    ranks taken per group equal the ranks taken over both groups at once,
+    and both groups stop in the same round.  If S1 and S2 are not
+    isomorphic, the ids may still happen to line up, but no false map
+    can come of it: every leaf of the search is verified exhaustively.
+    """
+    return element_colors(ctx1), element_colors(ctx2)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +244,8 @@ def _pair_filter(S1, S2, c1, c2, anchors, chosen, a_new, cands):
         keep = keep[c2[S2.T[keep, b_prev]] == want]
         if len(keep) == 0:
             return keep
-        want = c1[S1.comm[a_prev, a_new]]
-        keep = keep[c2[S2.comm[b_prev, keep]] == want]
+        want = c1[S1._commutators([a_prev], [a_new])[0, 0]]
+        keep = keep[c2[S2._commutators([b_prev], keep)[0]] == want]
     return keep
 
 

@@ -9,11 +9,9 @@ the left-to-right convention of the rest of the package:
 Subgroups are boolean vectors over element indices.  Centres,
 centralizers, central series, derived subgroups and the index-2 descent
 work against a verified generating set of the subgroup, at O(|H| * k) for
-a subgroup H with k generators.  The full commutator matrix
-``comm[x, y] = x^-1 y^-1 x y`` is built lazily, for colour refinement,
-which reads every row; everything else, the elementary abelian search
-on the involution commuting graph included, gathers the commutators it
-needs (`_commutators`).
+a subgroup H with k generators.  No n x n commutator table is built:
+every reader, the elementary abelian search on the involution commuting
+graph included, gathers the commutators it needs (`_commutators`).
 """
 
 from __future__ import annotations
@@ -92,7 +90,6 @@ class CayleyGroup:
         self.gen_indices = list(gen_indices or [])
         self.parents = parents  # (parent, gen_pos) BFS decomposition per element
         self.elements = elements
-        self._comm = None
         self._classes = None
         self._gen_sets = {}  # subgroup key -> verified generating set
         if not np.array_equal(table[0], np.arange(n, dtype=IDX)):
@@ -219,30 +216,6 @@ class CayleyGroup:
         """The inner automorphism x -> g^-1 x g as a full image array."""
         g = int(g)
         return self.T[self.T[self.inv[g], :], g]
-
-    @property
-    def comm(self) -> np.ndarray:
-        """comm[x, y] = x^-1 y^-1 x y = T[T[x^-1, y^-1], T[x, y]], computed once.
-
-        Colour refinement is its only reader.  Rows are filled 64 at a
-        time by one flat gather through a reused index buffer, so no n x n
-        index temporary is ever built.
-        """
-        if self._comm is None:
-            n = self.n
-            comm = np.empty((n, n), dtype=IDX)
-            flat = self.T.ravel()
-            buf = np.empty((min(64, n), n), dtype=np.intp)
-            for lo in range(0, n, 64):
-                hi = min(lo + 64, n)
-                idx = buf[:hi - lo]
-                idx[...] = self.T[self.inv[lo:hi]][:, self.inv]
-                idx *= n
-                idx += self.T[lo:hi]
-                # table entries are < n by construction; mode="raise" would copy
-                np.take(flat, idx, out=comm[lo:hi], mode="clip")
-            self._comm = comm
-        return self._comm
 
     # -- subgroups ----------------------------------------------------------
 

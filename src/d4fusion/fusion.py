@@ -448,15 +448,15 @@ def build_fusion_system(variant: str, bundle: ModelBundle,
     ctx = ctx or StructureContext(bundle)
     if ctx.bundle is not bundle:
         raise ConfigurationError("the structure context belongs to another bundle")
-    candidates = _once(ctx, "candidates", lambda: essential_candidates(ctx))
+    candidates = ctx.once("candidates", lambda: essential_candidates(ctx))
     if variant.startswith("O8p2"):
         if bundle.provenance != "omega8plus2-flag":
             raise ConfigurationError("O8p2 systems are built over the flag model")
-        slots, notes = _once(ctx, "slots", lambda: _chamber_slots(bundle, candidates))
+        slots, notes = ctx.once("slots", lambda: _chamber_slots(bundle, candidates))
     else:
         if bundle.provenance != "frame-gf3":
             raise ConfigurationError("PO8p3 systems are built over the frame model")
-        slots, notes = _once(ctx, "slots", lambda: _frame_slots(bundle, ctx, candidates))
+        slots, notes = ctx.once("slots", lambda: _frame_slots(bundle, ctx, candidates))
     slots, notes = list(slots), dict(notes)
     aut_s = inner_aut_s_maps(bundle)
     if variant.endswith("x3"):
@@ -482,13 +482,6 @@ def build_fusion_system(variant: str, bundle: ModelBundle,
                       notes=notes)
     _validate_system(fs)
     return fs
-
-
-def _once(ctx: StructureContext, key: str, build):
-    """build(), run once per context: the variants over one model share it."""
-    if key not in ctx.memo:
-        ctx.memo[key] = build()
-    return ctx.memo[key]
 
 
 def _chamber_slots(bundle: ModelBundle, candidates):

@@ -33,9 +33,18 @@ class StructureContext:
     def __init__(self, bundle: ModelBundle):
         self.bundle = bundle
         self.S = bundle.sylow
-        # what later layers derive from this context alone (the fusion
-        # candidates and slots), built once and read by every later caller
-        self.memo = {}
+        self.memo = {}  # see once()
+
+    def once(self, key: str, build):
+        """build(), run once per context and kept under `key`.
+
+        This is what later layers derive from the context alone: the
+        element colours, the fusion candidates and the slots, which every
+        search and fusion variant over one model shares.
+        """
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
 
     @cached_property
     def series(self):
@@ -484,11 +493,8 @@ def check_a8(ctx: StructureContext) -> LemmaReport:
         w = {"a8_order": chain.order()}
         x = Permutation.from_cycles(8, (0, 1), (2, 3), (4, 5), (6, 7)).images
         elems = np.stack(list(chain.elements()))
-        cent = list(elems[(x[elems] == elems[:, x]).all(axis=1)])
+        cent = elems[(x[elems] == elems[:, x]).all(axis=1)]
         w["centralizer_order"] = len(cent)
-        cgrp = CayleyGroup.from_generators(
-            cent, mul=compose, key=lambda a: a.tobytes(),
-            identity=np.arange(8, dtype=np.uint16), name="C_A8(x)")
         qx_gens = [
             Permutation.from_cycles(8, (0, 1), (2, 3), (4, 5), (6, 7)),
             Permutation.from_cycles(8, (0, 2), (1, 3), (4, 6), (5, 7)),
@@ -496,16 +502,22 @@ def check_a8(ctx: StructureContext) -> LemmaReport:
             Permutation.from_cycles(8, (0, 3), (1, 2), (4, 6), (5, 7)),
             Permutation.from_cycles(8, (0, 5), (1, 4), (2, 6), (3, 7)),
         ]
-        key_to_idx = {e.tobytes(): i for i, e in enumerate(cgrp.elements)}
-        qx_idx = [key_to_idx[g.images.tobytes()] for g in qx_gens]
-        qx = cgrp.closure(qx_idx)
+        extra = [Permutation.from_cycles(8, (0, 2, 4), (1, 3, 5)),
+                 Permutation.from_cycles(8, (0, 2), (1, 3))]
+        cgrp = CayleyGroup.from_generators(
+            [p.images for p in qx_gens + extra], mul=compose, key=lambda a: a.tobytes(),
+            identity=np.arange(8, dtype=np.uint16), name="C_A8(x)")
+        qx = cgrp.closure(cgrp.gen_indices[:len(qx_gens)])
         w["qx_order"] = qx.order
         w["qx_extraspecial"] = cgrp.is_extraspecial(qx)
         w["qx_type"] = cgrp.extraspecial_type(qx) if w["qx_extraspecial"] else None
-        extra = [Permutation.from_cycles(8, (0, 2, 4), (1, 3, 5)),
-                 Permutation.from_cycles(8, (0, 2), (1, 3))]
-        span = cgrp.closure(qx_idx + [key_to_idx[p.images.tobytes()] for p in extra])
-        w["qx_with_sigma3_is_full_centralizer"] = span.order == cgrp.n == 192
+        # <Q_x, extra> lies in the exhaustively found centralizer and has its
+        # order, so the two are equal
+        cent_keys = {c.tobytes() for c in cent}
+        w["qx_with_sigma3_is_full_centralizer"] = (
+            cgrp.n == len(cent) == 192
+            and all(e.tobytes() in cent_keys for e in cgrp.elements))
+        key_to_idx = {e.tobytes(): i for i, e in enumerate(cgrp.elements)}
         listed = [Permutation.from_cycles(8, (0, 1), (2, 3)),
                   Permutation.from_cycles(8, (0, 1), (4, 5)),
                   Permutation.from_cycles(8, (2, 3), (4, 5))]

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -128,10 +130,10 @@ def test_automappair_rejects_swapped_generator_images(isomorphisms):
 
 
 def _round_features_reference(S, colors):
-    """The unblocked formula, with n x n int64 temporaries."""
+    """The unblocked formula, with n x n int64 temporaries and `%`."""
     from d4fusion.automorphisms import _MIX1, _MIX2, _PRIME
     cy = colors[None, :]
-    mix = (cy * _MIX1 + colors[S.T] * _MIX2 + colors[S.comm] * (_MIX1 ^ _MIX2)) % _PRIME
+    mix = (cy * _MIX1 + colors[S.T] * _MIX2) % _PRIME
     mix = (mix * mix + cy) % _PRIME
     feat = mix.sum(axis=1) % _PRIME
     return (feat + colors[S.T[np.arange(S.n), np.arange(S.n)]]) % _PRIME
@@ -158,22 +160,105 @@ def test_blocked_round_features_match_unblocked(contexts):
                                   _round_features_reference(S, colors))
 
 
+def test_mod_prime_matches_remainder_at_the_edges():
+    from d4fusion.automorphisms import _PRIME, _mod_prime
+    p = int(_PRIME)
+    info = np.iinfo(np.int64)
+    edges = [0, 1, -1, -8, -9, p - 1, p, p + 7, 2 * p, -p, info.min, info.max,
+             info.min + 1, info.max - 1]
+    rng = np.random.default_rng(3)
+    values = np.concatenate([np.array(edges, dtype=np.int64),
+                             rng.integers(info.min, info.max, 4096, dtype=np.int64,
+                                          endpoint=True)])
+    want = np.remainder(values, _PRIME)
+    got = _mod_prime(values.copy(), np.empty_like(values))
+    assert np.array_equal(got, want)
+
+
+def _joint_colors_reference(ctx1, ctx2):
+    """Both groups refined together, so that one ranking assigns the ids."""
+    from d4fusion.automorphisms import _attribute_matrix, _round_features
+    both = np.concatenate([_attribute_matrix(ctx1), _attribute_matrix(ctx2)])
+    _, colors = np.unique(both, axis=0, return_inverse=True)
+    colors = colors.astype(np.int64)
+    n1 = ctx1.S.n
+    c1, c2 = colors[:n1], colors[n1:]
+    for _ in range(6):
+        f1, f2 = _round_features(ctx1.S, c1), _round_features(ctx2.S, c2)
+        stacked = np.concatenate([np.stack([c1, f1], axis=1),
+                                  np.stack([c2, f2], axis=1)])
+        _, new = np.unique(stacked, axis=0, return_inverse=True)
+        new = new.astype(np.int64)
+        if np.array_equal(new[:n1], c1) and np.array_equal(new[n1:], c2):
+            break
+        c1, c2 = new[:n1], new[n1:]
+    return c1, c2
+
+
+def _relabelled_context(ctx, seed):
+    """A context on S with its elements renumbered by a seeded permutation
+    fixing the identity, and the new index of each old element."""
+    from d4fusion.cayley import CayleyGroup
+    from d4fusion.structure import StructureContext
+    S = ctx.S
+    rng = np.random.default_rng(seed)
+    new_of_old = np.concatenate([[0], 1 + rng.permutation(S.n - 1)])
+    old_of_new = np.argsort(new_of_old)
+    table = new_of_old.astype(np.uint16)[S.T[np.ix_(old_of_new, old_of_new)]]
+    group = CayleyGroup(table, gen_indices=[int(new_of_old[g]) for g in S.gen_indices])
+    return StructureContext(types.SimpleNamespace(sylow=group, extras={})), new_of_old
+
+
+@pytest.mark.parametrize("pair", [("affine", "omega8plus2"), ("omega8plus2", "frame")])
+def test_per_context_colors_match_joint_refinement(contexts, pair):
+    ctx1, ctx2 = contexts[pair[0]], contexts[pair[1]]
+    c1, c2 = _joint_colors_reference(ctx1, ctx2)
+    assert np.array_equal(element_colors(ctx1), c1)
+    assert np.array_equal(element_colors(ctx2), c2)
+    assert all(np.array_equal(a, b) for a, b in zip(joint_colors(ctx1, ctx2), (c1, c2)))
+
+
+def test_per_context_colors_match_joint_refinement_on_a_relabelled_s(contexts):
+    ctx = contexts["affine"]
+    moved, new_of_old = _relabelled_context(ctx, seed=11)
+    c1, c2 = _joint_colors_reference(ctx, moved)
+    assert np.array_equal(element_colors(ctx), c1)
+    assert np.array_equal(element_colors(moved), c2)
+    # the colours are invariants: each element keeps its colour when renamed
+    assert np.array_equal(c2[new_of_old], c1)
+
+
 def test_self_joint_colors_match_the_two_context_path(contexts):
-    import copy
+    from d4fusion.structure import StructureContext
     ctx = contexts["omega8plus2"]
     c1, c2 = joint_colors(ctx, ctx)
     assert np.array_equal(c1, c2)
     assert np.array_equal(c1, element_colors(ctx))
-    # a distinct context object takes the path that refines each half
-    d1, d2 = joint_colors(ctx, copy.copy(ctx))
+    # a fresh context on the same bundle refines on its own, with its own memo
+    fresh = StructureContext(ctx.bundle)
+    d1, d2 = joint_colors(ctx, fresh)
     assert np.array_equal(d1, c1) and np.array_equal(d2, c2)
+    assert "colors" in fresh.memo and fresh.memo["colors"] is not ctx.memo["colors"]
+
+
+def test_colors_are_refined_once_per_context(contexts, monkeypatch):
+    from d4fusion import automorphisms
+    ctx = contexts["affine"]
+    first = element_colors(ctx)
+
+    def fail(*args):
+        raise AssertionError("refined a second time")
+
+    monkeypatch.setattr(automorphisms, "_round_features", fail)
+    monkeypatch.setattr(automorphisms, "_attribute_matrix", fail)
+    assert element_colors(ctx) is first
+    assert joint_colors(ctx, ctx)[0] is first
 
 
 def test_round_features_memory_stays_small(contexts):
     import tracemalloc
     from d4fusion.automorphisms import _round_features
     S = contexts["affine"].S
-    S.comm  # the commutator table is built once per group, before this
     colors = element_colors(contexts["affine"])
     tracemalloc.start()
     try:
@@ -182,6 +267,40 @@ def test_round_features_memory_stays_small(contexts):
     finally:
         tracemalloc.stop()
     assert S.n == 4096 and peak < 64 * 2**20
+    assert not hasattr(S, "comm")
+
+
+# node count and SHA-1 of the first map of each search, on the builders' labelling
+ORDER3_PINS = {
+    "omega8plus2": (14, "14d5ce29476715da6dfb14a30c7ba885a052c00a"),
+    "frame": (35, "4b4bf887727ca561beb89e5a43f52df4a9671948"),
+}
+ISOMORPHISM_PINS = {
+    ("affine", "omega8plus2"): (4, "7c1977b7eebe789a7b430f09940170f5bb57d6da"),
+    ("omega8plus2", "frame"): (4, "7d4e5e5a4abd0f3acf0291bd24ca0ca9f660623b"),
+}
+
+
+COLOR_PINS = {
+    "affine": "53249c304dc0e07fe55b444304c693a03cb76fac",
+    "omega8plus2": "3e1332acc6d35ef221b574ec1286a62206ffb43c",
+    "frame": "b678c45ff1fd8279e7e201678dceeb924ad4bcb5",
+}
+
+
+def test_search_results_are_pinned(order3_searches, isomorphisms, contexts):
+    import hashlib
+    # the colour ids order the anchors, so they are pinned with the maps
+    assert {name: hashlib.sha1(element_colors(contexts[name]).tobytes()).hexdigest()
+            for name in COLOR_PINS} == COLOR_PINS
+    got = {name: (data["outcome"].nodes,
+                  hashlib.sha1(data["outcome"].found[0].images.tobytes()).hexdigest())
+           for name, data in order3_searches.items()}
+    assert got == ORDER3_PINS
+    got = {pair: (data["outcome"].nodes,
+                  hashlib.sha1(data["outcome"].found[0].images.tobytes()).hexdigest())
+           for pair, data in isomorphisms.items()}
+    assert got == ISOMORPHISM_PINS
 
 
 def _frattini_reference(ctx, coords):
