@@ -219,7 +219,9 @@ class CayleyGroup:
 
     # -- subgroups ----------------------------------------------------------
 
-    def subgroup(self, members, verify=True) -> SubgroupBits:
+    def subgroup(self, members) -> SubgroupBits:
+        """A member set that enters unverified, closure-checked at O(|H|^2);
+        subgroups derived from verified data are wrapped as SubgroupBits."""
         bits = np.zeros(self.n, dtype=bool)
         if isinstance(members, np.ndarray) and members.dtype == bool:
             bits = members.copy()
@@ -228,8 +230,7 @@ class CayleyGroup:
         if not bits[0]:
             raise ClosureError("subgroup must contain the identity")
         sub = SubgroupBits(self, bits)
-        if verify:
-            self.check_closed(sub)
+        self.check_closed(sub)
         return sub
 
     def check_closed(self, sub: SubgroupBits) -> None:
@@ -241,7 +242,7 @@ class CayleyGroup:
             raise ClosureError("member set is not closed under inversion")
 
     def trivial_bits(self) -> SubgroupBits:
-        return self.subgroup([0], verify=False)
+        return SubgroupBits(self, np.arange(self.n) == 0)
 
     def full_bits(self) -> SubgroupBits:
         bits = np.ones(self.n, dtype=bool)
@@ -757,7 +758,12 @@ class AutoMap:
 
 
 def inner_automap(g: CayleyGroup, elem: int, domain: SubgroupBits | None = None) -> AutoMap:
-    return AutoMap(g, g.conj_map_images(elem), domain)
+    """x -> elem^-1 x elem on the domain (all of g when None), the identity
+    outside it."""
+    images = g.conj_map_images(elem)
+    if domain is not None:
+        images = np.where(domain.bits, images, np.arange(g.n))
+    return AutoMap(g, images, domain)
 
 
 def enumerate_elab_subgroups(g: CayleyGroup, rank: int,
@@ -813,7 +819,7 @@ def enumerate_elab_subgroups(g: CayleyGroup, rank: int,
                     bits = np.zeros(g.n, dtype=bool)
                     bits[0] = True
                     bits[invol[row]] = True
-                    found.append(g.subgroup(bits, verify=True))
+                    found.append(g.subgroup(bits))
                 break
             # capacity prune: every future member is an involution commuting
             # with the current span

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .automorphisms import order3_automorphisms
-from .cayley import AutoMap, CayleyGroup, SubgroupBits
+from .cayley import AutoMap, CayleyGroup, SubgroupBits, inner_automap
 from .domains import singular_objects
 from .groupmodels import (
     ModelBundle,
@@ -130,8 +130,8 @@ def essential_candidates(ctx: StructureContext):
                                  "distinguished coset, found %d" % len(fours))
     out = [f1]
     for sub in fours:
-        keep = sub.bits[new_index[rep_of]]
-        cand = S.subgroup(keep, verify=True)
+        # the preimage of a subgroup of S/Q under the verified quotient map
+        cand = SubgroupBits(S, sub.bits[new_index[rep_of]])
         if cand.order != 2048 or not (ctx.Q <= cand):
             raise ConfigurationError("candidate is not an index-2 overgroup of Q")
         if sum(1 for e in ctx.six_E if e <= cand) != 3:
@@ -192,7 +192,8 @@ def automizer_from_model(bundle: ModelBundle, overgroup_gens, order3_elem,
     """Slot for the 2-radical of one minimal overgroup P of S.
 
     The radical is the intersection of the three Sylow conjugates of S in
-    P; conjugation by the P-generators gives the automizer maps.  The
+    P.  The inner maps come from S's own table, the others from ambient
+    conjugation by the P-generators and the order-3 element.  The
     induced group on the radical must exceed the S-conjugation image by an
     odd factor of exactly 3 (so the outer automizer is of order 6).  That
     image is S / C_S(R) for the radical R, read off one centralizer.
@@ -204,12 +205,13 @@ def automizer_from_model(bundle: ModelBundle, overgroup_gens, order3_elem,
     for conj in (g3, inverse(g3)):
         members = np.flatnonzero(mask)
         mask[members[bundle.conjugate_indices(conj, members) < 0]] = False
-    radical = S.subgroup(mask, verify=True)
+    # S inter S^g3 inter S^(g3^-1): full-degree conjugates through the
+    # embedding that verify_embedding proved a homomorphism
+    radical = SubgroupBits(S, mask)
     if radical.order != 2048:
         raise ConfigurationError("radical of the minimal overgroup has order %d"
                                  % radical.order)
-    inner_maps = [conjugation_automap(bundle, radical, bundle.embedding[int(gi)])
-                  for gi in S.gen_indices]
+    inner_maps = [inner_automap(S, gi, radical) for gi in S.gen_indices]
     outer_maps = [conjugation_automap(bundle, radical, np.asarray(g, dtype=np.uint16))
                   for g in overgroup_gens]
     order3_map = conjugation_automap(bundle, radical, g3)
@@ -227,14 +229,11 @@ def automizer_from_model(bundle: ModelBundle, overgroup_gens, order3_elem,
 # -- chamber model: the four minimal flag stabilizers ------------------------
 
 
-def _order3_from_chain(chain, rng_seed=11, tries=4000):
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(tries):
-        g = chain.random_element(rng)
+def _order3_from_chain(chain):
+    """An order-3 power of the first element, in chain enumeration order,
+    whose order is divisible by 3."""
+    for g in chain.elements():
         o = perm_order(g)
-        while o % 2 == 0:
-            g = compose(g, g)
-            o //= 2
         if o % 3 == 0:
             return _perm_power(g, o // 3)
     raise ConfigurationError("no order-3 element found in the overgroup")
@@ -262,7 +261,7 @@ def chamber_parabolic_slots(bundle: ModelBundle):
         order = over.chain.order()
         if order != 3 * 4096:
             raise ConfigurationError("minimal flag stabilizer has order %d" % order)
-        g3 = _order3_from_chain(over.chain, rng_seed=17 + omit)
+        g3 = _order3_from_chain(over.chain)
         slots.append(automizer_from_model(
             bundle, over.generators, g3,
             tag="omega8plus2-parabolic-omit%d" % omit))
@@ -412,7 +411,7 @@ def _verify_sylow_inside(bundle: ModelBundle, handle: GroupHandle):
 
 def inner_aut_s_maps(bundle: ModelBundle):
     S = bundle.sylow
-    return [AutoMap(S, S.conj_map_images(int(g))) for g in S.gen_indices]
+    return [inner_automap(S, g) for g in S.gen_indices]
 
 
 def compatible_order3_map(ctx: StructureContext, candidates, auto: AutoMap):

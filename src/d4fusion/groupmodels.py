@@ -9,7 +9,6 @@ permutation) that is verified to be a homomorphism on its generators.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +34,6 @@ from .quadforms import (
     transvection,
 )
 from .stabchain import GroupHandle, build_stab_chain, stabilizer_of_prefix
-
-log = logging.getLogger(__name__)
 
 OMEGA8P2_ORDER = 174_182_400
 FRAME_ORDER = 1_290_240
@@ -540,7 +537,8 @@ def verify_frame_o2(bundle: ModelBundle) -> SubgroupBits:
         x[members[bundle.conjugate_indices(conj_inv, members) < 0]] = False
         if int(x.sum()) == d_bits.order:
             break
-    cand = bundle.sylow.subgroup(x, verify=True)
+    # an intersection of Sylow conjugates, compared with the closure d_bits below
+    cand = SubgroupBits(bundle.sylow, x)
     if not np.array_equal(cand.bits, d_bits.bits):
         raise ConfigurationError("Sylow-conjugate intersection did not stabilize at "
                                  "the sign-change subgroup")
@@ -626,20 +624,7 @@ def frame_from_involutions(lifts) -> Frame:
             v = (2 * v) % 3
         vecs.append(v)
     vecs = sorted(vecs, key=lambda v: int(v @ (3 ** np.arange(DIM))))
-    frame = Frame(np.array(vecs))
-    # eigenvalue patterns must separate the input group projectively
-    patterns = set()
-    for m in mats:
-        pat = []
-        for v in frame.vectors:
-            img = (m @ v) % 3
-            pat.append(1 if np.array_equal(img, v) else -1)
-        pat = tuple(pat)
-        mirror = tuple(-x for x in pat)
-        patterns.add(max(pat, mirror))
-    if len(patterns) != len({m.tobytes() for m in mats}) and len(mats) > 1:
-        log.debug("eigenvalue patterns: %d for %d lifts", len(patterns), len(mats))
-    return frame
+    return Frame(np.array(vecs))
 
 
 def frame_group_of(frame: Frame) -> GroupHandle:

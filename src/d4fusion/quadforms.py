@@ -288,7 +288,7 @@ class IsometryMatrix:
         self.entries = np.asarray(self.entries, dtype=np.uint8) % self.space.field_order
         if self.entries.shape != (DIM, DIM):
             raise ConfigurationError("isometry matrices are 8x8")
-        spot_check_isometry(self.space, self.entries)
+        check_isometry(self.space, self.entries)
 
     def apply(self, v):
         return (self.entries @ (np.asarray(v, dtype=np.int64) % self.space.field_order)) \
@@ -301,22 +301,26 @@ class IsometryMatrix:
         return self._dickson
 
 
-def spot_check_isometry(space, mat, rng_seed=0, samples=32) -> None:
-    """Cheap constructor check: Q preserved on a basis and random vectors."""
+def check_isometry(space, mat) -> None:
+    """Exact check: Q on the 8 basis vectors and B on the 28 basis pairs.
+
+    In every characteristic Q(sum a_i e_i) = sum a_i^2 Q(e_i) +
+    sum_{i<j} a_i a_j B(e_i, e_j), and the same holds for Q(M .) with the
+    images M e_i, so these 36 values decide Q(M v) = Q(v) for every v.
+    """
     p = space.field_order
     mat = np.asarray(mat, dtype=np.int64) % p
-    rng = np.random.default_rng(rng_seed)
-    vecs = list(np.eye(DIM, dtype=np.int64)) + \
-        [rng.integers(0, p, size=DIM) for _ in range(samples)]
-    for v in vecs:
-        if space.field_order == 2:
-            code = GF2_SPACE.code(v % 2)
-            img = GF2_SPACE.code((mat @ (v % 2)) % 2)
-            if space.eval_q(img) != space.eval_q(code):
-                raise PreconditionError("matrix does not preserve the form")
-        else:
-            if space.eval_q((mat @ v) % p) != space.eval_q(v % p):
-                raise PreconditionError("matrix does not preserve the form")
+    basis, images = list(np.eye(DIM, dtype=np.int64)), list(mat.T)
+    if p == 2:
+        basis = [GF2_SPACE.code(v) for v in basis]
+        images = [GF2_SPACE.code(v) for v in images]
+    for i in range(DIM):
+        if space.eval_q(images[i]) != space.eval_q(basis[i]):
+            raise PreconditionError("matrix does not preserve the form on e_%d" % i)
+        for j in range(i + 1, DIM):
+            if space.polar(images[i], images[j]) != space.polar(basis[i], basis[j]):
+                raise PreconditionError("matrix does not preserve the polar form on "
+                                        "(e_%d, e_%d)" % (i, j))
 
 
 def is_isometry_exhaustive(space, mat) -> bool:
@@ -356,7 +360,7 @@ def dickson(space: QuadraticSpace, mat) -> int:
     if space.field_order != 2:
         raise PreconditionError("the Dickson invariant is the GF(2) discriminator")
     mat = np.asarray(mat, dtype=np.uint8) % 2
-    spot_check_isometry(space, mat)
+    check_isometry(space, mat)
     return gf2_rank((mat + np.eye(DIM, dtype=np.uint8)) % 2) % 2
 
 
@@ -388,7 +392,7 @@ def reflection_decomposition(space: QuadraticSpace, mat):
     if space.field_order != 3:
         raise PreconditionError("reflection decompositions live in the GF(3) space")
     work = np.asarray(mat, dtype=np.int64) % 3
-    spot_check_isometry(space, work)
+    check_isometry(space, work)
     vectors = []
     for i in range(DIM):
         e = np.zeros(DIM, dtype=np.int64)

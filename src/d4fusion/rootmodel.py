@@ -15,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .cayley import AutoMap, CayleyGroup
+from .domains import gf2_code_map
+from .groupmodels import cayley_from_perm_gens
 from .perms import ConfigurationError
 from .quadforms import DIM
 
@@ -28,6 +30,8 @@ SIMPLE_ROOTS = np.array([
 
 # diagram symmetry of order 3: alpha1 -> alpha3 -> alpha4 -> alpha1
 DIAGRAM_ROTATION = [2, 1, 3, 0]
+
+_POW2 = 1 << np.arange(DIM)  # the codes of the basis vectors
 
 
 def positive_roots():
@@ -101,21 +105,14 @@ def root_matrix(root) -> np.ndarray:
     return m
 
 
-def matrix_key(mat) -> bytes:
-    return np.asarray(mat, dtype=np.uint8).tobytes()
-
-
 def build_root_model() -> CayleyGroup:
-    """The group generated by the twelve root matrices, fully enumerated."""
-    mats = [root_matrix(r) for r in positive_roots()]
+    """The group generated by the twelve root matrices, fully enumerated.
 
-    def mul(a, b):  # a then b, acting on column vectors
-        return ((np.asarray(b, dtype=np.int64) @ np.asarray(a, dtype=np.int64)) % 2) \
-            .astype(np.uint8)
-
-    group = CayleyGroup.from_generators(
-        mats, mul=mul, key=matrix_key, identity=np.eye(DIM, dtype=np.uint8),
-        name="root-model")
+    Each element is the permutation a matrix induces on the 256 GF(2)
+    codes: composing those is "a then b" as the matrix product b @ a is.
+    """
+    gens = [gf2_code_map(root_matrix(r)) for r in positive_roots()]
+    group, _ = cayley_from_perm_gens(gens, "root-model")
     if group.n != 4096:
         raise ConfigurationError("root matrices generated order %d, not 4096" % group.n)
     return group
@@ -151,16 +148,25 @@ def root_model_matches(bundle_matrices) -> np.ndarray:
     return _translation(build_root_model(), bundle_matrices)
 
 
+def _basis_image_keys(codes) -> np.ndarray:
+    """One key per row of basis-image codes (8 codes, each below 256)."""
+    return np.ascontiguousarray(codes, dtype=np.uint8).view(np.uint64).ravel()
+
+
 def _translation(group: CayleyGroup, bundle_matrices) -> np.ndarray:
-    """`root_model_matches` against an already built root model."""
-    lookup = {matrix_key(m): i for i, m in enumerate(bundle_matrices)}
-    out = np.empty(group.n, dtype=np.int64)
-    for i, m in enumerate(group.elements):
-        j = lookup.get(matrix_key(m))
-        if j is None:
-            raise ConfigurationError("root-model element missing from the bundle; "
-                                     "the chamber is not the standard one")
-        out[i] = j
+    """`root_model_matches` against an already built root model.
+
+    An element is keyed by the codes of its 8 basis images: the columns of
+    a bundle matrix, the images of the codes 1 << i under a root element.
+    """
+    bundle_keys = _basis_image_keys(_POW2 @ (np.stack(bundle_matrices) % 2))
+    root_keys = _basis_image_keys(np.stack(group.elements)[:, _POW2])
+    order = np.argsort(bundle_keys)
+    pos = np.searchsorted(bundle_keys[order], root_keys) % len(order)
+    out = order[pos]
+    if not np.array_equal(bundle_keys[out], root_keys):
+        raise ConfigurationError("root-model element missing from the bundle; "
+                                 "the chamber is not the standard one")
     return out
 
 

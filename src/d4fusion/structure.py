@@ -83,8 +83,8 @@ class StructureContext:
             raise ConfigurationError("S/Phi(S) does not have rank 4")
         hits = []
         for v in range(1, 16):
-            bits = (coords == 0) | (coords == v)
-            sub = self.S.subgroup(bits, verify=True)
+            # the preimage of <v> under coordinates check_quotient_coords verified
+            sub = SubgroupBits(self.S, (coords == 0) | (coords == v))
             if self.S.is_extraspecial(sub):
                 hits.append(sub)
         if len(hits) != 1:
@@ -167,10 +167,10 @@ class StructureContext:
             if (S.order_of[np.flatnonzero(bits)] > 2).any():
                 continue
             sub = SubgroupBits(S, bits)
-            if not S.is_abelian(sub):
-                continue
+            if S.is_abelian(sub):
+                found.setdefault(sub.key(), sub)
+        for sub in found.values():
             S.check_closed(sub)
-            found.setdefault(sub.key(), sub)
         return sorted(found.values(), key=lambda e: tuple(e.members[:4]))
 
     @cached_property
@@ -449,7 +449,8 @@ def check_elab(ctx: StructureContext) -> LemmaReport:
         quot, rep_of, new_index = S.quotient_group(ctx.Z)
         qbar_bits = np.zeros(quot.n, dtype=bool)
         qbar_bits[new_index[np.unique(rep_of[ctx.Q.members])]] = True
-        qbar = quot.subgroup(qbar_bits, verify=True)
+        # the image of Q under the quotient map; quotient_group checked Z normal
+        qbar = SubgroupBits(quot, qbar_bits)
         offenders, nodes = enumerate_elab_subgroups(quot, rank=6, avoid=qbar)
         w = {"quotient_order": quot.n, "offenders": len(offenders),
              "search_nodes": nodes}

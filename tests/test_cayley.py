@@ -104,6 +104,15 @@ def test_d8_quotient_by_center_is_v4(d8):
     assert q.is_elementary_abelian(q.full_bits())
 
 
+def test_quotient_by_a_non_normal_subgroup_is_rejected(d8):
+    # the subgroups built as preimages and images under a quotient map rely
+    # on this check
+    s = d8.closure([d8.gen_indices[1]])
+    assert s.order == 2
+    with pytest.raises(ClosureError, match="not normal"):
+        d8.quotient_group(s)
+
+
 def test_closure_against_brute(d8):
     # closure of a reflection and the rotation square
     s_idx = d8.gen_indices[1]
@@ -197,7 +206,7 @@ def reference_elab_search(g, rank, avoid=None):
             bits = np.zeros(g.n, dtype=bool)
             bits[0] = True
             bits[invol[span]] = True
-            found.append(g.subgroup(bits, verify=True))
+            found.append(g.subgroup(bits))
             return
         if int(cmask.sum()) + 1 < target:
             return

@@ -109,6 +109,29 @@ def test_inner_conjugation_is_inner_automap(chamber_bundle, contexts):
     assert np.array_equal(via_ambient.images[f.members], direct.images[f.members])
 
 
+@pytest.mark.parametrize("variant", ["O8p2", "PO8p3"])
+def test_slot_inner_maps_equal_ambient_conjugation(fusion_systems, bundles, variant):
+    # the inner maps of a slot come from S's table; the ambient conjugation
+    # through the verified embedding must give the same image arrays
+    bundle = bundles["omega8plus2" if variant == "O8p2" else "frame"]
+    S = bundle.sylow
+    for slot in fusion_systems[variant].essentials:
+        for gi, table_map in zip(S.gen_indices, slot.automizer_gens):
+            ambient = conjugation_automap(bundle, slot.subgroup, bundle.embedding[gi])
+            assert np.array_equal(table_map.images, ambient.images)
+
+
+def test_order3_slot_maps_are_deterministic(fusion_systems, chamber_bundle):
+    # a second build from a fresh context picks the same order-3 elements
+    from d4fusion.fusion import build_fusion_system
+    from d4fusion.structure import StructureContext
+    fresh = build_fusion_system("O8p2", chamber_bundle, StructureContext(chamber_bundle))
+    first = fusion_systems["O8p2"].essentials
+    assert len(fresh.essentials) == len(first) == 4
+    for a, b in zip(first, fresh.essentials):
+        assert np.array_equal(a.order3_gen.images, b.order3_gen.images)
+
+
 def test_radicals_trivial_for_all_variants(fusion_radicals):
     for variant, o2 in fusion_radicals.items():
         assert o2.order == 1, "O2 nontrivial for %s" % variant

@@ -8,6 +8,7 @@ from d4fusion.quadforms import (
     GF3_SPACE,
     IsometryMatrix,
     PreconditionError,
+    check_isometry,
     dickson,
     eval_quadratic,
     gf2_rank,
@@ -195,6 +196,37 @@ def test_isometry_matrix_spot_check_rejects_garbage():
     bad[0, 0] = 1
     with pytest.raises(PreconditionError):
         IsometryMatrix(GF2_SPACE, bad)
+
+
+def test_isometry_check_catches_one_changed_polar_value():
+    # e_0 -> e_0 + e_2 keeps Q on every basis vector; of the 28 basis pairs
+    # only B(e_0, e_3) changes, from 0 to 1
+    m = np.eye(DIM, dtype=np.uint8)
+    m[2, 0] = 1
+    assert all(GF2_SPACE.eval_q(GF2_SPACE.code(m[:, i])) == 0 for i in range(DIM))
+    changed = [(i, j) for i in range(DIM) for j in range(i + 1, DIM)
+               if GF2_SPACE.polar(GF2_SPACE.code(m[:, i]), GF2_SPACE.code(m[:, j]))
+               != GF2_SPACE.polar(1 << i, 1 << j)]
+    assert changed == [(0, 3)]
+    assert not is_isometry_exhaustive(GF2_SPACE, m)
+    with pytest.raises(PreconditionError, match="polar"):
+        IsometryMatrix(GF2_SPACE, m)
+    with pytest.raises(PreconditionError, match="polar"):
+        dickson(GF2_SPACE, m)
+
+
+def test_isometry_check_agrees_with_the_exhaustive_reference_gf3():
+    rng = np.random.default_rng(3)
+    good = random_isometry_gf3(rng)
+    check_isometry(GF3_SPACE, good)
+    assert is_isometry_exhaustive(GF3_SPACE, good)
+    # e_0 -> e_0 + e_1 + e_2 + e_3 keeps Q(e_0) = 1 but not its polar values
+    bad = np.eye(DIM, dtype=np.int64)
+    bad[1:4, 0] = 1
+    assert GF3_SPACE.eval_q(bad[:, 0]) == 1
+    assert not is_isometry_exhaustive(GF3_SPACE, bad)
+    with pytest.raises(PreconditionError, match="polar"):
+        check_isometry(GF3_SPACE, bad)
 
 
 def test_identity_action_leaves_every_form_invariant():
