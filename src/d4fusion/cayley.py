@@ -23,7 +23,7 @@ import numpy as np
 from .perms import ConfigurationError, ResourceError
 
 IDX = np.uint16
-_ROOT_BLOCK = 8  # roots per level-synchronous step of enumerate_elab_subgroups
+_ROOT_BLOCK = 8  # roots per level-synchronous step of span_search
 
 
 class ClosureError(ValueError):
@@ -643,29 +643,33 @@ class CayleyGroup:
 
     def conjugacy_classes(self) -> np.ndarray:
         """class id (minimal member) per element, under inner automorphisms."""
-        if self._classes is not None:
-            return self._classes
-        gens = self.generating_set()
-        maps = [self.conj_map_images(g) for g in gens]
-        label = np.arange(self.n, dtype=np.int64)
-        changed = True
-        while changed:
-            changed = False
-            for mp in maps:
-                pulled = np.minimum(label, label[mp])
-                # propagate min label across the orbit both ways
-                np.minimum.at(pulled, mp, label)
-                if not np.array_equal(pulled, label):
-                    label = pulled
-                    changed = True
-        # canonicalize: relabel by orbit minimum until stable
-        stable = False
-        while not stable:
-            relabeled = label[label]
-            stable = np.array_equal(relabeled, label)
-            label = relabeled
-        self._classes = label
-        return label
+        if self._classes is None:
+            maps = [self.conj_map_images(g) for g in self.generating_set()]
+            self._classes = orbit_minima(self.n, np.tile(np.arange(self.n), len(maps)),
+                                         np.concatenate(maps))
+        return self._classes
+
+
+def orbit_minima(n: int, src, dst) -> np.ndarray:
+    """The least member of each element's orbit under the edges (src[i], dst[i]).
+
+    Every element starts labelled by itself.  Each round moves the smaller
+    label across every edge in both directions, then replaces each label by
+    its own label.  A label is always a member of its element's orbit and
+    labels only decrease, so the rounds stop; at the fixpoint the labels are
+    constant on edges, hence on orbits, and the least member m of an orbit
+    keeps label m, so every label is its orbit minimum.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        prev = label.copy()
+        np.minimum.at(label, dst, label[src])
+        np.minimum.at(label, src, label[dst])
+        label = label[label]
+        if np.array_equal(label, prev):
+            return label
 
 
 def _popcount(arr):
@@ -766,70 +770,92 @@ def inner_automap(g: CayleyGroup, elem: int, domain: SubgroupBits | None = None)
     return AutoMap(g, images, domain)
 
 
-def enumerate_elab_subgroups(g: CayleyGroup, rank: int,
-                             avoid: SubgroupBits | None = None,
-                             max_nodes: int = 5_000_000):
-    """All elementary abelian subgroups of 2^rank elements, exhaustively.
+def span_search(adjacent: np.ndarray, product: np.ndarray, rank: int,
+                roots: int | None = None, max_nodes: int = 5_000_000):
+    """All spans of 2^rank - 1 vertices in a graph with a product, exhaustively.
 
-    Search over greedy-minimal bases on the commuting graph of g's
-    involutions, in local indices (orderly generation, McKay 1998).  A node
-    is the array of the non-identity members of its span; a candidate t
-    commutes with the whole span and is the least member of its coset
-    t * span, so every subgroup is made once, from its greedy-minimal
-    basis.  The product table stores the identity as -1, which makes the
-    members of the span fail that test.  When ``avoid`` is given, only
-    subgroups with a member outside ``avoid`` are wanted: a stable sort
-    puts the involutions outside ``avoid`` first, so those subgroups start
-    their basis outside and the roots inside are skipped.  The node count
-    is the number of spans visited, leaves included.
+    The vertices are local indices 0..m-1.  ``adjacent`` is an (m, m)
+    boolean matrix, true on the diagonal; ``product[a, b]`` is the vertex a * b
+    for adjacent a and b, or -1 where the product is the identity (or not a
+    vertex, which puts no span through that pair).  The search runs over
+    greedy-minimal bases (orderly generation, McKay 1998).  A node is the
+    array of the members of its span; a candidate t is adjacent to the whole
+    span and is the least member of its coset t * span, so every span is
+    made once, from its greedy-minimal basis.  The -1 entries make the
+    members of the span fail that test.  Only the first ``roots`` vertices
+    (all when None) start a basis.  The node count is the number of spans
+    visited, leaves included; past ``max_nodes`` the search raises
+    `ResourceError`.
 
     The roots are taken _ROOT_BLOCK at a time, in ascending order, and each
     block is searched one depth per step: the spans of a depth are the rows
     of one (nodes, 2^depth - 1) array.  Row-major `np.nonzero` emits the
     children node by node, each node's in ascending t, so the nodes of every
     depth, leaves included, stay in lexicographic order of their bases:
-    the order in which a depth-first search visits them.
+    the order in which a depth-first search visits them.  Returns the leaf
+    spans as the rows of one int16 array, in that order, and the node count.
     """
-    invol = np.flatnonzero(g.order_of == 2)
-    roots = len(invol)
-    if avoid is not None:
-        invol = invol[np.argsort(avoid.bits[invol], kind="stable")]
-        roots = int((~avoid.bits[invol]).sum())
-    if len(invol) >= 1 << 15:
-        raise ConfigurationError("too many involutions for int16 local indices")
-    local = np.full(g.n, -1, dtype=np.int16)
-    local[invol] = np.arange(len(invol))
-    commute = g._commutators(invol, invol) == 0
-    # only commuting pairs are read: their product is the identity or an involution
-    prod = local[g.T[np.ix_(invol, invol)]]
-    cols = np.arange(len(invol))
+    m = len(adjacent)
+    if m >= 1 << 15:
+        raise ConfigurationError("too many vertices for int16 local indices")
+    product = np.asarray(product, dtype=np.int16)
+    roots = m if roots is None else roots
+    cols = np.arange(m)
     target = 1 << rank
-    found = []
+    found = [np.empty((0, target - 1), dtype=np.int16)]
     nodes = 0
     for lo in range(0, roots, _ROOT_BLOCK):
         last = np.arange(lo, min(lo + _ROOT_BLOCK, roots), dtype=np.int16)
-        span, cmask = last[:, None], commute[last]
+        span, cmask = last[:, None], adjacent[last]
         while len(last):
             nodes += len(last)
             if nodes > max_nodes:
-                raise ResourceError("elementary abelian search exceeded its node budget",
-                                    stats={"nodes": nodes, "found": len(found)})
+                raise ResourceError("span search exceeded its node budget",
+                                    stats={"nodes": nodes, "found": sum(map(len, found))})
             if span.shape[1] + 1 == target:
-                for row in span:
-                    bits = np.zeros(g.n, dtype=bool)
-                    bits[0] = True
-                    bits[invol[row]] = True
-                    found.append(g.subgroup(bits))
+                found.append(span)
                 break
-            # capacity prune: every future member is an involution commuting
-            # with the current span
+            # capacity prune: every future member is adjacent to the current span
             keep = cmask.sum(axis=1) + 1 >= target
             span, cmask, last = span[keep], cmask[keep], last[keep]
             node, t = np.nonzero(cmask & (cols > last[:, None]))
             base = span[node]
-            coset = prod[t[:, None], base]
+            coset = product[t[:, None], base]
             minimal = coset.min(axis=1) > t
             node, last, base = node[minimal], t[minimal].astype(np.int16), base[minimal]
             span = np.concatenate([base, last[:, None], coset[minimal]], axis=1)
-            cmask = cmask[node] & commute[last]
+            cmask = cmask[node] & adjacent[last]
+    return np.concatenate(found), nodes
+
+
+def enumerate_elab_subgroups(g: CayleyGroup, rank: int,
+                             avoid: SubgroupBits | None = None,
+                             max_nodes: int = 5_000_000):
+    """All elementary abelian subgroups of 2^rank elements, exhaustively.
+
+    One `span_search` on the commuting graph of g's involutions, with g's
+    product in local indices (the identity is -1).  When ``avoid`` is
+    given, only subgroups with a member outside ``avoid`` are wanted: a
+    stable sort puts the involutions outside ``avoid`` first, so those
+    subgroups start their basis outside and the roots inside are skipped.
+    Each leaf is a search result, so it enters through `subgroup`'s
+    closure check.
+    """
+    invol = np.flatnonzero(g.order_of == 2)
+    roots = None
+    if avoid is not None:
+        invol = invol[np.argsort(avoid.bits[invol], kind="stable")]
+        roots = int((~avoid.bits[invol]).sum())
+    local = np.full(g.n, -1)
+    local[invol] = np.arange(len(invol))
+    commute = g._commutators(invol, invol) == 0
+    # only commuting pairs are read: their product is the identity or an involution
+    prod = local[g.T[np.ix_(invol, invol)]]
+    rows, nodes = span_search(commute, prod, rank, roots, max_nodes)
+    found = []
+    for row in rows:
+        bits = np.zeros(g.n, dtype=bool)
+        bits[0] = True
+        bits[invol[row]] = True
+        found.append(g.subgroup(bits))
     return found, nodes

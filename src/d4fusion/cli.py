@@ -139,6 +139,9 @@ def cmd_verify(config: RunConfig) -> Certificate:
         for rep in run_battery(contexts[model], ids=sel):
             rep.lemma_id = "%s@%s" % (rep.lemma_id, model)
             cert.add(rep)
+    if not cert.reports:
+        raise ConfigurationError("lemma %r selects no check on model %s"
+                                 % (config.lemma, ", ".join(models)))
     if lemma == "all":
         cert.add(check_valuation(None))
     if lemma == "all" and config.model == "all":

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cayley import span_search
 from .perms import DTYPE
 from .quadforms import (
     DIM,
@@ -145,50 +146,24 @@ class Gf3ProjectivePointsDomain(IndexedDomain):
         return idx.astype(DTYPE)
 
 
-def enumerate_ts_lines():
-    """Totally singular GF(2) lines as sorted triples of codes."""
-    points = np.sort(GF2_SPACE.singular_codes())
-    out = set()
-    pts = [int(p) for p in points]
-    singular = set(pts)
-    for a in pts:
-        for b in pts:
-            if b <= a:
-                continue
-            if GF2_SPACE.polar(a, b) == 0 and (a ^ b) in singular:
-                out.add(tuple(sorted((a, b, a ^ b))))
-    return sorted(out)
+def enumerate_ts_subspaces(dim: int):
+    """Totally singular GF(2) subspaces of dimension `dim`, each as the sorted
+    tuple of its nonzero codes, in sorted order.
 
-
-def enumerate_ts_solids():
-    """Totally singular GF(2) 4-spaces as sorted 15-tuples of codes.
-
-    Depth-first search over greedy-minimal bases; each solid is found at
-    least once and deduplicated by its member set.
+    The nonzero vectors of a totally singular subspace are pairwise
+    orthogonal singular vectors.  Conversely, if a and b are singular and
+    orthogonal, Q(a + b) = Q(a) + Q(b) + B(a, b) = 0, so their span is
+    totally singular.  The subspaces are therefore exactly the spans of
+    2^dim - 1 vertices in the orthogonality graph of the 135 singular
+    vectors, with XOR as the product: one `span_search`.  For singular a
+    and b, B(a, b) = Q(a + b), which gives the adjacency.
     """
-    singular = set(int(c) for c in GF2_SPACE.singular_codes())
-    pts = sorted(singular)
-    found = set()
-
-    def extend(basis, span):
-        if len(basis) == 4:
-            found.add(tuple(sorted(span)))
-            return
-        lo = basis[-1] if basis else 0
-        for c in pts:
-            if c <= lo or c in span:
-                continue
-            if any(GF2_SPACE.polar(c, b) for b in basis):
-                continue
-            coset = [c ^ s for s in span]
-            if any(x < c for x in coset):
-                continue  # not the greedy-minimal choice for this subspace
-            if any(x not in singular for x in coset):
-                continue
-            extend(basis + [c], span | set(coset) | {c})
-
-    extend([], set())
-    return sorted(found)
+    codes = GF2_SPACE.singular_codes()  # ascending
+    local = np.full(256, -1)
+    local[codes] = np.arange(len(codes))
+    xor = codes[:, None] ^ codes[None, :]
+    rows, _ = span_search(GF2_SPACE.q_table[xor] == 0, local[xor], dim)
+    return sorted(tuple(sorted(codes[row].tolist())) for row in rows)
 
 
 def split_solid_families(solids):
@@ -214,9 +189,9 @@ def singular_objects(space: QuadraticSpace, kind: str) -> IndexedDomain:
         if kind == "points":
             dom = Gf2PointsDomain()
         elif kind == "lines":
-            dom = Gf2SubspaceDomain("lines", enumerate_ts_lines())
+            dom = Gf2SubspaceDomain("lines", enumerate_ts_subspaces(2))
         elif kind in ("solids-family-1", "solids-family-2"):
-            fam1, fam2 = split_solid_families(enumerate_ts_solids())
+            fam1, fam2 = split_solid_families(enumerate_ts_subspaces(4))
             _CACHE[(space.name, "solids-family-1")] = Gf2SubspaceDomain(
                 "solids-family-1", fam1)
             _CACHE[(space.name, "solids-family-2")] = Gf2SubspaceDomain(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .automorphisms import order3_automorphisms
-from .cayley import AutoMap, CayleyGroup, SubgroupBits, inner_automap
+from .cayley import AutoMap, CayleyGroup, SubgroupBits, inner_automap, orbit_minima
 from .domains import singular_objects
 from .groupmodels import (
     ModelBundle,
@@ -540,32 +540,15 @@ def _validate_system(fs: FusionSystem):
 
 
 def fuse_elements(fs: FusionSystem) -> FusionClassPartition:
-    """Finest partition closed under every generator map (orbit closure).
-
-    Every element starts labelled by itself.  Each round moves the smaller
-    label across every edge (x, a(x)) in both directions, then replaces each
-    label by its own label.  A label is always a member of its element's
-    class and labels only decrease, so the rounds stop; at the fixpoint the
-    labels are constant on edges, hence on classes, and the least member m
-    of a class keeps label m, so every label is its class minimum.
-    """
-    n = fs.s.n
+    """Finest partition closed under every generator map: the orbit minima
+    (`orbit_minima`) of the edges (x, a(x)) over the domain of every map a."""
     src, dst = [], []
     for a in fs.all_generator_maps():
-        dom = a.domain.members if a.domain is not None else np.arange(n)
+        dom = a.domain.members if a.domain is not None else np.arange(fs.s.n)
         src.append(dom)
         dst.append(a.images[dom])
-    src = np.concatenate(src).astype(np.int64)
-    dst = np.concatenate(dst).astype(np.int64)
-    label = np.arange(n, dtype=np.int64)
-    while True:
-        prev = label.copy()
-        np.minimum.at(label, dst, label[src])
-        np.minimum.at(label, src, label[dst])
-        label = label[label]
-        if np.array_equal(label, prev):
-            break
-    part = FusionClassPartition(class_id=label)
+    part = FusionClassPartition(class_id=orbit_minima(fs.s.n, np.concatenate(src),
+                                                      np.concatenate(dst)))
     _validate_partition(fs, part)
     return part
 
@@ -576,12 +559,10 @@ def _validate_partition(fs: FusionSystem, part: FusionClassPartition):
         raise ConfigurationError("identity is not a singleton fusion class")
     if not (S.order_of == S.order_of[part.class_id]).all():
         raise ConfigurationError("element order is not constant on a fusion class")
-    # classes refine into unions of S-conjugacy classes
-    labels = S.conjugacy_classes()
-    for rep in np.unique(labels):
-        members = np.flatnonzero(labels == rep)
-        if len(np.unique(part.class_id[members])) != 1:
-            raise ConfigurationError("an S-conjugacy class is split by fusion")
+    # classes are unions of S-conjugacy classes: constant on each, so equal
+    # to their value on its least member
+    if not np.array_equal(part.class_id[S.conjugacy_classes()], part.class_id):
+        raise ConfigurationError("an S-conjugacy class is split by fusion")
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 DTYPE = np.uint16
+# the identity of every degree that DTYPE images can have is a prefix of this
+_IDENTITY = np.arange(1 << 16, dtype=DTYPE)
 
 
 class ConfigurationError(ValueError):
@@ -63,7 +65,7 @@ def inverse(a: np.ndarray) -> np.ndarray:
 
 
 def is_identity(a: np.ndarray) -> bool:
-    return bool((a == np.arange(a.shape[0], dtype=a.dtype)).all())
+    return bool((a == _IDENTITY[:a.shape[0]]).all())
 
 
 def perm_order(a: np.ndarray) -> int:

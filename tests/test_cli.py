@@ -88,6 +88,19 @@ def test_unknown_lemma_is_configuration_error(tmp_path):
     assert code == 2
 
 
+def test_lemma_with_no_check_on_the_model_is_configuration_error(tmp_path, capsys):
+    # a8 runs on the affine model only: an empty certificate must not pass
+    code = run(["verify", "--model", "frame", "--lemma", "a8"], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "a8" in err and "frame" in err
+    assert not (tmp_path / "certificate-verify.json").exists()
+    code = run(["verify", "--lemma", "a8"], tmp_path)
+    assert code == 0
+    cert = json.loads((tmp_path / "certificate-verify.json").read_text())
+    assert [r["lemma_id"] for r in cert["reports"]] == ["a8@affine"]
+
+
 def test_report_collects_and_flags_failures(tmp_path):
     cert = Certificate(config={})
     cert.add(LemmaReport("synthetic", "fail", {"reason": "planted"}, 0))

@@ -1,11 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from d4fusion.cayley import span_search
 from d4fusion.domains import (
     ConcatenatedDomain,
     SingularFlag,
-    enumerate_ts_lines,
-    enumerate_ts_solids,
+    enumerate_ts_subspaces,
     gf2_code_map,
     induced_action,
     singular_objects,
@@ -39,7 +41,7 @@ def test_projective_points_gf3_count():
 
 
 def test_lines_count_double_counting_oracle():
-    lines = enumerate_ts_lines()
+    lines = enumerate_ts_subspaces(2)
     # oracle: ordered orthogonal singular pairs / 6
     pts = [int(c) for c in GF2_SPACE.singular_codes()]
     singular = set(pts)
@@ -52,7 +54,7 @@ def test_lines_count_double_counting_oracle():
 
 
 def test_solids_count_families_and_membership():
-    solids = enumerate_ts_solids()
+    solids = enumerate_ts_subspaces(4)
     assert len(solids) == 270
     fam1, fam2 = split_solid_families(solids)
     assert len(fam1) == 135 and len(fam2) == 135
@@ -62,6 +64,49 @@ def test_solids_count_families_and_membership():
         members = set(key) | {0}
         assert all(GF2_SPACE.eval_q(c) == 0 for c in key)
         assert all((a ^ b) in members for a in members for b in members)
+
+
+def sha1_of(keys):
+    return hashlib.sha1(np.array(keys, dtype=np.uint8).tobytes()).hexdigest()
+
+
+def test_ts_subspaces_are_pinned():
+    # the lists fix the domain indices, hence the flag base, the ambient
+    # generators and the chains of the O8+(2) model
+    assert sha1_of(enumerate_ts_subspaces(2)) == "672757f94b874c2fe10ba69d0da780a7a7d4d265"
+    assert sha1_of(enumerate_ts_subspaces(4)) == "79bbe6cd4080933f667e43b7f990aafdc74576d2"
+
+
+def test_lines_and_solids_incidence():
+    # each solid holds [4 choose 2]_2 = 35 lines; each line lies in 6 solids,
+    # 3 of each family
+    lines = enumerate_ts_subspaces(2)
+    fam1, fam2 = split_solid_families(enumerate_ts_subspaces(4))
+    per_line = {key: [0, 0] for key in lines}
+    for f, fam in enumerate((fam1, fam2)):
+        for solid in fam:
+            members = set(solid)
+            inside = [key for key in lines if members.issuperset(key)]
+            assert len(inside) == 35
+            for key in inside:
+                per_line[key][f] += 1
+    assert all(counts == [3, 3] for counts in per_line.values())
+
+
+def test_span_search_misses_solids_without_one_orthogonal_pair():
+    # seeded defect: clear one orthogonal pair of the adjacency and the
+    # solids through that pair are lost
+    codes = GF2_SPACE.singular_codes()
+    local = np.full(256, -1)
+    local[codes] = np.arange(len(codes))
+    xor = codes[:, None] ^ codes[None, :]
+    adjacent = GF2_SPACE.q_table[xor] == 0
+    rows, nodes = span_search(adjacent, local[xor], 4)
+    assert (len(rows), nodes) == (270, 4005)
+    a, b = 0, int(np.flatnonzero(adjacent[0])[1])
+    adjacent[a, b] = adjacent[b, a] = False
+    rows, _ = span_search(adjacent, local[xor], 4)
+    assert len(rows) < 270
 
 
 def test_solid_families_separated_by_intersection_parity():
