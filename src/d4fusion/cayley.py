@@ -24,6 +24,7 @@ from .perms import ConfigurationError, ResourceError
 
 IDX = np.uint16
 _ROOT_BLOCK = 8  # roots per level-synchronous step of span_search
+_ROW_BLOCK = 256  # rows per block of the table builds and checks
 
 
 class ClosureError(ValueError):
@@ -96,88 +97,156 @@ class CayleyGroup:
             raise ClosureError("element 0 is not a left identity")
         if not np.array_equal(table[:, 0], np.arange(n, dtype=IDX)):
             raise ClosureError("element 0 is not a right identity")
-        rows, cols = np.nonzero(table == 0)
-        self.inv = np.empty(n, dtype=IDX)
-        self.inv[rows] = cols.astype(IDX)
+        self.order_of, self.inv = self._orders_and_inverses()
         if not np.array_equal(table[np.arange(n), self.inv], np.zeros(n, dtype=IDX)):
             raise ClosureError("inverses do not verify")
-        self.order_of = self._element_orders()
-        self._check_associativity()
+        self._light_gens = self._check_associativity()
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_generators(cls, generators, mul, key, identity, name="",
-                        max_order=1 << 13):
-        """Enumerate by breadth-first closure and build the table.
+    def from_generators(cls, generators, base=None, name="", max_order=1 << 13):
+        """Enumerate the permutation group <generators> and build its table.
 
-        `mul(a, b)` means "a then b"; `key` must injectively serialize
-        elements.  `mul` runs once per element and generator, in the
-        closure, which records cols[j, x] = x * g_j.  Each element b > 0
-        has a BFS decomposition b = f * g_j with f < b, so in BFS order
+        The generators are image arrays of one degree d; "a then b" is
+        ``b[a]``.  The closure is breadth-first, one level per step.  An
+        element is keyed by its images on `base` (all d points when None).
+        Each level gathers the keys of x * g_j for every frontier element
+        x and generator g_j, in row-major (x, j) order, and matches them
+        against the known keys by sort and `searchsorted`; an unknown key
+        becomes a new element at its first occurrence, so indices and BFS
+        parents are those of the one-at-a-time closure.  Full rows are
+        gathered only for the new elements, from their parents' rows.
+
+        The table follows from cols[j, x] = x * g_j and the BFS
+        decomposition b = f * g_j with f on an earlier level:
 
             g * b = (g * f) * g_j = cols[j, g * f]    (the row of g)
             T[b] = T[f][T[g_j]]                        (b * y = f * (g_j * y))
 
-        the first giving every generator's row, the second every row,
-        each row written contiguously.
+        the first giving every generator's row, the second every row, one
+        level at a time.
+
+        Exactness does not rest on `base`.  `__init__` proves T a group
+        table (identity, inverses, Light's test), and `check_embedding`
+        then proves E[x g] = E[x] then E[g] for every x and every g of the
+        generating set that Light's test kept, and E[gen_indices] ==
+        generators.  By induction on word length E is a homomorphism; its
+        rows are distinct because their keys are, so it is injective; each
+        row is a product of generators and the image holds every
+        generator, so E maps T's group onto <generators>.  A key set that
+        is not a base merges distinct elements, and one of those checks
+        raises `ClosureError`: a wrong base is never trusted.
         """
-        k = len(generators)
-        cols = np.zeros((k, max_order), dtype=IDX)
-        elements = [identity]
-        index = {key(identity): 0}
-        parents = [(-1, -1)]
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for j, g in enumerate(generators):
-                    prod = mul(elements[x], g)
-                    kp = key(prod)
-                    idx = index.get(kp)
-                    if idx is None:
-                        idx = len(elements)
-                        if idx >= max_order:
-                            raise ResourceError("group closure exceeded max_order")
-                        elements.append(prod)
-                        index[kp] = idx
-                        parents.append((x, j))
-                        nxt.append(idx)
-                    cols[j, x] = idx
-            frontier = nxt
-        n = len(elements)
-        gen_idx = [index[key(g)] for g in generators]
+        gens = np.stack([np.asarray(g, dtype=IDX) for g in generators])
+        k, d = gens.shape
+        base = np.arange(d) if base is None else np.asarray(base, dtype=np.intp)
+        void = np.dtype((np.void, len(base) * gens.itemsize))
+
+        def keys(points):  # one opaque sortable key per row of base images
+            return np.ascontiguousarray(points, dtype=IDX).view(void).ravel()
+
+        frontier = np.arange(d, dtype=IDX)[None, :]
+        levels, known = [frontier], keys(frontier[:, base])
+        parent, gen_pos = [np.array([-1])], [np.array([-1])]
+        cols = np.empty((k, max_order), dtype=IDX)
+        n = 1
+        while len(frontier):
+            lo, width = n - len(frontier), len(frontier)
+            cand = keys(gens[np.arange(k)[None, :, None], frontier[:, None, base]]
+                        .reshape(width * k, len(base)))
+            order = np.argsort(known)
+            idx = order[np.searchsorted(known[order], cand) % len(order)]
+            miss = np.flatnonzero(known[idx] != cand)
+            new_keys, first, which = np.unique(cand[miss], return_index=True,
+                                               return_inverse=True)
+            rank = np.argsort(first)  # the new elements, in order of first occurrence
+            new_index = np.empty(len(rank), dtype=np.int64)
+            new_index[rank] = n + np.arange(len(rank))
+            idx[miss] = new_index[which.ravel()]
+            cols[:, lo:lo + width] = idx.reshape(width, k).T
+            src = miss[first[rank]]
+            f, j = src // k, src % k
+            frontier = np.empty((len(src), d), dtype=IDX)
+            for jj in range(k):
+                sel = j == jj
+                frontier[sel] = gens[jj][levels[-1][f[sel]]]
+            n += len(src)
+            if n > max_order:
+                raise ResourceError("group closure exceeded max_order")
+            levels.append(frontier)
+            known = np.concatenate([known, new_keys[rank]])
+            parent.append(lo + f)
+            gen_pos.append(j)
+        elements = np.concatenate(levels)
+        parent, gen_pos = np.concatenate(parent), np.concatenate(gen_pos)
+        order = np.argsort(known)
+        gen_idx = order[np.searchsorted(known[order], keys(gens[:, base]))].tolist()
         gen_rows = np.empty((k, n), dtype=IDX)
         gen_rows[:, 0] = gen_idx
-        for b in range(1, n):
-            f, j = parents[b]
-            if f >= b:
-                raise ConfigurationError("BFS parent order violated")
-            gen_rows[:, b] = cols[j, gen_rows[:, f]]
         T = np.empty((n, n), dtype=IDX)
         T[0] = np.arange(n, dtype=IDX)
-        for b in range(1, n):
-            f, j = parents[b]
-            T[b] = T[f][gen_rows[j]]
-        return cls(T, gen_indices=gen_idx, parents=parents, elements=elements,
-                   name=name)
+        flat = T.ravel()
+        bounds = np.cumsum([len(level) for level in levels])
+        for lo, hi in zip(bounds[:-2], bounds[1:-1]):
+            f, j = parent[lo:hi], gen_pos[lo:hi]
+            gen_rows[:, lo:hi] = cols[j[None, :], gen_rows[:, f]]
+        # every row reads whole generator rows, so T waits for all of gen_rows;
+        # a block stays inside one level, whose parents lie on earlier ones
+        for lo, hi in zip(bounds[:-2], bounds[1:-1]):
+            for s in range(lo, hi, _ROW_BLOCK):
+                t = min(s + _ROW_BLOCK, hi)
+                T[s:t] = flat[parent[s:t, None] * n + gen_rows[gen_pos[s:t]]]
+        group = cls(T, gen_indices=gen_idx, elements=elements, name=name,
+                    parents=list(zip(parent.tolist(), gen_pos.tolist())))
+        group.check_embedding(elements, gens)
+        return group
 
-    def _element_orders(self):
+    def check_embedding(self, rows, generators=None, error=ClosureError) -> None:
+        """Raise `error` unless x -> rows[x] is a homomorphism into permutations.
+
+        For every g of the verified generating set and every x, rows[x g]
+        must be rows[x] then rows[g].  Every row is a permutation, so x = 0
+        forces rows[0] = 1.  T is a group table (checked when the group is
+        built), so for y = y' g, rows[x y] = rows[(x y') g] = rows[x y']
+        then rows[g]; induction on the word length of y gives rows[x y] =
+        rows[x] then rows[y] for all x and y, as in `check_isomorphism`.
+        With `generators` given, rows[gen_indices] must equal them.  The
+        rows are gathered in blocks of _ROW_BLOCK.
+        """
+        gens = self.generating_set()
+        for s in range(0, self.n, _ROW_BLOCK):
+            block = rows[s:s + _ROW_BLOCK].astype(np.intp)
+            for g in gens:
+                if not np.array_equal(rows[self.T[s:s + _ROW_BLOCK, g]], rows[g][block]):
+                    raise error("embedding fails at a generator column")
+        if generators is not None and not np.array_equal(rows[self.gen_indices],
+                                                         generators):
+            raise error("the generator indices do not carry the generators")
+
+    def _orders_and_inverses(self):
+        """Element orders and inverses from one walk of the power sequences.
+
+        x^k = x^(k-1) x, the order o is the least k with x^k = 1, and then
+        x^(o-1) x = 1: x^(o-1) is the inverse that `__init__` checks.
+        """
         orders = np.ones(self.n, dtype=np.int32)
+        inv = np.zeros(self.n, dtype=IDX)
         idx = np.arange(self.n, dtype=IDX)
         power = idx.copy()
         k = 1
         alive = power != 0
         while alive.any():
             k += 1
-            power = self.T[power, idx]
+            prev, power = power, self.T[power, idx]
             newly = alive & (power == 0)
             orders[newly] = k
+            inv[newly] = prev[newly]
             alive &= power != 0
             if k > self.n:
                 raise ClosureError("element order exceeded group order")
         orders[0] = 1
-        return orders
+        return orders, inv
 
     def _check_associativity(self):
         """Light's test over a generating set: T is associative on all n^3 triples.
@@ -190,7 +259,8 @@ class CayleyGroup:
         table.  With the identity and inverse checks, T is then a group
         table.  Generators that the others already generate are dropped
         first (4 remain for the Sylow subgroups of order 4096); each costs
-        one row gather and one elementwise gather of T, in row blocks.
+        one row gather and one elementwise gather of T per row block.
+        Returns the generators checked, a verified generating set.
         """
         gens = list(dict.fromkeys(self.gen_indices))
         reached = self.closure(gens).bits
@@ -201,11 +271,13 @@ class CayleyGroup:
             rest = [h for h in gens if h != g]
             if self.closure(rest).order == self.n:
                 gens = rest
-        for g in gens:
-            row = self.T[g]
-            for s in range(0, self.n, 256):
-                if not np.array_equal(self.T[row[s:s + 256]], row[self.T[s:s + 256]]):
+        for s in range(0, self.n, _ROW_BLOCK):
+            block = self.T[s:s + _ROW_BLOCK].astype(np.intp)
+            for g in gens:
+                row = self.T[g]
+                if not np.array_equal(self.T[row[s:s + _ROW_BLOCK]], row[block]):
                     raise ClosureError("multiplication table is not associative")
+        return gens
 
     # -- primitives ---------------------------------------------------------
 
@@ -614,25 +686,31 @@ class CayleyGroup:
     def generating_set(self, sub: SubgroupBits | None = None):
         """A verified generating set of sub (of the whole group when None).
 
-        The whole group uses its gen_indices when it has them; otherwise the
-        set is picked greedily, the least member outside the closure so far.
-        Either way it is checked once, closure(gens) == sub, and cached by
-        the subgroup's key.
+        The whole group uses the set that Light's test reduced to, which
+        generates by construction.  Callers also use gen_indices as
+        generators, so that set must lie inside them: it does exactly when
+        gen_indices generate, since otherwise Light's test had to add an
+        element outside their closure.  A proper subgroup's set is picked
+        greedily, the least member outside the closure so far, and checked
+        once, closure(gens) == sub.  Either way it is cached by the
+        subgroup's key.
         """
         if sub is None:
             sub = self.full_bits()
         key = sub.key()
         gens = self._gen_sets.get(key)
         if gens is None:
-            if sub.order == self.n and self.gen_indices:
-                gens = list(self.gen_indices)
+            if sub.order == self.n:
+                gens = self._light_gens
+                if self.gen_indices and not set(gens) <= set(self.gen_indices):
+                    raise ClosureError("the recorded generators do not generate the group")
             else:
                 gens = []
                 bits = self.trivial_bits().bits
                 while (sub.bits & ~bits).any():
                     gens.append(int(np.flatnonzero(sub.bits & ~bits)[0]))
                     bits = self.closure(gens).bits
-            self.check_generates(gens, sub)
+                self.check_generates(gens, sub)
             self._gen_sets[key] = gens
         return list(gens)
 

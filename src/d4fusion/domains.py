@@ -126,13 +126,10 @@ class Gf3ProjectivePointsDomain(IndexedDomain):
 
     @staticmethod
     def normalize_rows(rows) -> np.ndarray:
+        """Each row scaled to leading coefficient 1; zero rows unchanged."""
         rows = rows % 3
-        out = rows.copy()
-        for i in range(rows.shape[0]):
-            nz = np.nonzero(rows[i])[0]
-            if len(nz) and rows[i][nz[0]] == 2:
-                out[i] = (rows[i] * 2) % 3
-        return out
+        lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+        return np.where(lead[:, None] == 2, (rows * 2) % 3, rows)
 
     def perm_of_matrix(self, mat) -> np.ndarray:
         mat = np.asarray(mat, dtype=np.int64) % 3

@@ -206,7 +206,7 @@ def automizer_from_model(bundle: ModelBundle, overgroup_gens, order3_elem,
         members = np.flatnonzero(mask)
         mask[members[bundle.conjugate_indices(conj, members) < 0]] = False
     # S inter S^g3 inter S^(g3^-1): full-degree conjugates through the
-    # embedding that verify_embedding proved a homomorphism
+    # embedding that `check_embedding` proved a homomorphism
     radical = SubgroupBits(S, mask)
     if radical.order != 2048:
         raise ConfigurationError("radical of the minimal overgroup has order %d"

@@ -21,7 +21,7 @@ from .domains import (
     singular_objects,
     span_codes_gf2,
 )
-from .perms import ConfigurationError, Permutation, compose, inverse
+from .perms import ConfigurationError, Permutation, inverse
 from .quadforms import (
     DIM,
     GF2_SPACE,
@@ -167,17 +167,6 @@ def distinguishing_columns(matrix, prefer=None):
     return np.asarray(cols, dtype=np.int64)
 
 
-def cayley_from_perm_gens(gen_arrays, name, max_order=1 << 13):
-    """CayleyGroup plus stacked element matrix from permutation generators."""
-    ident = np.arange(gen_arrays[0].shape[0], dtype=np.uint16)
-    group = CayleyGroup.from_generators(
-        [np.asarray(g, dtype=np.uint16) for g in gen_arrays],
-        mul=compose, key=lambda a: a.tobytes(), identity=ident,
-        name=name, max_order=max_order)
-    emb = np.stack(group.elements)
-    return group, emb
-
-
 def matrices_from_parents(group: CayleyGroup, gen_mats, modulus: int):
     """Representative matrix lifts for each element, via BFS decomposition."""
     mats = [None] * group.n
@@ -191,20 +180,11 @@ def matrices_from_parents(group: CayleyGroup, gen_mats, modulus: int):
 def verify_embedding(bundle: ModelBundle) -> None:
     """Exhaustive homomorphism check of the embedding, at O(4096 * k).
 
-    For g in a verified generating set of S and every x, E[x g] must be
-    E[x] followed by E[g].  Every row is a permutation, a product of
-    ambient generators, so x = 0 forces E[0] = 1.  The table T is a
-    group table, checked on every triple when the CayleyGroup is built,
-    so for y = y' g, E[x y] = E[(x y') g] = E[x y'] E[g]; induction on
-    the word length of y then gives E[x y] = E[x] E[y] for all x, y, as
-    in `check_isomorphism`.  Injectivity is the signature check of
-    `ModelBundle`.
+    `CayleyGroup.check_embedding` owns the argument; `from_generators`
+    has already run it on every bundle's rows.  Injectivity is the
+    signature check of `ModelBundle`.
     """
-    T = bundle.sylow.T
-    E = bundle.embedding
-    for gi in bundle.sylow.generating_set():
-        if not np.array_equal(E[gi][E], E[T[:, gi]]):
-            raise ConfigurationError("embedding fails at a generator column")
+    bundle.sylow.check_embedding(bundle.embedding, error=ConfigurationError)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +306,9 @@ def sylow_via_chamber(g: GroupHandle) -> ModelBundle:
     if order != SYLOW_ORDER:
         raise ConfigurationError(
             "chamber stabilizer has order %d, not 4096; broken flag" % order)
-    group, emb = cayley_from_perm_gens(stab.generators, "sylow-omega8plus2")
+    group = CayleyGroup.from_generators(stab.generators, base=stab.chain.base,
+                                        name="sylow-omega8plus2")
+    emb = group.elements
     if group.n != SYLOW_ORDER:
         raise ConfigurationError("stabilizer enumeration did not reach 4096 elements")
     prefer = [b for b in stab.chain.base]
@@ -341,7 +323,6 @@ def sylow_via_chamber(g: GroupHandle) -> ModelBundle:
         matrices=mats,
         extras={"flag_base": base},
     )
-    verify_embedding(bundle)
     return bundle
 
 
@@ -422,7 +403,8 @@ def build_affine_model() -> ModelBundle:
         raise ConfigurationError("affine ambient order %d unexpected" % chain.order())
     t_mats = t_part_perms()
     sylow_gens = translations + [module.linear_perm(p) for p in t_mats]
-    group, emb = cayley_from_perm_gens(sylow_gens, "sylow-affine")
+    group = CayleyGroup.from_generators(sylow_gens, base=chain.base, name="sylow-affine")
+    emb = group.elements
     if group.n != SYLOW_ORDER:
         raise ConfigurationError("affine Sylow enumeration did not reach 4096")
     sig_cols = distinguishing_columns(emb)
@@ -442,7 +424,6 @@ def build_affine_model() -> ModelBundle:
     bundle.extras["Q"] = bundle.subgroup_from_perms(q_members)
     if bundle.extras["Q"].order != 512:
         raise ConfigurationError("the recorded extraspecial subgroup has wrong order")
-    verify_embedding(bundle)
     return bundle
 
 
@@ -498,7 +479,8 @@ def build_frame_model_gf3() -> ModelBundle:
         check_in_omega(m)
     sylow_mats = signs + t_mats
     sylow_perms = induced_action(sylow_mats, domain)
-    group, emb = cayley_from_perm_gens(sylow_perms, "sylow-frame")
+    group = CayleyGroup.from_generators(sylow_perms, base=chain.base, name="sylow-frame")
+    emb = group.elements
     if group.n != SYLOW_ORDER:
         raise ConfigurationError("frame Sylow enumeration did not reach 4096")
     sig_cols = distinguishing_columns(emb)
@@ -513,7 +495,6 @@ def build_frame_model_gf3() -> ModelBundle:
         extras={"frame": standard_frame(), "sign_perms": perms[: len(signs)]},
     )
     bundle.extras["O2"] = verify_frame_o2(bundle)
-    verify_embedding(bundle)
     return bundle
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .cayley import AutoMap, CayleyGroup
 from .domains import gf2_code_map
-from .groupmodels import cayley_from_perm_gens
 from .perms import ConfigurationError
 from .quadforms import DIM
 
@@ -110,9 +109,11 @@ def build_root_model() -> CayleyGroup:
 
     Each element is the permutation a matrix induces on the 256 GF(2)
     codes: composing those is "a then b" as the matrix product b @ a is.
+    A linear map is fixed by its images of the basis codes 1 << i, which
+    are the closure's base.
     """
     gens = [gf2_code_map(root_matrix(r)) for r in positive_roots()]
-    group, _ = cayley_from_perm_gens(gens, "root-model")
+    group = CayleyGroup.from_generators(gens, base=_POW2, name="root-model")
     if group.n != 4096:
         raise ConfigurationError("root matrices generated order %d, not 4096" % group.n)
     return group
@@ -160,7 +161,7 @@ def _translation(group: CayleyGroup, bundle_matrices) -> np.ndarray:
     a bundle matrix, the images of the codes 1 << i under a root element.
     """
     bundle_keys = _basis_image_keys(_POW2 @ (np.stack(bundle_matrices) % 2))
-    root_keys = _basis_image_keys(np.stack(group.elements)[:, _POW2])
+    root_keys = _basis_image_keys(group.elements[:, _POW2])
     order = np.argsort(bundle_keys)
     pos = np.searchsorted(bundle_keys[order], root_keys) % len(order)
     out = order[pos]

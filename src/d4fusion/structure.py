@@ -18,7 +18,7 @@ import numpy as np
 
 from .cayley import CayleyGroup, SubgroupBits, enumerate_elab_subgroups
 from .groupmodels import ModelBundle
-from .perms import ConfigurationError, Permutation, compose
+from .perms import ConfigurationError, Permutation
 from .reports import LemmaReport, check_timer
 from .quadforms import invariant_quadratic_forms, q
 from .stabchain import GroupHandle, build_stab_chain, orbit
@@ -505,9 +505,8 @@ def check_a8(ctx: StructureContext) -> LemmaReport:
         ]
         extra = [Permutation.from_cycles(8, (0, 2, 4), (1, 3, 5)),
                  Permutation.from_cycles(8, (0, 2), (1, 3))]
-        cgrp = CayleyGroup.from_generators(
-            [p.images for p in qx_gens + extra], mul=compose, key=lambda a: a.tobytes(),
-            identity=np.arange(8, dtype=np.uint16), name="C_A8(x)")
+        cgrp = CayleyGroup.from_generators([p.images for p in qx_gens + extra],
+                                           name="C_A8(x)")
         qx = cgrp.closure(cgrp.gen_indices[:len(qx_gens)])
         w["qx_order"] = qx.order
         w["qx_extraspecial"] = cgrp.is_extraspecial(qx)

@@ -17,10 +17,20 @@ from d4fusion.perms import Permutation, ResourceError, compose
 
 def perm_group(gens):
     """CayleyGroup from permutation generators (left-to-right products)."""
-    arrs = [g.images for g in gens]
-    ident = np.arange(arrs[0].shape[0], dtype=np.uint16)
-    return CayleyGroup.from_generators(
-        arrs, mul=compose, key=lambda a: a.tobytes(), identity=ident, name="perm")
+    return CayleyGroup.from_generators([g.images for g in gens], name="perm")
+
+
+def right_regular(elements, mul, gens):
+    """Permutation generators of a group acting on its own elements, x -> x * h."""
+    index = {e: i for i, e in enumerate(elements)}
+    return [np.array([index[mul(x, h)] for x in elements], dtype=np.uint16)
+            for h in gens]
+
+
+# the 32 elements (v, z) of a central extension of GF(2)^4 by GF(2)
+COCYCLE_ELEMENTS = [(v, z) for v in itertools.product((0, 1), repeat=4) for z in (0, 1)]
+COCYCLE_GENS = [((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0), ((0, 0, 1, 0), 0),
+                ((0, 0, 0, 1), 0)]
 
 
 def commutator_table(g, m):
@@ -49,9 +59,7 @@ def heisenberg_2_4(plus=True):
         v = tuple(x ^ y for x, y in zip(va, vb))
         return (v, za ^ zb ^ bform(vb, va))
 
-    gens = [((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0), ((0, 0, 1, 0), 0), ((0, 0, 0, 1), 0)]
-    ident = ((0, 0, 0, 0), 0)
-    return CayleyGroup.from_generators(gens, mul=mul, key=repr, identity=ident)
+    return CayleyGroup.from_generators(right_regular(COCYCLE_ELEMENTS, mul, COCYCLE_GENS))
 
 
 def test_d8_basics(d8):
@@ -353,7 +361,8 @@ def test_fingerprint_invariance(d8):
 
 def test_generating_set_is_verified_and_cached():
     g = heisenberg_2_4()
-    assert g.generating_set() == g.gen_indices
+    # Light's test keeps all four generators: the Frattini quotient has rank 4
+    assert g.generating_set() == [1, 2, 3, 4] == g.gen_indices
     dom = g.maximal_subgroups()[0]
     gens = g.generating_set(dom)
     assert all(dom.bits[x] for x in gens)
@@ -547,15 +556,13 @@ def _heisenberg_plus_mul(a, b):
 
 
 def _perm_case(deg, *cycles):
-    gens = [Permutation.from_cycles(deg, c).images for c in cycles]
-    return gens, compose, bytes, np.arange(deg, dtype=np.uint16)
+    return [Permutation.from_cycles(deg, c).images for c in cycles]
 
 
 TABLE_CASES = {
     "d8": (8, lambda: _perm_case(4, (0, 1, 2, 3), (1, 3))),
-    "plus": (32, lambda: ([((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0), ((0, 0, 1, 0), 0),
-                           ((0, 0, 0, 1), 0)], _heisenberg_plus_mul, repr,
-                          ((0, 0, 0, 0), 0))),
+    "plus": (32, lambda: right_regular(COCYCLE_ELEMENTS, _heisenberg_plus_mul,
+                                       COCYCLE_GENS)),
     "s4": (24, lambda: _perm_case(4, (0, 1, 2, 3), (0, 1), (1, 2))),
     "s5": (120, lambda: _perm_case(5, (0, 1, 2, 3, 4), (0, 1), (1, 2))),
 }
@@ -563,21 +570,46 @@ TABLE_CASES = {
 
 @pytest.mark.parametrize("name", sorted(TABLE_CASES))
 def test_from_generators_matches_brute_force_table(name):
-    """Every entry equals index[key(mul(a, b))], with mul run n * k times."""
+    """Every entry is the index of the composed permutation rows."""
     order, case = TABLE_CASES[name]
-    gens, mul, key, ident = case()
-    calls = []
-
-    def counted(a, b):
-        calls.append(None)
-        return mul(a, b)
-
-    g = CayleyGroup.from_generators(gens, mul=counted, key=key, identity=ident)
+    gens = case()
+    g = CayleyGroup.from_generators(gens)
     assert g.n == order
-    assert len(calls) == g.n * len(gens)
-    index = {key(e): i for i, e in enumerate(g.elements)}
-    ref = np.array([[index[key(mul(a, b))] for b in g.elements] for a in g.elements])
+    index = {e.tobytes(): i for i, e in enumerate(g.elements)}
+    assert len(index) == g.n
+    ref = np.array([[index[compose(a, b).tobytes()] for b in g.elements]
+                    for a in g.elements])
     assert np.array_equal(g.T, ref)
-    assert g.gen_indices == [index[key(x)] for x in gens]
+    assert g.gen_indices == [index[x.tobytes()] for x in gens]
     for b, (f, j) in enumerate(g.parents[1:], start=1):
         assert f < b and g.T[f, g.gen_indices[j]] == b
+
+
+def test_right_regular_table_is_the_cocycle_product():
+    # row x sends the identity (index 0) to x, so it names its element
+    g = CayleyGroup.from_generators(right_regular(COCYCLE_ELEMENTS, _heisenberg_plus_mul,
+                                                  COCYCLE_GENS))
+    elems = [COCYCLE_ELEMENTS[int(row[0])] for row in g.elements]
+    index = {e: i for i, e in enumerate(elems)}
+    ref = np.array([[index[_heisenberg_plus_mul(a, b)] for b in elems] for a in elems])
+    assert np.array_equal(g.T, ref)
+
+
+def test_from_generators_base_keys():
+    # fixing 0, 1 and 2 fixes every point of S4: a base gives the same group
+    gens = _perm_case(4, (0, 1, 2, 3), (0, 1), (1, 2))
+    full = CayleyGroup.from_generators(gens)
+    keyed = CayleyGroup.from_generators(gens, base=[0, 1, 2])
+    assert np.array_equal(keyed.T, full.T)
+    assert np.array_equal(keyed.elements, full.elements)
+    assert keyed.parents == full.parents
+    # the image of one point does not determine an element: the check raises
+    for base in ([0], [3], [0, 1]):
+        with pytest.raises(ClosureError):
+            CayleyGroup.from_generators(gens, base=base)
+
+
+def test_from_generators_respects_max_order():
+    gens = _perm_case(5, (0, 1, 2, 3, 4), (0, 1))
+    with pytest.raises(ResourceError):
+        CayleyGroup.from_generators(gens, max_order=100)

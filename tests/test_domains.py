@@ -189,3 +189,38 @@ def test_flag_rejects_bad_incidence():
     s1 = tuple(sorted(span_codes_gf2([e1, e2, e3, e4])))
     with pytest.raises(PreconditionError):
         SingularFlag(point=e1, line=line, solid1=s1, solid2=s1).validate()
+
+
+def _normalize_rows_loop(rows):
+    """The row-at-a-time definition: scale by 2 where the first nonzero entry is 2."""
+    rows = rows % 3
+    out = rows.copy()
+    for i, row in enumerate(rows):
+        nz = np.flatnonzero(row)
+        if len(nz) and row[nz[0]] == 2:
+            out[i] = (row * 2) % 3
+    return out
+
+
+def test_normalize_rows_matches_the_row_loop():
+    rng = np.random.default_rng(7)
+    rows = rng.integers(-3, 6, (500, DIM))
+    rows[::50] = 0  # zero rows stay zero
+    rows[1::50, :DIM - 1] = 0  # the leading entry is the last one
+    dom = singular_objects(GF3_SPACE, "points")
+    out = dom.normalize_rows(rows)
+    assert np.array_equal(out, _normalize_rows_loop(rows))
+    assert (out[::50] == 0).all()
+    lead = out[np.arange(len(out)), np.argmax(out != 0, axis=1)]
+    assert set(lead[(out != 0).any(axis=1)].tolist()) == {1}
+
+
+def test_perm_of_matrix_unchanged_on_frame_generators(monkeypatch):
+    from d4fusion.groupmodels import (a8_generators, frame_sign_gens, perm_matrix,
+                                      t_part_perms)
+    dom = singular_objects(GF3_SPACE, "points")
+    mats = frame_sign_gens() + [perm_matrix(p) for p in a8_generators() + t_part_perms()]
+    fast = induced_action(mats, dom)
+    monkeypatch.setattr(type(dom), "normalize_rows", staticmethod(_normalize_rows_loop))
+    slow = induced_action(mats, dom)
+    assert all(np.array_equal(a, b) for a, b in zip(fast, slow))

@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+from d4fusion.cayley import CayleyGroup, ClosureError
 from d4fusion.groupmodels import (
     Frame,
     SYLOW_ORDER,
@@ -128,6 +130,56 @@ def test_embedding_check_rejects_swapped_rows(affine_bundle, pick):
     twin = dataclasses.replace(affine_bundle, embedding=emb)
     with pytest.raises(ConfigurationError):
         verify_embedding(twin)
+
+
+# SHA-1 of T, of the BFS parents (int64) and of the elements (uint16), as the
+# one-element-at-a-time closure numbered them
+TABLE_PINS = {
+    "chamber_bundle": ("0389ed456fe7b869017f74038373402f2debabfd",
+                       "fcef67577b02f3b29f2a4ea40e005e90a0a81093",
+                       "284985e2ba55a7fbddba6e5326f6d3d0f7fc81ca"),
+    "frame_bundle": ("8711d9c994d95bca6b98cbba9e40751ee4e8530a",
+                     "3a54fca1a9b946e504b33b7cd9610db3d2efe0b8",
+                     "a55267794f40bfd16900a216253a1cc7c17c10ec"),
+    "affine_bundle": ("2ba3c6792fc531cc608ea58c855c356f9e182c9e",
+                      "ab2d76670081e26edddce9a7cdb7b942cc806c03",
+                      "52ea9fff909d8a16ec0a0340421e38a198a4e900"),
+    "root": ("392e821bc58ee75c651ea40c18b73ce9c32c4c6a",
+             "87e5c1ded18d195ed63a10adc161f8ae037bc15e",
+             "bdc94558232b311add2a6f81586ff33b0089bd84"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(TABLE_PINS))
+def test_sylow_tables_are_pinned(model, request):
+    from d4fusion.rootmodel import build_root_model
+    group = (build_root_model() if model == "root"
+             else request.getfixturevalue(model).sylow)
+    digests = tuple(hashlib.sha1(a.tobytes()).hexdigest() for a in (
+        group.T, np.array(group.parents, dtype=np.int64),
+        np.stack(group.elements).astype(np.uint16)))
+    assert digests == TABLE_PINS[model]
+
+
+@pytest.mark.parametrize("base", [[1], [1, 19], "flag"])
+def test_closure_keyed_on_a_non_base_raises(chamber_bundle, base):
+    # the images of these points do not determine an element of the flag
+    # Sylow; the flag's own four objects are fixed by all of it
+    S = chamber_bundle.sylow
+    gens = chamber_bundle.embedding[S.gen_indices]
+    if base == "flag":
+        base = chamber_bundle.ambient.flag_base
+    with pytest.raises(ClosureError):
+        CayleyGroup.from_generators(gens, base=base)
+
+
+def test_closure_keyed_on_the_signature_columns(chamber_bundle):
+    # the signature columns separate the 4096 elements: they are a base of S
+    S = chamber_bundle.sylow
+    gens = chamber_bundle.embedding[S.gen_indices]
+    keyed = CayleyGroup.from_generators(gens, base=chamber_bundle.sig_cols)
+    assert np.array_equal(keyed.T, S.T)
+    assert np.array_equal(keyed.elements, chamber_bundle.embedding)
 
 
 def test_bundle_index_lookup(chamber_bundle):

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from d4fusion.perms import ConfigurationError, Permutation, compose
+from d4fusion.perms import ConfigurationError, Permutation
 from d4fusion.cayley import CayleyGroup
 from d4fusion.groupmodels import build_affine_model
 from d4fusion.structure import (
@@ -308,9 +308,7 @@ def test_context_rejects_wrong_group():
     gens = [Permutation.from_cycles(6, (0, 1)), Permutation.from_cycles(6, (2, 3)),
             Permutation.from_cycles(6, (4, 5))]
     arrs = [g.images for g in gens]
-    grp = CayleyGroup.from_generators(
-        arrs, mul=compose, key=lambda a: a.tobytes(),
-        identity=np.arange(6, dtype=np.uint16))
+    grp = CayleyGroup.from_generators(arrs)
 
     class FakeBundle:
         sylow = grp
