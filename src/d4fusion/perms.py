@@ -52,10 +52,14 @@ def identity_images(degree: int) -> np.ndarray:
 
 
 def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a then b: x -> b[a[x]]."""
+    """a then b: x -> b[a[x]].
+
+    `take` gathers with the uint16 index as it is; `b[a]` would first
+    convert the index array.
+    """
     if a.shape[0] != b.shape[0]:
         raise ConfigurationError("degree mismatch in composition")
-    return b[a]
+    return b.take(a)
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
@@ -70,17 +74,17 @@ def is_identity(a: np.ndarray) -> bool:
 
 def perm_order(a: np.ndarray) -> int:
     """Order via cycle lengths (lcm)."""
-    n = a.shape[0]
-    seen = np.zeros(n, dtype=bool)
+    images = a.tolist()
+    seen = [False] * len(images)
     out = 1
-    for i in range(n):
+    for i in range(len(images)):
         if seen[i]:
             continue
         length = 0
         j = i
         while not seen[j]:
             seen[j] = True
-            j = int(a[j])
+            j = images[j]
             length += 1
         out = _lcm(out, length)
     return out
@@ -94,20 +98,20 @@ def _lcm(a: int, b: int) -> int:
 
 def cycles_of(a: np.ndarray) -> list:
     """Nontrivial cycles, each rotated to start at its minimum."""
-    n = a.shape[0]
-    seen = np.zeros(n, dtype=bool)
+    images = a.tolist()
+    seen = [False] * len(images)
     out = []
-    for i in range(n):
-        if seen[i] or a[i] == i:
+    for i in range(len(images)):
+        if seen[i] or images[i] == i:
             seen[i] = True
             continue
         cyc = [i]
         seen[i] = True
-        j = int(a[i])
+        j = images[i]
         while j != i:
             cyc.append(j)
             seen[j] = True
-            j = int(a[j])
+            j = images[j]
         out.append(tuple(cyc))
     return out
 

@@ -3,11 +3,12 @@
 The construction is the deterministic Schreier-Sims algorithm, so a
 finished chain is a certificate for the group order, not a Monte-Carlo
 estimate.  Every Schreier generator of every level is sifted, except when
-a chain is re-based for a group whose order an earlier verified chain
-already proves: that build stops as soon as the product of its basic
-orbit lengths reaches the known order, which is exact (see
-`build_stab_chain`).  Degrees up to ~2000 and orders up to ~10^13 are the
-intended envelope; transversals are stored as explicit image arrays.
+an upper bound on the group order is proved beforehand: that build stops
+as soon as the product of its basic orbit lengths reaches the bound,
+which is exact (see `build_stab_chain`).  Degrees up to ~2000 and orders
+up to ~10^13 are the intended envelope.  Each level keeps a Schreier
+vector, and a transversal element is composed as an image array the
+first time it is read.
 """
 
 from __future__ import annotations
@@ -64,6 +65,36 @@ def orbit(generators, point: int):
     return out
 
 
+class _Transversal(dict):
+    """Transversal elements by orbit point, composed on first read.
+
+    The Schreier vector of a level names, for each orbit point q other
+    than the base, its tree edge: the parent point p and the generator g
+    with p^g = q.  Then t_q = t_p then g, and each t_q is cached once
+    built.  Reading a point outside the orbit raises KeyError.
+    """
+
+    __slots__ = ("parent", "gen_of", "gens")
+
+    def __init__(self, base_element, base, parent, gen_of, gens):
+        super().__init__({base: base_element})
+        self.parent = parent
+        self.gen_of = gen_of
+        self.gens = gens
+
+    def __missing__(self, q):
+        path = []
+        while q not in self:
+            if self.parent[q] < 0:
+                raise KeyError(q)
+            path.append(q)
+            q = self.parent[q]
+        t = self[q]
+        for r in reversed(path):
+            t = self[r] = compose(t, self.gens[self.gen_of[r]])
+        return t
+
+
 class _Level:
     __slots__ = ("base", "gens", "orbit", "transversal", "inverses", "dirty")
 
@@ -75,6 +106,15 @@ class _Level:
         self.inverses = {}
         self.dirty = True
 
+    def in_orbit(self, p: int) -> bool:
+        return self.transversal.parent[p] >= 0
+
+    def is_tree_edge(self, p: int, gen_index: int, q: int) -> bool:
+        """Whether t_q is t_p then gens[gen_index], so their Schreier
+        generator is the identity."""
+        tv = self.transversal
+        return tv.parent[q] == p and tv.gen_of[q] == gen_index
+
     def inverse_of(self, p: int) -> np.ndarray:
         """Inverse of the transversal element reaching p, computed once."""
         inv = self.inverses.get(p)
@@ -83,30 +123,38 @@ class _Level:
         return inv
 
     def recompute(self, degree: int):
-        """BFS orbit of the base point with explicit transversal elements."""
-        ident = identity_images(degree)
-        self.transversal = {self.base: ident}
-        self.inverses = {}
+        """BFS orbit of the base point and its Schreier vector.
+
+        One numpy step per layer.  Within a layer, sorted ascending, a new
+        point's tree edge is the first (parent, generator) pair in
+        row-major order.
+        """
+        parent = np.full(degree, -1, dtype=np.int64)
+        gen_of = np.full(degree, -1, dtype=np.int64)
+        parent[self.base] = self.base
         self.orbit = [self.base]
-        frontier = [self.base]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                t = self.transversal[p]
-                for g in self.gens:
-                    q = int(g[p])
-                    if q not in self.transversal:
-                        self.transversal[q] = compose(t, g)
-                        nxt.append(q)
-            nxt.sort()
-            self.orbit.extend(nxt)
-            frontier = nxt
+        k = len(self.gens)
+        if k:
+            stacked = np.stack(self.gens)
+            frontier = np.array([self.base], dtype=np.int64)
+            while frontier.size:
+                images = stacked[:, frontier].T.ravel()
+                points, first = np.unique(images, return_index=True)
+                fresh = parent[points] < 0
+                points, first = points[fresh], first[fresh]
+                parent[points] = frontier[first // k]
+                gen_of[points] = first % k
+                frontier = points
+                self.orbit.extend(points.tolist())
+        self.transversal = _Transversal(identity_images(degree), self.base,
+                                        parent.tolist(), gen_of.tolist(), self.gens)
+        self.inverses = {}
         self.dirty = False
 
 
 @dataclass
 class StabChain:
-    """Base, strong generators, basic orbits and explicit transversals."""
+    """Base, strong generators, basic orbits and their transversals."""
 
     degree: int
     levels: list = field(default_factory=list)
@@ -135,7 +183,7 @@ class StabChain:
             p = int(g[lv.base])
             if p == lv.base:
                 continue
-            if p not in lv.transversal:
+            if not lv.in_orbit(p):
                 return g, i
             g = compose(g, lv.inverse_of(p))
         return g, len(self.levels)
@@ -204,31 +252,30 @@ class GroupHandle:
         return self.chain.order()
 
 
-def build_stab_chain(g: GroupHandle, base_hint=None, max_seconds=None) -> StabChain:
+def build_stab_chain(g: GroupHandle, base_hint=None, max_seconds=None,
+                     order=None) -> StabChain:
     """Deterministic Schreier-Sims: every Schreier generator is sifted once.
 
     base_hint is used as a base prefix (kept even when redundant), which
     is how flag stabilizers are carved out downstream.
 
-    `stabilizer_of_prefix` re-bases a group whose order a verified chain
-    already proves, and its build stops at the top of a level once the
-    product of the basic orbit lengths equals that order.  The stop is
-    exact.  Level i's strong generators S(i) fix b_0..b_(i-1), and D_i is
-    the orbit of b_i under <S(i)>.  As <S(i+1)> <= <S(i)>_(b_i),
+    `order` is a proved upper bound on |G|, G = <g.generators>, or None.
+    With it the build stops at the top of a level once the product of the
+    basic orbit lengths equals `order`.  The stop is exact.  Level i's
+    strong generators S(i) fix b_0..b_(i-1), and D_i is the orbit of b_i
+    under <S(i)>.  As <S(i+1)> <= <S(i)>_(b_i),
     |<S(i)>| = |D_i| |<S(i)>_(b_i)| >= |D_i| |<S(i+1)>|, and by induction
-    prod |D_i| <= |<S(0)>| <= |G|.  Equality forces <S(0)> = G,
+    prod |D_i| <= |<S(0)>| <= |G| <= order.  Equality forces <S(0)> = G,
     <S(i+1)> = <S(i)>_(b_i) at every level and a trivial stabilizer of
     the last base point in the last level's group: the chain is complete,
     and every Schreier generator left unsifted would sift to the identity
     (Seress, Permutation Group Algorithms, 2003, ch. 4; Holt, Eick and
     O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).  A
-    build that ends with another order raises.
+    build that ends with another order raises.  The bound has two
+    sources: `_rebased_chain` (the order of a verified chain of a group
+    containing G) and `groupmodels.build_omega8plus2` (the order of a
+    faithful action of the same matrix group).
     """
-    return _schreier_sims(g, base_hint, max_seconds, target_order=None)
-
-
-def _schreier_sims(g: GroupHandle, base_hint, max_seconds, target_order) -> StabChain:
-    """The build loop; with target_order = |G| it stops as described above."""
     degree = g.degree
     chain = StabChain(degree=degree)
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
@@ -270,18 +317,20 @@ def _schreier_sims(g: GroupHandle, base_hint, max_seconds, target_order) -> Stab
     i = len(chain.levels) - 1
     while i >= 0:
         check_budget()
-        if target_order is not None:
+        if order is not None:
             for lv in chain.levels:
                 fresh(lv)
-            if chain.order() == target_order:
+            if chain.order() == order:
                 break
         lv = chain.levels[i]
         fresh(lv)
         stuck = None
         for p in lv.orbit:
             t = lv.transversal[p]
-            for s in lv.gens:
+            for si, s in enumerate(lv.gens):
                 q = int(s[p])
+                if lv.is_tree_edge(p, si, q):
+                    continue
                 schreier = compose(compose(t, s), lv.inverse_of(q))
                 if is_identity(schreier):
                     continue
@@ -295,13 +344,11 @@ def _schreier_sims(g: GroupHandle, base_hint, max_seconds, target_order) -> Stab
             i -= 1
         else:
             for j in range(stuck + 1):
-                if chain.levels[j].dirty:
-                    chain.levels[j].recompute(degree)
+                fresh(chain.levels[j])
             i = stuck
-    if target_order is not None and chain.order() != target_order:
+    if order is not None and chain.order() != order:
         raise ConfigurationError(
-            "re-based chain has order %d, but the recorded chain has order %d"
-            % (chain.order(), target_order))
+            "the chain has order %d, not the proved order %d" % (chain.order(), order))
     verify_chain(chain, g.generators)
     g.chain = chain
     return chain
@@ -317,8 +364,8 @@ def verify_chain(chain: StabChain, original_gens=None) -> None:
     exit every level passed its sift against the final deeper levels, and
     by Schreier's lemma each level's group is the base-point stabilizer
     of the one above (Seress, Permutation Group Algorithms, 2003, ch. 4).
-    A re-based build that stopped at a known order skipped some of those
-    sifts; there the order equality proves the same (`build_stab_chain`).
+    A build that stopped at a proved order skipped some of those sifts;
+    there the order equality proves the same (`build_stab_chain`).
     What remains: each transversal element reaches its point, no strong
     generator moves an earlier base point, and every original generator
     is a member.  Raises on any failure; afterwards order() is exact.
@@ -389,5 +436,5 @@ def _rebased_chain(g: GroupHandle, points) -> StabChain:
     for arr in g.generators:
         if not g.chain.contains(arr):
             raise ConfigurationError("a generator lies outside the recorded chain")
-    return _schreier_sims(GroupHandle(g.name, [Permutation(a) for a in g.generators]),
-                          points, None, target_order=g.chain.order())
+    return build_stab_chain(GroupHandle(g.name, [Permutation(a) for a in g.generators]),
+                            points, order=g.chain.order())

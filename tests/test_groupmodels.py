@@ -11,6 +11,7 @@ from d4fusion.groupmodels import (
     frame_from_involutions,
     frame_group_of,
     frame_sign_gens,
+    matrices_from_point_perms,
     matrix_from_point_perm,
     perm_matrix,
     standard_frame,
@@ -113,6 +114,16 @@ def test_chamber_matrices_match_perms(chamber_bundle, omega_handle):
         mat = chamber_bundle.matrices[int(i)]
         perm = pts.perm_of_matrix(mat)
         assert np.array_equal(perm, chamber_bundle.embedding[int(i)][:135])
+
+
+def test_matrix_gather_matches_the_reference(chamber_bundle, omega_handle):
+    emb = chamber_bundle.embedding
+    mats = matrices_from_point_perms(emb, omega_handle.geometry)
+    assert mats.shape == (SYLOW_ORDER, 8, 8) and mats.dtype == np.int64
+    for i in range(SYLOW_ORDER):
+        ref = matrix_from_point_perm(emb[i], omega_handle.geometry)
+        assert np.array_equal(mats[i], ref)
+        assert np.array_equal(chamber_bundle.matrices[i], ref)
 
 
 def test_embedding_verification_all_models(bundles):

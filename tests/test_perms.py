@@ -8,6 +8,7 @@ from d4fusion.perms import (
     cycles_of,
     identity_perm,
     inverse,
+    is_identity,
     perm_from_cycles,
     perm_order,
 )
@@ -47,6 +48,51 @@ def test_order_oracle_brute_force():
             q = q * p
             n += 1
         assert p.order() == n
+
+
+def power(a, k):
+    """a^k by binary powering with compose."""
+    out = np.arange(a.shape[0], dtype=a.dtype)
+    while k:
+        if k & 1:
+            out = compose(out, a)
+        a = compose(a, a)
+        k >>= 1
+    return out
+
+
+def prime_divisors(n):
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + ([n] if n > 1 else [])
+
+
+def test_order_and_cycles_against_powers():
+    # reference: the least k with a^k the identity, by repeated compose for
+    # the small degrees, and by a^k = 1 with a^(k/p) != 1 for each prime p | k
+    rng = np.random.default_rng(15)
+    cases = [np.arange(135, dtype=np.uint16)]
+    cases += [rng.permutation(n).astype(np.uint16) for n in (1, 2, 8, 135) for _ in range(6)]
+    for a in cases:
+        k = perm_order(a)
+        assert is_identity(power(a, k))
+        assert not any(is_identity(power(a, k // p)) for p in prime_divisors(k))
+        if a.shape[0] <= 8:
+            q, n = a, 1
+            while not is_identity(q):
+                q, n = compose(q, a), n + 1
+            assert n == k
+        cycles = cycles_of(a)
+        assert np.array_equal(perm_from_cycles(a.shape[0], cycles), a)
+        points = [x for c in cycles for x in c]
+        assert len(points) == len(set(points)) == int((a != np.arange(a.shape[0])).sum())
+        assert all(len(c) >= 2 and c[0] == min(c) for c in cycles)
+        assert np.lcm.reduce([len(c) for c in cycles] or [1]) == k
 
 
 def test_cycles_roundtrip():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -275,3 +276,55 @@ def test_rebase_against_a_smaller_recorded_chain_raises():
     s6 = GroupHandle("s6", sym_gens(6), chain=build_stab_chain(GroupHandle("a6", alt_gens(6))))
     with pytest.raises(ConfigurationError, match="outside the recorded chain"):
         stabilizer_of_prefix(s6, [4, 2])
+
+
+def test_transversal_is_composed_on_first_read():
+    chain = build_stab_chain(GroupHandle("c5", [Permutation.from_cycles(6, (0, 1, 2, 3, 4))]))
+    lv = chain.levels[0]
+    lv.recompute(chain.degree)
+    assert len(lv.transversal) == 1 and lv.orbit == [0, 1, 2, 3, 4]
+    assert int(lv.transversal[3][0]) == 3 and len(lv.transversal) == 4
+    assert lv.in_orbit(2) and not lv.in_orbit(5)
+    with pytest.raises(KeyError):
+        lv.transversal[5]
+
+
+def chain_sha(chain):
+    """One SHA-1 over each level's base, orbit, strong generators and
+    transversal elements in orbit order."""
+    h = hashlib.sha1()
+    for lv in chain.levels:
+        h.update(np.array([lv.base, len(lv.orbit), len(lv.gens)], np.int64).tobytes())
+        h.update(np.asarray(lv.orbit, np.int64).tobytes())
+        for s in lv.gens:
+            h.update(np.asarray(s, np.uint16).tobytes())
+        for p in lv.orbit:
+            h.update(np.asarray(lv.transversal[p], np.uint16).tobytes())
+    return h.hexdigest()
+
+
+OMEGA_CHAIN_SHA = "5a00d61fd8fddc2ad474a622751474121c4d0efb"
+# re-bases of the ambient O8+(2) chain on the flag base without entry k
+OMEGA_REBASE_SHA = ["02c3ef89d36549f03ca5f0c1b9bcbc38ca40338d",
+                    "a43f6e9d682fc6b4eafdf69e9d933a799246cb9a",
+                    "b1a5e63bd8b1769d28f2ef09506fed8980f5b927"]
+
+
+def test_chains_equal_their_pins(omega_handle, frame_bundle, affine_bundle):
+    assert chain_sha(omega_handle.chain) == OMEGA_CHAIN_SHA
+    for k, pin in enumerate(OMEGA_REBASE_SHA):
+        points = [b for j, b in enumerate(omega_handle.flag_base) if j != k]
+        assert chain_sha(stabchain._rebased_chain(omega_handle, points)) == pin
+    assert chain_sha(frame_bundle.ambient.chain) == "1e758cec8f4226779d3f65cf8d5f7ebda80e9649"
+    assert chain_sha(affine_bundle.ambient.chain) == "91790cf97e17ac65ca0415d5f628f4a617c27ec3"
+
+
+def test_known_order_build_equals_the_full_build(omega_handle):
+    full = build_stab_chain(GroupHandle("full", [Permutation(a) for a in omega_handle.generators]),
+                            base_hint=omega_handle.flag_base)
+    assert chain_sha(full) == chain_sha(omega_handle.chain) == OMEGA_CHAIN_SHA
+
+
+def test_build_short_of_the_given_order_raises():
+    with pytest.raises(ConfigurationError, match="order 720.*order 1440"):
+        build_stab_chain(GroupHandle("s6", sym_gens(6)), order=1440)
