@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley import AutoMap, CayleyGroup, check_isomorphism
+from .cayley import AutoMap, CayleyGroup, check_isomorphism, closure_levels
 from .perms import ConfigurationError, ResourceError
 from .structure import StructureContext
 
@@ -162,44 +162,32 @@ class _Prefix:
     """BFS data for the subgroup generated by the first i anchors of g1."""
 
     elements: np.ndarray        # global indices, BFS order, [0] = identity
-    local_of: dict
     layer_parent: np.ndarray    # local parent index per element (BFS order)
     layer_gen: np.ndarray       # anchor position used to reach it
     products: np.ndarray        # products[x_local, j] = local index of x * a_j
 
 
 def _anchor_prefixes(S: CayleyGroup, anchors):
+    """One `closure_levels` run per prefix of the anchors, on 1-wide rows.
+
+    A row holds one element index and anchor j sends it to T[x, a_j], so
+    the closure's first-occurrence order, parents and product indices are
+    the prefix subgroup's BFS data in local indices.
+    """
     out = []
     for i in range(1, len(anchors) + 1):
-        gens = anchors[:i]
-        elements = [0]
-        local = {0: 0}
-        parent = [0]
-        genpos = [0]
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for j, a in enumerate(gens):
-                    z = int(S.T[elements[x], a])
-                    if z not in local:
-                        local[z] = len(elements)
-                        elements.append(z)
-                        parent.append(x)
-                        genpos.append(j)
-                        nxt.append(local[z])
-            frontier = nxt
-        elements = np.array(elements, dtype=np.int64)
-        products = np.empty((len(elements), i), dtype=np.int64)
-        for j, a in enumerate(gens):
-            prods = S.T[elements, a]
-            products[:, j] = [local[int(p)] for p in prods]
+        start = np.zeros((1, 1), dtype=S.T.dtype)
+        rows, parent, gen, prods = [start], [[0]], [[0]], []
+        for new, f, j, prod in closure_levels(start, S.T[:, anchors[:i]].T, [0]):
+            rows.append(new)
+            parent.append(f)
+            gen.append(j)
+            prods.append(prod)
         out.append(_Prefix(
-            elements=elements,
-            local_of=local,
-            layer_parent=np.array(parent, dtype=np.int64),
-            layer_gen=np.array(genpos, dtype=np.int64),
-            products=products,
+            elements=np.concatenate(rows)[:, 0].astype(np.int64),
+            layer_parent=np.concatenate(parent),
+            layer_gen=np.concatenate(gen),
+            products=np.concatenate(prods),
         ))
     return out
 
@@ -459,7 +447,8 @@ def order3_automorphisms(ctx: StructureContext, budget_secs: float = 7200.0,
 def order3_behavior(ctx: StructureContext, auto: AutoMap) -> dict:
     """Verify the expected action: trivial on Q/Phi(S), a single fixed
     nontrivial coset downstairs (the distinguished one), commutator image
-    of order 4, and the six E's permuted in two 3-cycles."""
+    of order 4, and the six E's permuted in two 3-cycles.  The tests and
+    the `search` benchmark gate call it."""
     S = ctx.S
     out = {}
     out["fixes_Q"] = auto.stabilizes(ctx.Q)

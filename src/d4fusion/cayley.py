@@ -12,6 +12,14 @@ work against a verified generating set of the subgroup, at O(|H| * k) for
 a subgroup H with k generators.  No n x n commutator table is built:
 every reader, the elementary abelian search on the involution commuting
 graph included, gathers the commutators it needs (`_commutators`).
+
+One closure engine, `closure_levels`, enumerates elements with parents
+and products: the `from_generators` tables, the ambient-conjugacy oracle,
+the alternating-group scans and the search's anchor prefixes.
+`CayleyGroup.closure` stays apart, a keyless bit-vector fixpoint inside a
+built table that the battery calls thousands of times; so does
+`stabchain._Level.recompute`, whose ascending orbit layers the pinned
+chains rest on, as the pinned tables rest on the engine's order.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from .perms import ConfigurationError, ResourceError
 IDX = np.uint16
 _ROOT_BLOCK = 8  # roots per level-synchronous step of span_search
 _ROW_BLOCK = 256  # rows per block of the table builds and checks
+_GATHER = 1 << 20  # entries per row gather of closure_levels, so none copies a level
 
 
 class ClosureError(ValueError):
@@ -109,14 +118,10 @@ class CayleyGroup:
         """Enumerate the permutation group <generators> and build its table.
 
         The generators are image arrays of one degree d; "a then b" is
-        ``b[a]``.  The closure is breadth-first, one level per step.  An
-        element is keyed by its images on `base` (all d points when None).
-        Each level gathers the keys of x * g_j for every frontier element
-        x and generator g_j, in row-major (x, j) order, and matches them
-        against the known keys by sort and `searchsorted`; an unknown key
-        becomes a new element at its first occurrence, so indices and BFS
-        parents are those of the one-at-a-time closure.  Full rows are
-        gathered only for the new elements, from their parents' rows.
+        ``b[a]``.  The elements are the rows that `closure_levels` reaches
+        from the identity under x -> x then g_j, keyed by their images on
+        `base` (all d points when None); past `max_order` of them the
+        closure raises `ResourceError`.
 
         The table follows from cols[j, x] = x * g_j and the BFS
         decomposition b = f * g_j with f on an earlier level:
@@ -140,48 +145,22 @@ class CayleyGroup:
         """
         gens = np.stack([np.asarray(g, dtype=IDX) for g in generators])
         k, d = gens.shape
-        base = np.arange(d) if base is None else np.asarray(base, dtype=np.intp)
-        void = np.dtype((np.void, len(base) * gens.itemsize))
-
-        def keys(points):  # one opaque sortable key per row of base images
-            return np.ascontiguousarray(points, dtype=IDX).view(void).ravel()
-
-        frontier = np.arange(d, dtype=IDX)[None, :]
-        levels, known = [frontier], keys(frontier[:, base])
-        parent, gen_pos = [np.array([-1])], [np.array([-1])]
-        cols = np.empty((k, max_order), dtype=IDX)
+        levels = [np.arange(d, dtype=IDX)[None, :]]
+        parent, gen_pos, prods = [np.array([-1])], [np.array([-1])], []
         n = 1
-        while len(frontier):
-            lo, width = n - len(frontier), len(frontier)
-            cand = keys(gens[np.arange(k)[None, :, None], frontier[:, None, base]]
-                        .reshape(width * k, len(base)))
-            order = np.argsort(known)
-            idx = order[np.searchsorted(known[order], cand) % len(order)]
-            miss = np.flatnonzero(known[idx] != cand)
-            new_keys, first, which = np.unique(cand[miss], return_index=True,
-                                               return_inverse=True)
-            rank = np.argsort(first)  # the new elements, in order of first occurrence
-            new_index = np.empty(len(rank), dtype=np.int64)
-            new_index[rank] = n + np.arange(len(rank))
-            idx[miss] = new_index[which.ravel()]
-            cols[:, lo:lo + width] = idx.reshape(width, k).T
-            src = miss[first[rank]]
-            f, j = src // k, src % k
-            frontier = np.empty((len(src), d), dtype=IDX)
-            for jj in range(k):
-                sel = j == jj
-                frontier[sel] = gens[jj][levels[-1][f[sel]]]
-            n += len(src)
+        for rows, f, j, prod in closure_levels(levels[0], gens,
+                                               np.arange(d) if base is None else base):
+            n += len(rows)
             if n > max_order:
                 raise ResourceError("group closure exceeded max_order")
-            levels.append(frontier)
-            known = np.concatenate([known, new_keys[rank]])
-            parent.append(lo + f)
+            levels.append(rows)
+            parent.append(f)
             gen_pos.append(j)
+            prods.append(prod)
         elements = np.concatenate(levels)
         parent, gen_pos = np.concatenate(parent), np.concatenate(gen_pos)
-        order = np.argsort(known)
-        gen_idx = order[np.searchsorted(known[order], keys(gens[:, base]))].tolist()
+        cols = np.concatenate(prods).T  # cols[j, x] = x * g_j
+        gen_idx = prods[0][0].tolist()  # 1 * g_j
         gen_rows = np.empty((k, n), dtype=IDX)
         gen_rows[:, 0] = gen_idx
         T = np.empty((n, n), dtype=IDX)
@@ -280,9 +259,6 @@ class CayleyGroup:
         return gens
 
     # -- primitives ---------------------------------------------------------
-
-    def mul(self, a, b):
-        return int(self.T[int(a), int(b)])
 
     def conj_map_images(self, g) -> np.ndarray:
         """The inner automorphism x -> g^-1 x g as a full image array."""
@@ -750,6 +726,64 @@ def orbit_minima(n: int, src, dst) -> np.ndarray:
             return label
 
 
+def closure_levels(start, post, base, pre=None):
+    """Close the distinct rows of `start` under x -> pre_j then x then post_j.
+
+    A row is an image array, "a then b" is ``b[a]``, so generator j sends
+    x to ``post[j][x[pre[j]]]`` (``post[j][x]`` when `pre` is None).  Rows
+    are keyed by their values on `base`, which the caller proves or checks
+    to tell them apart.  Each step keys the products of every frontier row
+    with every generator in row-major (x, j) order and looks them up by
+    `searchsorted` in the known keys, kept sorted; an unknown key becomes
+    a new row, numbered after the start rows and earlier levels, at its
+    first occurrence, as in the one-at-a-time breadth-first closure.  Full
+    rows are gathered only for new rows, and only the keys and the
+    frontier are kept.  Yields per step the new rows (none at the last
+    step), each one's parent index and generator position, and the
+    (frontier, generator) array of the index of every product.
+    """
+    post = np.asarray(post)
+    k = len(post)
+    base = np.asarray(base, dtype=np.intp)
+    at = base[None, :] if pre is None else np.asarray(pre)[:, base]
+    void = np.dtype((np.void, len(base) * post.itemsize))
+
+    def keys(points):  # one opaque sortable key per row of base values
+        return np.ascontiguousarray(points, dtype=post.dtype).view(void).ravel()
+
+    frontier = np.asarray(start, dtype=post.dtype)
+    known = keys(frontier[:, base])
+    order = np.argsort(known)  # known is kept sorted, order[i] is the index of known[i]
+    known = known[order]
+    n = len(frontier)
+    while len(frontier):
+        lo, width = n - len(frontier), len(frontier)
+        cand = keys(post[np.arange(k)[None, :, None], frontier[:, at]]
+                    .reshape(width * k, len(base)))
+        pos = np.searchsorted(known, cand) % len(known)
+        idx = order[pos]
+        miss = np.flatnonzero(known[pos] != cand)
+        new_keys, first, which = np.unique(cand[miss], return_index=True,
+                                           return_inverse=True)
+        rank = np.argsort(first)  # the new rows, in order of first occurrence
+        new_index = np.empty(len(rank), dtype=np.int64)
+        new_index[rank] = n + np.arange(len(rank))
+        idx[miss] = new_index[which.ravel()]
+        src = miss[first[rank]]
+        f, j = src // k, src % k
+        rows = np.empty((len(src), frontier.shape[1]), dtype=post.dtype)
+        for jj in range(k):
+            sel = np.flatnonzero(j == jj)
+            for part in np.array_split(sel, 1 + sel.size * rows.shape[1] // _GATHER):
+                x = frontier[f[part]] if pre is None else frontier[f[part, None], pre[jj]]
+                rows[part] = post[jj][x]
+        n += len(src)
+        pos = np.searchsorted(known, new_keys)  # new_keys come sorted from np.unique
+        known, order = np.insert(known, pos, new_keys), np.insert(order, pos, new_index)
+        frontier = rows
+        yield rows, lo + f, j, idx.reshape(width, k)
+
+
 def _popcount(arr):
     arr = np.asarray(arr, dtype=np.int64)
     out = np.zeros_like(arr)
@@ -817,9 +851,6 @@ class AutoMap:
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=IDX)
         check_isomorphism(self.images, self.group, self.group, self.domain)
-
-    def apply(self, x):
-        return int(self.images[int(x)])
 
     def map_order(self) -> int:
         k = 1

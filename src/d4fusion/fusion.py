@@ -12,17 +12,18 @@ induced automizer orders on the six elementary abelian subgroups).
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .automorphisms import order3_automorphisms
-from .cayley import AutoMap, CayleyGroup, SubgroupBits, inner_automap, orbit_minima
+from .cayley import (AutoMap, CayleyGroup, SubgroupBits, closure_levels, inner_automap,
+                     orbit_minima)
 from .domains import singular_objects
 from .groupmodels import (
     ModelBundle,
+    a8_generators,
     check_in_omega,
     frame_from_involutions,
     frame_group_of,
@@ -192,8 +193,9 @@ def automizer_from_model(bundle: ModelBundle, overgroup_gens, order3_elem,
     """Slot for the 2-radical of one minimal overgroup P of S.
 
     The radical is the intersection of the three Sylow conjugates of S in
-    P.  The inner maps come from S's own table, the others from ambient
-    conjugation by the P-generators and the order-3 element.  The
+    P.  The inner maps come from S's own table, one per element of S's
+    verified generating set; the others from ambient conjugation by the
+    P-generators outside S and the order-3 element.  The
     induced group on the radical must exceed the S-conjugation image by an
     odd factor of exactly 3 (so the outer automizer is of order 6).  That
     image is S / C_S(R) for the radical R, read off one centralizer.
@@ -211,7 +213,7 @@ def automizer_from_model(bundle: ModelBundle, overgroup_gens, order3_elem,
     if radical.order != 2048:
         raise ConfigurationError("radical of the minimal overgroup has order %d"
                                  % radical.order)
-    inner_maps = [inner_automap(S, gi, radical) for gi in S.gen_indices]
+    inner_maps = [inner_automap(S, gi, radical) for gi in S.generating_set()]
     outer_maps = [conjugation_automap(bundle, radical, np.asarray(g, dtype=np.uint16))
                   for g in overgroup_gens]
     order3_map = conjugation_automap(bundle, radical, g3)
@@ -271,6 +273,20 @@ def chamber_parabolic_slots(bundle: ModelBundle):
 # -- frame models: the three minimal overgroups over the letter action -------
 
 
+def _letter_group(gens, cap):
+    """The elements of <gens> on 8 letters, as rows, by `closure_levels`.
+
+    The closure stops at the first level that takes it past `cap` rows, so
+    a result of at most `cap` rows is the whole group: an exact order test.
+    """
+    rows = [np.arange(8, dtype=np.uint16)[None, :]]
+    for new, *_ in closure_levels(rows[0], gens, np.arange(8)):
+        rows.append(new)
+        if sum(map(len, rows)) > cap:
+            break
+    return np.concatenate(rows)
+
+
 def minimal_overgroups_in_alternating(t_gens):
     """Order-3 letter permutations generating the three minimal overgroups
     of an order-64 Sylow inside the alternating group on 8 letters.
@@ -280,23 +296,22 @@ def minimal_overgroups_in_alternating(t_gens):
     containing T are equal iff one contains the other's extra generator, so
     an element inside an overgroup already found is skipped.  So is an e
     with some e * t of order not dividing 192: <T, e> cannot have order 192.
+    T and each <T, e> are enumerated (`_letter_group`); only the scan
+    order comes from a chain, that of the alternating group.
     """
     t_gens = [np.asarray(t, dtype=np.uint16) for t in t_gens]
-    t_chain = build_stab_chain(GroupHandle("t", [Permutation(t) for t in t_gens]))
-    if t_chain.order() != 64:
+    if len(_letter_group(t_gens, 64)) != 64:
         raise ConfigurationError("letter image of the Sylow does not have order 64")
-    a8 = GroupHandle("a8", [Permutation.from_cycles(8, (0, 1, k)) for k in range(2, 8)])
-    a8_chain = build_stab_chain(a8)
-    chains, found = [], []
-    for e in a8_chain.elements():
+    inside, found = set(), []  # the members of the overgroups found, as bytes
+    for e in build_stab_chain(GroupHandle("a8", a8_generators())).elements():
         e = np.asarray(e, dtype=np.uint16)
-        if perm_order(e) != 3 or any(c.contains(e) for c in chains):
+        if perm_order(e) != 3 or e.tobytes() in inside:
             continue
         if any(192 % perm_order(compose(e, t)) for t in t_gens):
             continue
-        chain = build_stab_chain(GroupHandle("overgroup", t_gens + [e]))
-        if chain.order() == 192:
-            chains.append(chain)
+        rows = _letter_group(t_gens + [e], 192)
+        if len(rows) == 192:
+            inside.update(row.tobytes() for row in rows)
             found.append(e)
             if len(found) == 3:
                 break
@@ -328,7 +343,8 @@ def frame_parabolic_slots(bundle: ModelBundle, frame_handle, tag_prefix: str):
     The frame group maps onto the alternating group of its 8 lines; the
     minimal overgroups of S are the preimages of the minimal overgroups of
     the letter image of S, realized by lifting one order-3 letter
-    permutation each.
+    permutation each.  P = <S, g3> for the lift g3, so the slot's maps are
+    the inner maps and the conjugation by g3.
     """
     frame = frame_handle.frame
     t_gens = [frame_line_action(frame, bundle.matrices[int(gi)])
@@ -342,10 +358,8 @@ def frame_parabolic_slots(bundle: ModelBundle, frame_handle, tag_prefix: str):
         mat = (c @ perm_matrix(rho) @ cinv) % 3
         check_in_omega(mat)
         g3 = dom.perm_of_matrix(mat)
-        over_gens = [bundle.embedding[int(gi)] for gi in bundle.sylow.gen_indices]
-        slots.append(automizer_from_model(
-            bundle, over_gens + [g3], g3,
-            tag="%s-parabolic-%d" % (tag_prefix, k)))
+        slots.append(automizer_from_model(bundle, [], g3,
+                                          tag="%s-parabolic-%d" % (tag_prefix, k)))
     return slots
 
 
@@ -411,7 +425,7 @@ def _verify_sylow_inside(bundle: ModelBundle, handle: GroupHandle):
 
 def inner_aut_s_maps(bundle: ModelBundle):
     S = bundle.sylow
-    return [inner_automap(S, g) for g in S.gen_indices]
+    return [inner_automap(S, g) for g in S.generating_set()]
 
 
 def compatible_order3_map(ctx: StructureContext, candidates, auto: AutoMap):
@@ -665,7 +679,8 @@ def _invariant_form_info(vec_perms):
 
 
 def delete_slot(fs: FusionSystem, candidate_bits: SubgroupBits) -> FusionSystem:
-    """The same system minus the slot whose subgroup matches the given bits."""
+    """The same system minus the slot whose subgroup matches the given bits:
+    a seeded defect for the radical tests."""
     kept = [s for s in fs.essentials
             if not np.array_equal(s.subgroup.bits, candidate_bits.bits)]
     if len(kept) == len(fs.essentials):
@@ -675,7 +690,8 @@ def delete_slot(fs: FusionSystem, candidate_bits: SubgroupBits) -> FusionSystem:
 
 
 def inner_only_system(fs: FusionSystem) -> FusionSystem:
-    """Only the inner maps of S; its radical is S itself."""
+    """Only the inner maps of S; its radical is S itself.  A seeded defect
+    for the radical tests."""
     inner = [a for a in fs.aut_s_gens if a.domain is None]
     return FusionSystem(ctx=fs.ctx, essentials=[], aut_s_gens=inner,
                         variant="inner-only", notes={})
@@ -688,48 +704,33 @@ def inner_only_system(fs: FusionSystem) -> FusionSystem:
 def ambient_involution_fusion(bundle: ModelBundle) -> np.ndarray:
     """Partition of the involutions of S by conjugacy in the ambient group.
 
-    For each unlabeled involution the full ambient conjugacy class is
-    closed by breadth-first search over generator conjugation (the class
-    sizes stay in the tens of thousands), and the class is intersected
-    with S through element digests.  Used as the independent oracle for
-    the flag-model fusion partition.
+    For each unlabeled involution the full ambient conjugacy class (tens
+    of thousands of elements) is streamed level by level through
+    `closure_levels` under x -> g^-1 x g, keyed on the ambient chain's
+    base: elements of a verified chain's group that agree on its base are
+    equal.  Each level meets S by `bundle.lookup`, which compares every
+    hit at full degree.  The independent oracle for the flag-model fusion
+    partition: it shares no code with the systems, only the closure with
+    the Sylow table build, which `check_embedding` proves separately.
     """
     S = bundle.sylow
-    gens = bundle.ambient.generators
-    gpairs = [(g, inverse(g)) for g in gens]
+    post = np.stack(bundle.ambient.generators)
+    pre = np.stack([inverse(g) for g in post])
+    base = bundle.ambient.chain.base
     labels = np.full(S.n, -1, dtype=np.int64)
-    s_digest = {}
-    for i in range(S.n):
-        if S.order_of[i] == 2:
-            s_digest[hashlib.blake2b(bundle.embedding[i].tobytes(),
-                                     digest_size=16).digest()] = i
-    next_label = 0
-    for i in range(S.n):
-        if S.order_of[i] != 2 or labels[i] >= 0:
+    label = -1
+    for i in np.flatnonzero(S.order_of == 2):
+        if labels[i] >= 0:
             continue
-        start = bundle.embedding[i]
-        d0 = hashlib.blake2b(start.tobytes(), digest_size=16).digest()
-        visited = {d0}
-        frontier = [start]
-        hits = [i]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, ginv in gpairs:
-                    y = compose(compose(ginv, x), g)
-                    d = hashlib.blake2b(y.tobytes(), digest_size=16).digest()
-                    if d not in visited:
-                        visited.add(d)
-                        nxt.append(y)
-                        j = s_digest.get(d)
-                        if j is not None:
-                            hits.append(j)
-            frontier = nxt
-        for j in hits:
-            if labels[j] >= 0 and labels[j] != next_label:
-                raise ConfigurationError("ambient classes overlap; digest collision?")
-            labels[j] = next_label
-        next_label += 1
+        label += 1
+        hits = [[i]]
+        for rows, *_ in closure_levels(bundle.embedding[i][None, :], post, base, pre):
+            idx = bundle.lookup(rows[:, bundle.sig_cols], rows)
+            hits.append(idx[idx >= 0])
+        hits = np.concatenate(hits)
+        if ((labels[hits] >= 0) & (labels[hits] != label)).any():
+            raise ConfigurationError("ambient classes overlap")
+        labels[hits] = label
     return labels
 
 
@@ -737,7 +738,7 @@ def involution_partition_matches_ambient(fs: FusionSystem,
                                          partition: FusionClassPartition,
                                          bundle: ModelBundle) -> dict:
     """Element-by-element comparison of the fusion classes of involutions
-    against ambient conjugacy restricted to S."""
+    against ambient conjugacy restricted to S: the tests' oracle check."""
     S = fs.s
     amb = ambient_involution_fusion(bundle)
     inv = np.flatnonzero(S.order_of == 2)

@@ -114,10 +114,6 @@ GF2_SPACE = Gf2PlusSpace()
 GF3_SPACE = Gf3SumSquaresSpace()
 
 
-def eval_quadratic(space: QuadraticSpace, v):
-    return space.eval_q(v)
-
-
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra on packed rows
 
@@ -290,10 +286,6 @@ class IsometryMatrix:
             raise ConfigurationError("isometry matrices are 8x8")
         check_isometry(self.space, self.entries)
 
-    def apply(self, v):
-        return (self.entries @ (np.asarray(v, dtype=np.int64) % self.space.field_order)) \
-            % self.space.field_order
-
     @property
     def dickson_bit(self) -> int:
         if self._dickson is None:
@@ -324,7 +316,8 @@ def check_isometry(space, mat) -> None:
 
 
 def is_isometry_exhaustive(space, mat) -> bool:
-    """Full loop over every vector of the space; used by tests."""
+    """Full loop over every vector of the space: the tests' reference for
+    `check_isometry`."""
     p = space.field_order
     mat = np.asarray(mat, dtype=np.int64) % p
     if p == 2:
@@ -429,5 +422,6 @@ def spinor_norm(space: QuadraticSpace, mat) -> str:
 
 
 def in_omega_gf3(space: QuadraticSpace, mat) -> bool:
-    """det 1 and square spinor norm."""
+    """det 1 and square spinor norm.  Kept as the tests' membership
+    reference, and `benchmarks/tracing.py` counts it."""
     return gf3_det(mat) == 1 and spinor_norm(space, mat) == "square"

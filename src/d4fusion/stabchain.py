@@ -31,11 +31,9 @@ from .perms import (
 
 
 def orbit(generators, point: int):
-    """Orbit of a point under a generator list.
-
-    Breadth-first with ascending tie-break inside each layer, so the
-    returned list has a deterministic order independent of generator
-    order quirks.
+    """Orbit of a point under a generator list: the orbit of a level with
+    that base point (`_Level.recompute`), each BFS layer ascending, so the
+    order does not depend on the order of the generators.
     """
     gens = [as_images(g) for g in generators]
     if not gens:
@@ -46,23 +44,10 @@ def orbit(generators, point: int):
             raise ConfigurationError("degree mismatch among generators")
     if not (0 <= point < degree):
         raise ConfigurationError("point outside the domain")
-    seen = np.zeros(degree, dtype=bool)
-    seen[point] = True
-    out = [point]
-    frontier = [point]
-    while frontier:
-        nxt = set()
-        for g in gens:
-            images = g[frontier]
-            fresh = images[~seen[images]]
-            for q in fresh:
-                nxt.add(int(q))
-        nxt = sorted(nxt)
-        for q in nxt:
-            seen[q] = True
-        out.extend(nxt)
-        frontier = nxt
-    return out
+    lv = _Level(point)
+    lv.gens = gens
+    lv.recompute(degree)
+    return lv.orbit
 
 
 class _Transversal(dict):
@@ -231,7 +216,6 @@ class GroupHandle:
     name: str
     generators: list
     chain: StabChain | None = None
-    domain_description: str = ""
 
     def __post_init__(self):
         arrs = [as_images(g) for g in self.generators]
@@ -368,15 +352,32 @@ def verify_chain(chain: StabChain, original_gens=None) -> None:
     there the order equality proves the same (`build_stab_chain`).
     What remains: each transversal element reaches its point, no strong
     generator moves an earlier base point, and every original generator
-    is a member.  Raises on any failure; afterwards order() is exact.
+    is a member.  Transversal elements composed so far are checked
+    directly, the others through the Schreier vector: each orbit point q
+    but the base has a parent p earlier in the orbit and a generator g
+    with p^g = q, so by induction along the orbit t_q = t_p then g reaches
+    q.  Raises on any failure; afterwards order() is exact.
     """
     degree = chain.degree
     for i, lv in enumerate(chain.levels):
         if lv.dirty:
             lv.recompute(degree)
-        for p in lv.orbit:
-            if int(lv.transversal[p][lv.base]) != p:
+        tv = lv.transversal
+        for p, t in dict.items(tv):
+            if int(t[lv.base]) != p:
                 raise ConfigurationError("transversal element does not reach its point")
+        points = np.asarray(lv.orbit, dtype=np.int64)
+        position = np.full(degree + 1, len(points))  # off the orbit, or -1
+        position[points] = np.arange(len(points))
+        q = points[1:]
+        parent, gen_of = np.asarray(tv.parent)[q], np.asarray(tv.gen_of)[q]
+        if ((position[parent] >= position[q]) | (gen_of < 0)
+                | (gen_of >= len(lv.gens))).any():
+            raise ConfigurationError("a Schreier vector entry does not lie on the orbit")
+        for gi, s in enumerate(lv.gens):
+            sel = gen_of == gi
+            if (s[parent[sel]] != q[sel]).any():
+                raise ConfigurationError("a Schreier vector edge misses its point")
         prefix = np.asarray(chain.base[:i], dtype=np.int64)
         for s in lv.gens:
             if (s[prefix] != prefix).any():
@@ -398,8 +399,7 @@ def stabilizer_of_prefix(g: GroupHandle, points) -> GroupHandle:
     if not points:
         if g.chain is None:
             build_stab_chain(g)
-        return GroupHandle(g.name, [Permutation(a) for a in g.generators], g.chain,
-                           g.domain_description)
+        return GroupHandle(g.name, [Permutation(a) for a in g.generators], g.chain)
     chain = g.chain
     if chain is None:
         chain = g.chain = build_stab_chain(
@@ -419,7 +419,6 @@ def stabilizer_of_prefix(g: GroupHandle, points) -> GroupHandle:
         name="%s_stab%r" % (g.name, tuple(points)),
         generators=[Permutation(a) for a in gens],
         chain=sub,
-        domain_description=g.domain_description,
     )
     return handle
 

@@ -5,6 +5,7 @@ import pytest
 
 from d4fusion.automorphisms import (
     SearchOutcome,
+    _anchor_prefixes,
     element_colors,
     find_isomorphism,
     joint_colors,
@@ -342,3 +343,28 @@ def test_frattini_actions_match_product_loop(contexts, name):
     got = _frattini_action_candidates(ctx, coords)
     assert got and all(t.dtype == np.int64 for t in got)
     assert [t.tolist() for t in got] == _frattini_reference(ctx, coords)
+
+
+def test_anchor_prefixes_match_the_one_at_a_time_bfs(contexts):
+    # the reference: a Python BFS that appends each new element in (x, j) order
+    S = contexts["omega8plus2"].S
+    anchors = S.generating_set()
+    for i, prefix in enumerate(_anchor_prefixes(S, anchors), start=1):
+        elements, local, parent, genpos, frontier = [0], {0: 0}, [0], [0], [0]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for j, a in enumerate(anchors[:i]):
+                    z = int(S.T[elements[x], a])
+                    if z not in local:
+                        local[z] = len(elements)
+                        elements.append(z)
+                        parent.append(x)
+                        genpos.append(j)
+                        nxt.append(local[z])
+            frontier = nxt
+        products = [[local[int(S.T[e, a])] for a in anchors[:i]] for e in elements]
+        assert prefix.elements.tolist() == elements
+        assert prefix.layer_parent.tolist() == parent
+        assert prefix.layer_gen.tolist() == genpos
+        assert prefix.products.tolist() == products

@@ -9,10 +9,11 @@ from d4fusion.cayley import (
     CayleyGroup,
     ClosureError,
     SubgroupBits,
+    closure_levels,
     enumerate_elab_subgroups,
     inner_automap,
 )
-from d4fusion.perms import Permutation, ResourceError, compose
+from d4fusion.perms import Permutation, ResourceError, compose, inverse
 
 
 def perm_group(gens):
@@ -125,7 +126,7 @@ def test_closure_against_brute(d8):
     # closure of a reflection and the rotation square
     s_idx = d8.gen_indices[1]
     r_idx = d8.gen_indices[0]
-    r2 = d8.mul(r_idx, r_idx)
+    r2 = int(d8.T[r_idx, r_idx])
     sub = d8.closure([s_idx, r2])
     # oracle: repeated set products
     elems = {0, s_idx, r2}
@@ -134,7 +135,7 @@ def test_closure_against_brute(d8):
         grown = False
         for a in list(elems):
             for b in list(elems):
-                c = d8.mul(a, b)
+                c = int(d8.T[a, b])
                 if c not in elems:
                     elems.add(c)
                     grown = True
@@ -145,7 +146,7 @@ def test_centralizer_matches_definition(d8):
     s_idx = d8.gen_indices[1]
     cen = d8.centralizer([s_idx])
     for x in range(d8.n):
-        commutes = d8.mul(x, s_idx) == d8.mul(s_idx, x)
+        commutes = int(d8.T[x, s_idx]) == int(d8.T[s_idx, x])
         assert bool(cen.bits[x]) == commutes
 
 
@@ -543,7 +544,7 @@ def test_coset_reps_cover_only_the_subgroup(d8):
     assert np.array_equal(part[v4.members], whole[v4.members])
     assert (part[~v4.bits] == -1).all()
     for x in range(d8.n):
-        assert whole[x] == min(d8.mul(k, x) for k in z.members)
+        assert whole[x] == min(int(d8.T[k, x]) for k in z.members)
 
 
 # -- table construction against the definition -------------------------------
@@ -613,3 +614,21 @@ def test_from_generators_respects_max_order():
     gens = _perm_case(5, (0, 1, 2, 3, 4), (0, 1))
     with pytest.raises(ResourceError):
         CayleyGroup.from_generators(gens, max_order=100)
+
+
+def test_closure_levels_under_conjugation_gives_the_conjugacy_classes():
+    # x -> g^-1 x g on the rows of S4: each closure is one class
+    gens = np.stack(_perm_case(4, (0, 1, 2, 3), (0, 1), (1, 2)))
+    g = CayleyGroup.from_generators(gens)
+    index = {e.tobytes(): i for i, e in enumerate(g.elements)}
+    pre = np.stack([inverse(a) for a in gens])
+    classes = np.full(g.n, -1)
+    for x in range(g.n):
+        start = g.elements[x][None, :]
+        rows = np.concatenate([start] + [r for r, *_ in closure_levels(
+            start, gens, np.arange(4), pre)])
+        members = [index[r.tobytes()] for r in rows]
+        assert len(set(members)) == len(members)
+        classes[x] = min(members)
+    assert np.array_equal(classes, g.conjugacy_classes())
+    assert sorted(np.unique(classes, return_counts=True)[1]) == [1, 3, 6, 6, 8]

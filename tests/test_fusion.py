@@ -3,9 +3,11 @@ import copy
 import numpy as np
 import pytest
 
+from d4fusion import fusion
 from d4fusion.cayley import inner_automap
 from d4fusion.fusion import (
     EssentialSlot,
+    ambient_involution_fusion,
     aut_group_on_elab,
     check_O2,
     conjugation_automap,
@@ -116,7 +118,7 @@ def test_slot_inner_maps_equal_ambient_conjugation(fusion_systems, bundles, vari
     bundle = bundles["omega8plus2" if variant == "O8p2" else "frame"]
     S = bundle.sylow
     for slot in fusion_systems[variant].essentials:
-        for gi, table_map in zip(S.gen_indices, slot.automizer_gens):
+        for gi, table_map in zip(S.generating_set(), slot.automizer_gens):
             ambient = conjugation_automap(bundle, slot.subgroup, bundle.embedding[gi])
             assert np.array_equal(table_map.images, ambient.images)
 
@@ -421,6 +423,34 @@ def test_minimal_overgroups_are_three_distinct_order_192_groups(frame_bundle):
         assert len(elements) == len(set(elements)) == 192
         element_sets.append(elements)
     assert len({tuple(s) for s in element_sets}) == 3
+
+
+def test_minimal_overgroup_letters_are_pinned_and_need_one_chain(frame_bundle,
+                                                                monkeypatch):
+    frame = frame_bundle.extras["frame"]
+    t_gens = [frame_line_action(frame, frame_bundle.matrices[int(gi)])
+              for gi in frame_bundle.sylow.gen_indices]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return build_stab_chain(*args, **kwargs)
+
+    monkeypatch.setattr(fusion, "build_stab_chain", counting)
+    letters = minimal_overgroups_in_alternating(t_gens)
+    assert [rho.tolist() for rho in letters] == [[3, 2, 4, 5, 1, 0, 6, 7],
+                                                 [1, 2, 0, 3, 6, 4, 5, 7],
+                                                 [2, 0, 1, 3, 6, 4, 5, 7]]
+    assert calls == ["a8"]
+
+
+def test_ambient_oracle_partition(chamber_bundle):
+    labels = ambient_involution_fusion(chamber_bundle)
+    S = chamber_bundle.sylow
+    assert ((labels >= 0) == (S.order_of == 2)).all()
+    # class sizes in label order: each class is labelled at its least involution
+    assert np.unique(labels[labels >= 0], return_counts=True)[1].tolist() == \
+        [68, 103, 188, 68, 68]
 
 
 @pytest.mark.parametrize("variant", ["O8p2", "PO8p3x3"])

@@ -217,6 +217,25 @@ def test_verify_chain_rejects_a_tampered_transversal_entry():
         verify_chain(chain)
 
 
+@pytest.mark.parametrize("entry", ["gen_of", "parent", "parent_later"])
+def test_verify_chain_rejects_a_tampered_schreier_vector_entry(entry):
+    # the cached transversal entries stay right: only the Schreier vector
+    # check sees the tampered edge
+    chain = s6_chain()
+    lv = chain.levels[0]
+    tv = lv.transversal
+    q = next(r for r in reversed(lv.orbit) if tv.parent[r] != lv.base)
+    p, gi = tv.parent[q], tv.gen_of[q]
+    if entry == "gen_of":
+        tv.gen_of[q] = next(j for j, s in enumerate(lv.gens) if int(s[p]) != q)
+    elif entry == "parent":
+        tv.parent[q] = next(r for r in lv.orbit if int(lv.gens[gi][r]) != q)
+    else:  # a cycle: p's parent becomes q, which comes after p
+        tv.parent[p] = q
+    with pytest.raises(ConfigurationError, match="Schreier vector"):
+        verify_chain(chain)
+
+
 def test_verify_chain_rejects_a_generator_moving_an_earlier_base_point():
     chain = s6_chain()
     base0 = chain.levels[0].base
