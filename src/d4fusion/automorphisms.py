@@ -341,13 +341,6 @@ class AutoMapPair:
         self.images = np.asarray(images, dtype=np.uint16)
         check_isomorphism(self.images, g1, g2, error=ConfigurationError)
 
-    def transport_automap(self, auto: AutoMap) -> AutoMap:
-        """Conjugate an automorphism of g1 into one of g2."""
-        inv = np.empty_like(self.images)
-        inv[self.images] = np.arange(self.g1.n, dtype=np.uint16)
-        images2 = self.images[auto.images[inv]]
-        return AutoMap(self.g2, images2)
-
 
 # ---------------------------------------------------------------------------
 # order-3 automorphisms

@@ -22,14 +22,14 @@ from .cayley import (AutoMap, CayleyGroup, SubgroupBits, closure_levels, inner_a
                      orbit_minima)
 from .domains import singular_objects
 from .groupmodels import (
+    Frame,
     ModelBundle,
     a8_generators,
     check_in_omega,
     frame_from_involutions,
-    frame_group_of,
     perm_matrix,
 )
-from .perms import ConfigurationError, Permutation, compose, inverse, perm_order
+from .perms import ConfigurationError, compose, inverse, perm_order
 from .quadforms import (GF3_SPACE, PreconditionError, gf2_nullspace, gf3_inverse,
                         invariant_quadratic_forms, q)
 from .rootmodel import chamber_triality
@@ -184,7 +184,7 @@ def _map_group_order(domain: SubgroupBits, maps) -> int:
     members = domain.members
     local = np.full(domain.group.n, -1, dtype=np.int64)
     local[members] = np.arange(len(members))
-    gens = [Permutation(local[a.images[members]].astype(np.uint16)) for a in maps]
+    gens = [local[a.images[members]].astype(np.uint16) for a in maps]
     return build_stab_chain(GroupHandle("automizer", gens)).order()
 
 
@@ -337,16 +337,26 @@ def frame_line_action(frame, mat) -> np.ndarray:
     return out
 
 
-def frame_parabolic_slots(bundle: ModelBundle, frame_handle, tag_prefix: str):
+def frame_parabolic_slots(bundle: ModelBundle, frame: Frame, tag_prefix: str):
     """Slots from the three minimal overgroups of S inside one frame group.
 
     The frame group maps onto the alternating group of its 8 lines; the
     minimal overgroups of S are the preimages of the minimal overgroups of
     the letter image of S, realized by lifting one order-3 letter
     permutation each.  P = <S, g3> for the lift g3, so the slot's maps are
-    the inner maps and the conjugation by g3.
+    the inner maps and the conjugation by g3.  No chain of the frame group
+    is built; each fact it stood for rests here:
+
+    - S permutes the frame lines: `frame_line_action` raises unless each
+      generator matrix of S does.
+    - g3 lies in Omega: `check_in_omega` proves it for the lifted letter.
+      Its `check_isometry` also rejects a letter that moves a line to one
+      of another Q-value, so a frame with mixed Q-values gives no slot
+      through such a letter; it raises `ConfigurationError`.
+    - The radical and its automizer: `automizer_from_model` checks the
+      radical's order and the odd part 3 of its automizer, and the slot
+      checks that the radical is self-centralizing.
     """
-    frame = frame_handle.frame
     t_gens = [frame_line_action(frame, bundle.matrices[int(gi)])
               for gi in bundle.sylow.gen_indices]
     letters = minimal_overgroups_in_alternating(t_gens)
@@ -364,35 +374,29 @@ def frame_parabolic_slots(bundle: ModelBundle, frame_handle, tag_prefix: str):
 
 
 def second_frame_group(bundle: ModelBundle, ctx: StructureContext, candidates):
-    """A frame group for an E whose overgroup pair is disjoint from the
+    """The frame of the one E whose overgroup pair is disjoint from the
     sign-change E's pair, so the two frame models cover all four
-    Q-containing candidates."""
-    d_bits = bundle.extras["O2"]
-    d_sub = next(e for e in ctx.six_E
-                 if np.array_equal(e.bits, d_bits.bits))
-    d_pair = set(pair_of_elab(ctx, candidates, d_sub))
-    ordered = []
-    for e in ctx.six_E:
-        if np.array_equal(e.bits, d_sub.bits):
-            continue
-        pair = set(pair_of_elab(ctx, candidates, e))
-        ordered.append((len(pair & d_pair), e, pair))
-    ordered.sort(key=lambda t: (t[0], tuple(t[1].members[:3])))
-    last_err = None
-    for overlap, e, pair in ordered:
-        if overlap != 0:
-            continue
-        try:
-            lifts = _involution_lifts(bundle, e)
-            frame = frame_from_involutions(lifts)
-            handle = frame_group_of(frame)
-            _verify_sylow_inside(bundle, handle)
-            return handle, e, tuple(sorted(pair))
-        except (PreconditionError, ConfigurationError) as exc:
-            last_err = exc
-            log.warning("frame construction failed for a disjoint-pair E: %s", exc)
-    raise ConfigurationError("no disjoint-pair elementary abelian subgroup admits a "
-                             "frame model: %s" % last_err)
+    Q-containing candidates.  Returns the frame and that pair.
+
+    The six E's carry the six 2-subsets of the four candidates, so exactly
+    one pair is disjoint from the sign-change E's; anything else, or an E
+    whose involution lifts have no common frame, raises.
+    """
+    d_bits = bundle.extras["O2"].bits
+    pairs = [pair_of_elab(ctx, candidates, e) for e in ctx.six_E]
+    d_pair = next(set(p) for e, p in zip(ctx.six_E, pairs)
+                  if np.array_equal(e.bits, d_bits))
+    hits = [i for i, p in enumerate(pairs) if not d_pair & set(p)]
+    if len(hits) != 1:
+        raise ConfigurationError("%d elementary abelian subgroups have an overgroup "
+                                 "pair disjoint from %s, not 1" % (len(hits), sorted(d_pair)))
+    i = hits[0]
+    try:
+        frame = frame_from_involutions(_involution_lifts(bundle, ctx.six_E[i]))
+    except PreconditionError as exc:
+        raise ConfigurationError("elementary abelian subgroup %d (overgroup pair %s) "
+                                 "admits no frame model: %s" % (i, pairs[i], exc)) from exc
+    return frame, pairs[i]
 
 
 def _involution_lifts(bundle: ModelBundle, e: SubgroupBits):
@@ -408,15 +412,6 @@ def _involution_lifts(bundle: ModelBundle, e: SubgroupBits):
             raise PreconditionError("projective involution has no involution lift")
         lifts.append(m)
     return lifts
-
-
-def _verify_sylow_inside(bundle: ModelBundle, handle: GroupHandle):
-    """The embedded generators lie in the frame group, so all of S does:
-    they form a verified generating set, E is a homomorphism, and the
-    chain's group is closed."""
-    for gi in bundle.sylow.generating_set():
-        if not handle.chain.contains(bundle.embedding[gi]):
-            raise ConfigurationError("the Sylow does not sit inside the frame group")
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +509,9 @@ def _chamber_slots(bundle: ModelBundle, candidates):
 
 def _frame_slots(bundle: ModelBundle, ctx: StructureContext, candidates):
     """One slot per candidate, from two frame groups with disjoint pairs."""
-    frame1 = frame_group_of(bundle.extras["frame"])
-    slots = frame_parabolic_slots(bundle, frame1, "frame-standard")
-    handle2, _, pair2 = second_frame_group(bundle, ctx, candidates)
-    slots2 = frame_parabolic_slots(bundle, handle2, "frame-disjoint")
+    slots = frame_parabolic_slots(bundle, bundle.extras["frame"], "frame-standard")
+    frame2, pair2 = second_frame_group(bundle, ctx, candidates)
+    slots2 = frame_parabolic_slots(bundle, frame2, "frame-disjoint")
     slots_by_candidate = dict(zip(_match_slots(candidates, slots), slots))
     for k, slot in zip(_match_slots(candidates, slots2), slots2):
         if k not in slots_by_candidate:
@@ -775,13 +769,12 @@ def fingerprint_fusion(fs: FusionSystem, partition: FusionClassPartition | None 
 
 
 def fusion_report(fs: FusionSystem, partition=None, o2=None) -> dict:
-    part = partition or fuse_elements(fs)
+    """The certificate record of one system: its fingerprint, slots and radical."""
+    essential_count, table, aut_orders = fingerprint_fusion(fs, partition)
     o2 = o2 if o2 is not None else check_O2(fs)
-    table = part.class_table(fs.s.order_of)
-    aut_orders = sorted(aut_group_on_elab(fs, e)["order"] for e in fs.ctx.six_E)
     return {
         "variant": fs.variant,
-        "essential_count": len(fs.essentials),
+        "essential_count": essential_count,
         "essentials": [{
             "order": slot.subgroup.order,
             "model_tag": slot.model_tag,
@@ -789,7 +782,7 @@ def fusion_report(fs: FusionSystem, partition=None, o2=None) -> dict:
         } for slot in fs.essentials],
         "class_table": [{"order": o, "size": s, "count": c} for o, s, c in table],
         "o2_order": o2.order,
-        "autFE_orders": aut_orders,
+        "autFE_orders": list(aut_orders),
         "notes": dict(fs.notes),
         "status": "pass" if o2.order == 1 else "fail",
     }

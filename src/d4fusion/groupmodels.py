@@ -28,7 +28,6 @@ from .quadforms import (
     GF3_SPACE,
     PreconditionError,
     gf3_det,
-    gf3_inverse,
     gf3_nullspace,
     spinor_norm,
     transvection,
@@ -193,33 +192,29 @@ def verify_embedding(bundle: ModelBundle) -> None:
 # O8+(2) flag model
 
 
-def omega_transvection_pairs(target_order=OMEGA8P2_ORDER, max_pairs=40, seed=2024):
-    """A fixed list of transvection-product generators reaching the target order.
+def omega_transvection_pairs():
+    """The five transvection-product generators of O8+(2), chain-certified.
 
-    The pair stream is a seeded deterministic shuffle of nonsingular
-    vectors; the chain order certifies sufficiency, so the recipe is
-    self-checking.
+    The pairs are the first five of a seeded deterministic stream of
+    distinct nonsingular vectors.  The chain of the group they induce on
+    the 135 singular points must have order OMEGA8P2_ORDER, so the recipe
+    is self-checking.
     """
     ns = [int(c) for c in GF2_SPACE.nonsingular_codes()]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2024)
     pairs = []
-    while len(pairs) < max_pairs:
+    while len(pairs) < 5:
         a = ns[int(rng.integers(len(ns)))]
         b = ns[int(rng.integers(len(ns)))]
         if a != b:
             pairs.append((a, b))
-    pts = singular_objects(GF2_SPACE, "points")
-    chosen = []
-    for k in range(2, max_pairs + 1):
-        chosen = pairs[:k]
-        mats = [pair_transvection_matrix(a, b) for a, b in chosen]
-        perms = induced_action(mats, pts)
-        chain = build_stab_chain(GroupHandle("probe", [Permutation(p) for p in perms]))
-        if chain.order() == target_order:
-            return chosen
-        if chain.order() > target_order:
-            raise ConfigurationError("generated group exceeds the expected order")
-    raise ConfigurationError("could not reach the target order with %d pairs" % max_pairs)
+    mats = [pair_transvection_matrix(a, b) for a, b in pairs]
+    perms = induced_action(mats, singular_objects(GF2_SPACE, "points"))
+    order = build_stab_chain(GroupHandle("probe", perms)).order()
+    if order != OMEGA8P2_ORDER:
+        raise ConfigurationError("the transvection pairs generate order %d, not %d"
+                                 % (order, OMEGA8P2_ORDER))
+    return pairs
 
 
 def pair_transvection_matrix(a, b):
@@ -275,7 +270,7 @@ def build_omega8plus2() -> GroupHandle:
     pairs = omega_transvection_pairs()
     mats = [pair_transvection_matrix(a, b) for a, b in pairs]
     perms = induced_action(mats, domain)
-    handle = GroupHandle("omega8plus2", [Permutation(p) for p in perms])
+    handle = GroupHandle("omega8plus2", perms)
     handle.gen_matrices = mats
     handle.geometry = domain
     base = flag_indices(domain, standard_chamber())
@@ -407,8 +402,7 @@ def build_affine_model() -> ModelBundle:
     basis = [module.subset((0, i)) for i in range(1, 7)]
     translations = [module.translation_perm(i) for i in basis]
     linear_a8 = [module.linear_perm(p) for p in a8_generators()]
-    ambient = GroupHandle("affine64A8",
-                          [Permutation(p) for p in translations + linear_a8])
+    ambient = GroupHandle("affine64A8", translations + linear_a8)
     chain = build_stab_chain(ambient)
     if chain.order() != FRAME_ORDER:
         raise ConfigurationError("affine ambient order %d unexpected" % chain.order())
@@ -461,9 +455,14 @@ def frame_sign_gens():
 
 
 def check_in_omega(mat) -> None:
+    """Raise `ConfigurationError` unless mat is an isometry in Omega."""
     if gf3_det(mat) != 1:
         raise ConfigurationError("generator has determinant -1; construction bug")
-    if spinor_norm(GF3_SPACE, mat) != "square":
+    try:
+        norm = spinor_norm(GF3_SPACE, mat)  # runs `check_isometry` first
+    except PreconditionError as exc:
+        raise ConfigurationError("generator is not an isometry: %s" % exc) from exc
+    if norm != "square":
         raise ConfigurationError("generator has nonsquare spinor norm; construction bug")
 
 
@@ -476,7 +475,7 @@ def build_frame_model_gf3() -> ModelBundle:
         check_in_omega(m)
     ambient_mats = signs + a8_mats
     perms = induced_action(ambient_mats, domain)
-    ambient = GroupHandle("frame2e6A8", [Permutation(p) for p in perms])
+    ambient = GroupHandle("frame2e6A8", perms)
     ambient.gen_matrices = ambient_mats
     chain = build_stab_chain(ambient)
     if chain.order() != FRAME_ORDER:
@@ -552,14 +551,12 @@ class Frame:
         self.vectors = np.asarray(self.vectors, dtype=np.int64) % 3
         if self.vectors.shape != (DIM, DIM):
             raise ConfigurationError("a frame has exactly 8 lines")
-        qvals = [GF3_SPACE.eval_q(v) for v in self.vectors]
-        if any(q == 0 for q in qvals):
+        if any(GF3_SPACE.eval_q(v) == 0 for v in self.vectors):
             raise PreconditionError("frame lines must be nonsingular")
         for i in range(DIM):
             for j in range(i + 1, DIM):
                 if GF3_SPACE.polar(self.vectors[i], self.vectors[j]) != 0:
                     raise PreconditionError("frame lines must be pairwise orthogonal")
-        self.q_values = qvals
 
     def basis_matrix(self) -> np.ndarray:
         return self.vectors.T % 3
@@ -613,27 +610,3 @@ def frame_from_involutions(lifts) -> Frame:
         vecs.append(v)
     vecs = sorted(vecs, key=lambda v: int(v @ (3 ** np.arange(DIM))))
     return Frame(np.array(vecs))
-
-
-def frame_group_of(frame: Frame) -> GroupHandle:
-    """The stabilizer model of a frame: even sign changes and alternating
-    permutations of the frame lines, conjugated to standard coordinates."""
-    dvals = set(frame.q_values)
-    if len(dvals) != 1:
-        raise PreconditionError("frame lines carry mixed Q-values; no monomial model")
-    c = frame.basis_matrix()
-    cinv = gf3_inverse(c)
-    gens = []
-    for m in frame_sign_gens() + [perm_matrix(p) for p in a8_generators()]:
-        conj = (c @ m @ cinv) % 3
-        check_in_omega(conj)
-        gens.append(conj)
-    domain = singular_objects(GF3_SPACE, "points")
-    perms = induced_action(gens, domain)
-    handle = GroupHandle("frame-group", [Permutation(p) for p in perms])
-    handle.gen_matrices = gens
-    handle.frame = frame
-    chain = build_stab_chain(handle)
-    if chain.order() != FRAME_ORDER:
-        raise ConfigurationError("frame group order %d unexpected" % chain.order())
-    return handle

@@ -17,7 +17,7 @@ battery and the fusion fingerprints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -278,19 +278,12 @@ class IsometryMatrix:
 
     space: QuadraticSpace
     entries: np.ndarray
-    _dickson: int | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=np.uint8) % self.space.field_order
         if self.entries.shape != (DIM, DIM):
             raise ConfigurationError("isometry matrices are 8x8")
         check_isometry(self.space, self.entries)
-
-    @property
-    def dickson_bit(self) -> int:
-        if self._dickson is None:
-            self._dickson = dickson(self.space, self.entries)
-        return self._dickson
 
 
 def check_isometry(space, mat) -> None:

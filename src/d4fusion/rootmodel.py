@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cayley import AutoMap, CayleyGroup
+from .cayley import IDX, AutoMap, CayleyGroup, closure_levels
 from .domains import gf2_code_map
 from .perms import ConfigurationError
 from .quadforms import DIM
@@ -104,6 +104,10 @@ def root_matrix(root) -> np.ndarray:
     return m
 
 
+def _root_generators() -> np.ndarray:
+    return np.stack([gf2_code_map(root_matrix(r)) for r in positive_roots()]).astype(IDX)
+
+
 def build_root_model() -> CayleyGroup:
     """The group generated by the twelve root matrices, fully enumerated.
 
@@ -112,8 +116,7 @@ def build_root_model() -> CayleyGroup:
     A linear map is fixed by its images of the basis codes 1 << i, which
     are the closure's base.
     """
-    gens = [gf2_code_map(root_matrix(r)) for r in positive_roots()]
-    group = CayleyGroup.from_generators(gens, base=_POW2, name="root-model")
+    group = CayleyGroup.from_generators(_root_generators(), base=_POW2, name="root-model")
     if group.n != 4096:
         raise ConfigurationError("root matrices generated order %d, not 4096" % group.n)
     return group
@@ -144,9 +147,15 @@ def root_model_matches(bundle_matrices) -> np.ndarray:
 
     Returns an array mapping each root-model element index to the bundle
     element index carrying the same matrix; raises if the two element sets
-    differ (they must coincide for the standard chamber stabilizer).
+    differ (they must coincide for the standard chamber stabilizer).  The
+    rows are `build_root_model`'s, in its order: the identity, then the
+    levels that `closure_levels` reaches over the root generators keyed on
+    the basis codes, as in `from_generators`.  No table is built.
     """
-    return _translation(build_root_model(), bundle_matrices)
+    gens = _root_generators()
+    rows = [np.arange(gens.shape[1], dtype=IDX)[None, :]]
+    rows += [new for new, *_ in closure_levels(rows[0], gens, _POW2)]
+    return _translation(np.concatenate(rows), bundle_matrices)
 
 
 def _basis_image_keys(codes) -> np.ndarray:
@@ -154,18 +163,18 @@ def _basis_image_keys(codes) -> np.ndarray:
     return np.ascontiguousarray(codes, dtype=np.uint8).view(np.uint64).ravel()
 
 
-def _translation(group: CayleyGroup, bundle_matrices) -> np.ndarray:
-    """`root_model_matches` against an already built root model.
+def _translation(elements, bundle_matrices) -> np.ndarray:
+    """`root_model_matches` on the root model's element rows.
 
     An element is keyed by the codes of its 8 basis images: the columns of
     a bundle matrix, the images of the codes 1 << i under a root element.
     """
     bundle_keys = _basis_image_keys(_POW2 @ (np.stack(bundle_matrices) % 2))
-    root_keys = _basis_image_keys(group.elements[:, _POW2])
+    root_keys = _basis_image_keys(elements[:, _POW2])
     order = np.argsort(bundle_keys)
     pos = np.searchsorted(bundle_keys[order], root_keys) % len(order)
     out = order[pos]
-    if not np.array_equal(bundle_keys[out], root_keys):
+    if len(root_keys) != len(bundle_keys) or not np.array_equal(bundle_keys[out], root_keys):
         raise ConfigurationError("root-model element missing from the bundle; "
                                  "the chamber is not the standard one")
     return out
@@ -181,7 +190,7 @@ def chamber_triality(bundle) -> AutoMap:
     """
     group = build_root_model()
     tri = triality_automap(group)
-    trans = _translation(group, bundle.matrices)
+    trans = _translation(group.elements, bundle.matrices)
     inv = np.empty_like(trans)
     inv[trans] = np.arange(len(trans))
     return AutoMap(bundle.sylow, trans[tri.images[inv]].astype(np.uint16))

@@ -20,7 +20,6 @@ import numpy as np
 
 from .perms import (
     ConfigurationError,
-    Permutation,
     ResourceError,
     as_images,
     compose,
@@ -153,9 +152,6 @@ class StabChain:
         for lv in self.levels:
             n *= len(lv.orbit)
         return n
-
-    def orbit_lengths(self):
-        return [len(lv.orbit) for lv in self.levels]
 
     def sift(self, g, start: int = 0):
         """Strip g through levels >= start.
@@ -399,11 +395,11 @@ def stabilizer_of_prefix(g: GroupHandle, points) -> GroupHandle:
     if not points:
         if g.chain is None:
             build_stab_chain(g)
-        return GroupHandle(g.name, [Permutation(a) for a in g.generators], g.chain)
+        return GroupHandle(g.name, g.generators, g.chain)
     chain = g.chain
     if chain is None:
         chain = g.chain = build_stab_chain(
-            GroupHandle(g.name, [Permutation(a) for a in g.generators]),
+            GroupHandle(g.name, g.generators),
             base_hint=points)
     elif chain.base[: len(points)] != points:
         chain = _rebased_chain(g, points)
@@ -417,7 +413,7 @@ def stabilizer_of_prefix(g: GroupHandle, points) -> GroupHandle:
         gens = [identity_images(chain.degree)]
     handle = GroupHandle(
         name="%s_stab%r" % (g.name, tuple(points)),
-        generators=[Permutation(a) for a in gens],
+        generators=gens,
         chain=sub,
     )
     return handle
@@ -435,5 +431,5 @@ def _rebased_chain(g: GroupHandle, points) -> StabChain:
     for arr in g.generators:
         if not g.chain.contains(arr):
             raise ConfigurationError("a generator lies outside the recorded chain")
-    return build_stab_chain(GroupHandle(g.name, [Permutation(a) for a in g.generators]),
+    return build_stab_chain(GroupHandle(g.name, g.generators),
                             points, order=g.chain.order())

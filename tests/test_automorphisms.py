@@ -12,6 +12,7 @@ from d4fusion.automorphisms import (
     order3_automorphisms,
     order3_behavior,
 )
+from d4fusion.cayley import AutoMap
 
 
 def test_joint_colors_agree_across_models(contexts):
@@ -72,7 +73,9 @@ def test_isomorphisms_found_and_verified(isomorphisms):
 def test_isomorphism_transports_automorphism(isomorphisms, order3_searches, contexts):
     iso = isomorphisms[("omega8plus2", "frame")]["outcome"].found[0]
     auto = order3_searches["omega8plus2"]["outcome"].found[0]
-    moved = iso.transport_automap(auto)
+    inv = np.empty_like(iso.images)
+    inv[iso.images] = np.arange(iso.g1.n, dtype=np.uint16)
+    moved = AutoMap(iso.g2, iso.images[auto.images[inv]])
     assert moved.map_order() == 3
     behavior = order3_behavior(contexts["frame"], moved)
     assert behavior["ok"]

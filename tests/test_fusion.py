@@ -488,3 +488,48 @@ def test_o8p2_path_builds_no_commutator_table(omega_handle):
     assert not hasattr(flag.sylow, "comm")
     assert table == ((1, 1, 1), (2, 68, 3), (2, 103, 1), (2, 188, 1), (4, 40, 1),
                      (4, 448, 3), (4, 576, 1), (4, 1384, 1), (8, 128, 2))
+
+
+def test_frame_slots_build_no_frame_group_chain(frame_bundle, contexts, fusion_systems,
+                                                monkeypatch):
+    from d4fusion import groupmodels, stabchain
+    ctx = contexts["frame"]
+    candidates = ctx.once("candidates", lambda: essential_candidates(ctx))
+    degrees = []
+
+    def counting(handle, *args, **kwargs):
+        degrees.append(handle.degree)
+        return build_stab_chain(handle, *args, **kwargs)
+
+    for module in (fusion, groupmodels, stabchain):
+        monkeypatch.setattr(module, "build_stab_chain", counting)
+    slots, notes = fusion._frame_slots(frame_bundle, ctx, candidates)
+    # one chain of A8 per frame, and one automizer chain per radical
+    assert degrees == [8, 2048, 2048, 2048] * 2
+    expected = fusion_systems["PO8p3"]
+    assert notes == {"second_frame_pair": expected.notes["second_frame_pair"]}
+    assert [s.model_tag for s in slots] == [s.model_tag for s in expected.essentials]
+    for slot, ref in zip(slots, expected.essentials):
+        assert np.array_equal(slot.subgroup.bits, ref.subgroup.bits)
+
+
+def test_second_frame_group_names_the_subgroup_without_a_frame(frame_bundle, contexts,
+                                                               monkeypatch):
+    from d4fusion.groupmodels import Frame
+    from d4fusion.quadforms import PreconditionError
+    ctx = contexts["frame"]
+    candidates = ctx.once("candidates", lambda: essential_candidates(ctx))
+    frame, pair = fusion.second_frame_group(frame_bundle, ctx, candidates)
+    d_sub = next(e for e in ctx.six_E
+                 if np.array_equal(e.bits, frame_bundle.extras["O2"].bits))
+    assert isinstance(frame, Frame)
+    assert not set(pair) & set(pair_of_elab(ctx, candidates, d_sub))
+
+    def no_frame(lifts):
+        raise PreconditionError("lifts have 4 common eigenlines, not 8")
+
+    monkeypatch.setattr(fusion, "frame_from_involutions", no_frame)
+    with pytest.raises(ConfigurationError,
+                       match=r"subgroup \d \(overgroup pair \(%d, %d\)\) admits no frame"
+                       % pair):
+        fusion.second_frame_group(frame_bundle, ctx, candidates)

@@ -8,8 +8,8 @@ from d4fusion.cayley import CayleyGroup, ClosureError
 from d4fusion.groupmodels import (
     Frame,
     SYLOW_ORDER,
+    check_in_omega,
     frame_from_involutions,
-    frame_group_of,
     frame_sign_gens,
     matrices_from_point_perms,
     matrix_from_point_perm,
@@ -18,7 +18,8 @@ from d4fusion.groupmodels import (
     verify_embedding,
 )
 from d4fusion.perms import ConfigurationError, Permutation, compose, inverse
-from d4fusion.quadforms import GF2_SPACE, GF3_SPACE, PreconditionError, gf3_det
+from d4fusion.quadforms import (GF2_SPACE, GF3_SPACE, PreconditionError, gf3_det,
+                                gf3_inverse)
 from d4fusion.stabchain import GroupHandle, build_stab_chain, stabilizer_of_prefix
 
 
@@ -32,6 +33,20 @@ def test_omega_order_and_transitivity(omega_handle):
     from d4fusion.stabchain import orbit
     for start in (0, 57, 134):
         assert len(orbit(omega_handle.generators, start)) == 135
+
+
+def test_transvection_pairs_need_one_probe_chain(monkeypatch):
+    from d4fusion import groupmodels
+    degrees = []
+
+    def counting(handle, *args, **kwargs):
+        degrees.append(handle.degree)
+        return build_stab_chain(handle, *args, **kwargs)
+
+    monkeypatch.setattr(groupmodels, "build_stab_chain", counting)
+    pairs = groupmodels.omega_transvection_pairs()
+    assert len(pairs) == 5
+    assert degrees == [135]
 
 
 def test_omega_generators_in_kernel(omega_handle):
@@ -237,12 +252,15 @@ def test_standard_frame_from_sign_changes():
     assert np.array_equal(frame.vectors, np.eye(8, dtype=np.int64))
 
 
-def test_frame_group_of_standard_equals_frame_ambient(frame_bundle):
-    handle = frame_group_of(standard_frame())
-    assert handle.chain.order() == 1_290_240
-    # same group: every ambient generator sifts into the constructed chain
-    for g in frame_bundle.ambient.generators:
-        assert handle.chain.contains(g)
+def test_check_in_omega_rejects_a_letter_across_mixed_q_values():
+    vecs = np.eye(8, dtype=np.int64)
+    vecs[0, 1] = 1
+    vecs[1, :2] = [1, 2]
+    frame = Frame(vecs)  # lines e0 + e1 and e0 - e1 have Q-value 2, the rest 1
+    c = frame.basis_matrix()
+    letter = perm_matrix(Permutation.from_cycles(8, (0, 2, 3)).images)
+    with pytest.raises(ConfigurationError, match="not an isometry"):
+        check_in_omega((c @ letter @ gf3_inverse(c)) % 3)
 
 
 def test_frame_from_involutions_rejects_junk():

@@ -83,7 +83,7 @@ def test_transvection_is_involution_of_rank_one():
         sq = (t.entries.astype(np.int64) @ t.entries) % 2
         assert np.array_equal(sq, np.eye(DIM, dtype=np.int64))
         assert gf2_rank((t.entries + np.eye(DIM, dtype=np.uint8)) % 2) == 1
-        assert t.dickson_bit == 1
+        assert dickson(GF2_SPACE, t.entries) == 1
 
 
 def test_transvection_rejects_singular_vector():

@@ -67,3 +67,18 @@ def test_chamber_triality_builds_the_root_model_once(chamber_bundle, monkeypatch
     tri = rootmodel.chamber_triality(chamber_bundle)
     assert len(calls) == 1
     assert tri.map_order() == 3
+
+
+def test_root_model_matches_builds_no_table(chamber_bundle, monkeypatch):
+    expected = rootmodel._translation(build_root_model().elements, chamber_bundle.matrices)
+    built = []
+    real_init = rootmodel.CayleyGroup.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rootmodel.CayleyGroup, "__init__", counted)
+    trans = root_model_matches(chamber_bundle.matrices)
+    assert built == []
+    assert np.array_equal(trans, expected)

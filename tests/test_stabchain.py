@@ -85,7 +85,7 @@ def test_chain_orders_against_brute_closure():
         for t in itertools.islice(oracle, 50):
             assert chain.contains(np.asarray(t, dtype=np.uint16))
         n = 1
-        for ln in chain.orbit_lengths():
+        for ln in (len(lv.orbit) for lv in chain.levels):
             n *= ln
         assert n == chain.order()
 
