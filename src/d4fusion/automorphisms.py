@@ -89,29 +89,44 @@ def _round_features(S: CayleyGroup, colors: np.ndarray) -> np.ndarray:
     The square, the `+ c(y)` and the row sum are int64 arithmetic that
     wraps around modulo 2^64; that wraparound is part of the hash.
     Colours are below 2^13, so m(x, y) < 2^46 needs no reduction.  Every
-    mod P is `_mod_prime`.  Rows are hashed _BLOCK at a time in two reused
-    (_BLOCK, n) int64 buffers, so no n x n temporary is ever built.
+    mod P is `_mod_prime`.
+
+    `colors` must be a class function (`element_colors` checks this), and
+    then so is the hash: only the row of each conjugacy class's least
+    member is hashed, and its value is copied to the other members.  For
+    x' = g^-1 x g, substituting y = g^-1 z g turns the row sum of x' into
+    that of x term by term, since c(g^-1 z g) = c(z) and
+    c(x' g^-1 z g) = c(g^-1 xz g) = c(xz); the wraparound sum does not
+    depend on the order of its terms, and c(x'^2) = c(x^2).  The rows are
+    hashed _BLOCK at a time in two reused (_BLOCK, n) int64 buffers, so no
+    n x n temporary is ever built.
     """
     n = S.n
     assert 0 <= colors.min() and colors.max() < 1 << 13, "colour ids exceed 2^13"
+    labels = S.conjugacy_classes()
+    reps = np.flatnonzero(labels == np.arange(n))
+    k = len(reps)
     c_mix1 = colors * _MIX1
-    mix = np.empty((min(_BLOCK, n), n), dtype=np.int64)
+    mix = np.empty((min(_BLOCK, k), n), dtype=np.int64)
     tmp = np.empty_like(mix)
-    feat = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
+    feat = np.empty(k, dtype=np.int64)
+    for lo in range(0, k, _BLOCK):
+        hi = min(lo + _BLOCK, k)
         m = mix[:hi - lo]
         # table entries are < n by construction; mode="raise" would copy via a buffer
-        np.take(colors, S.T[lo:hi], out=m, mode="clip")
+        np.take(colors, S.T[reps[lo:hi]], out=m, mode="clip")
         m *= _MIX2
         m += c_mix1
         m *= m
         m += colors
         _mod_prime(m, tmp[:hi - lo])
         m.sum(axis=1, out=feat[lo:hi])
-    _mod_prime(feat, tmp[0])
-    feat += colors[S.T[np.arange(n), np.arange(n)]]
-    return _mod_prime(feat, tmp[0])
+    _mod_prime(feat, tmp[0, :k])
+    feat += colors[S.T[reps, reps]]
+    _mod_prime(feat, tmp[0, :k])
+    by_class = np.empty(n, dtype=np.int64)
+    by_class[reps] = feat
+    return by_class[labels]
 
 
 def element_colors(ctx: StructureContext) -> np.ndarray:
@@ -120,10 +135,30 @@ def element_colors(ctx: StructureContext) -> np.ndarray:
     Start from the ranks of the attribute rows; each round ranks the
     pairs (colour, `_round_features`), until the partition is stable or
     six rounds have passed.
+
+    Every attribute is invariant under automorphisms of S, so under inner
+    ones: the attribute colouring is constant on conjugacy classes.  This
+    is checked once here, and a colouring that splits a class raises
+    `ConfigurationError` naming an element and its class minimum.  The
+    round hash of a class function is a class function
+    (`_round_features`), and so is the rank of a pair of class functions,
+    so by induction every refined colouring is one too; that is what lets
+    `_round_features` hash one row per class.  Extra colours that are
+    unions of S-classes, such as the sizes of the classes of a fusion
+    system on S, keep the colouring a class function, and the check still
+    holds.
     """
     def refine():
         _, colors = np.unique(_attribute_matrix(ctx), axis=0, return_inverse=True)
         colors = colors.astype(np.int64)
+        labels = ctx.S.conjugacy_classes()
+        split = np.flatnonzero(colors != colors[labels])
+        if len(split):
+            x = int(split[0])
+            raise ConfigurationError(
+                "attribute colours are not constant on conjugacy classes: element "
+                "%d has colour %d, its class minimum %d has colour %d"
+                % (x, colors[x], labels[x], colors[labels[x]]))
         for _ in range(6):
             feat = _round_features(ctx.S, colors)
             _, new = np.unique(np.stack([colors, feat], axis=1), axis=0,
@@ -465,11 +500,8 @@ def order3_behavior(ctx: StructureContext, auto: AutoMap) -> dict:
     out["fixed_is_i0_only"] = fixed == sorted({0, ctx.i0_coset})
     # [rho, Sbar]: subgroup generated downstairs by x^-1 * rho(x)
     quot, rep_of, new_index = S.quotient_group(ctx.Q)
-    gens = set()
-    for x in range(S.n):
-        g = S.T[S.inv[x], auto.images[x]]
-        gens.add(int(new_index[rep_of[g]]))
-    sub = quot.closure(sorted(gens))
+    gens = np.unique(new_index[rep_of[S.T[S.inv, auto.images]]])
+    sub = quot.closure(gens.tolist())
     out["commutator_image_order"] = sub.order
     perm = {}
     e_keys = {e.key(): i for i, e in enumerate(ctx.six_E)}

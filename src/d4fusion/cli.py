@@ -168,15 +168,14 @@ def _isomorphism_reports(config: RunConfig, contexts):
             try:
                 outcome = find_isomorphism(contexts[a], contexts[b],
                                            budget_secs=config.budget_secs)
-                ok = outcome.ok
-                wit = {"nodes": outcome.nodes, "found": len(outcome.found)}
             except ResourceError as exc:
-                ok = False
-                wit = {"error": str(exc), **exc.stats}
+                raise ResourceError("isomorphism %s-%s: %s after %d nodes"
+                                    % (a, b, exc, exc.stats["nodes"]),
+                                    stats=exc.stats) from exc
         out.append(LemmaReport(
             lemma_id="isomorphism-%s-%s" % (a, b),
-            status="pass" if ok else "fail",
-            witnesses=wit,
+            status="pass" if outcome.ok else "fail",
+            witnesses={"nodes": outcome.nodes, "found": len(outcome.found)},
             elapsed_ms=t.elapsed_ms,
             claim="the two Sylow realizations are isomorphic (verified bijection)",
         ))
@@ -284,7 +283,8 @@ def make_parser():
     p = sub.add_parser("verify", help="run structure checks")
     p.add_argument("--lemma", default="all")
     p.add_argument("--model", default="all", choices=MODELS + ("all",))
-    p.add_argument("--q", type=int, default=3)
+    p.add_argument("--q", type=int, default=None,
+                   help="field size for --lemma valuation (default 3)")
     common(p)
 
     p = sub.add_parser("fusion", help="assemble and analyze fusion systems")
@@ -299,28 +299,40 @@ def make_parser():
     return parser
 
 
+def _field_size(args) -> int:
+    """The --q value, which only the valuation lemma reads; 3 if not given."""
+    q = getattr(args, "q", None)
+    if q is None:
+        return 3
+    from .structure import CHECK_ALIASES
+    if CHECK_ALIASES.get(args.lemma, args.lemma) != "valuation":
+        raise ConfigurationError("--q applies to --lemma valuation only, not %r"
+                                 % args.lemma)
+    return q
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.WARNING - 10 * min(args.verbose, 2))
-    config = RunConfig(
-        command=args.command,
-        model=getattr(args, "model", "all"),
-        lemma=getattr(args, "lemma", "all"),
-        variant=getattr(args, "variant", "O8p2"),
-        action=getattr(args, "action", "build"),
-        q=getattr(args, "q", 3),
-        cache_dir=resolve_cache_dir(args.cache_dir),
-        budget_secs=args.budget_secs,
-        out=Path(args.out) if args.out else None,
-    )
     handler = {
         "construct": cmd_construct,
         "verify": cmd_verify,
         "fusion": cmd_fusion,
         "report": cmd_report,
-    }[config.command]
+    }[args.command]
     try:
+        config = RunConfig(
+            command=args.command,
+            model=getattr(args, "model", "all"),
+            lemma=getattr(args, "lemma", "all"),
+            variant=getattr(args, "variant", "O8p2"),
+            action=getattr(args, "action", "build"),
+            q=_field_size(args),
+            cache_dir=resolve_cache_dir(args.cache_dir),
+            budget_secs=args.budget_secs,
+            out=Path(args.out) if args.out else None,
+        )
         cert = handler(config)
     except ResourceError as exc:
         print("resource error: %s" % exc, file=sys.stderr)

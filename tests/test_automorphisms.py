@@ -22,12 +22,12 @@ def test_joint_colors_agree_across_models(contexts):
 
 
 def test_colors_are_class_functions(contexts):
-    ctx = contexts["affine"]
-    colors = element_colors(ctx)
-    labels = ctx.S.conjugacy_classes()
-    for rep in np.unique(labels)[:40]:
-        members = np.flatnonzero(labels == rep)
-        assert len(np.unique(colors[members])) == 1
+    for ctx in contexts.values():
+        colors = element_colors(ctx)
+        labels = ctx.S.conjugacy_classes()
+        for rep in np.unique(labels):
+            members = np.flatnonzero(labels == rep)
+            assert len(np.unique(colors[members])) == 1
 
 
 def test_order3_search_finds_verified_map(order3_searches, contexts):
@@ -151,16 +151,101 @@ def _s5():
     return CayleyGroup.from_generators(gens)
 
 
+def _round_features_all_rows(S, colors):
+    """The blocked hash over every row of the table, one row per element."""
+    from d4fusion.automorphisms import _BLOCK, _MIX1, _MIX2, _mod_prime
+    n = S.n
+    c_mix1 = colors * _MIX1
+    mix = np.empty((min(_BLOCK, n), n), dtype=np.int64)
+    tmp = np.empty_like(mix)
+    feat = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        m = mix[:hi - lo]
+        np.take(colors, S.T[lo:hi], out=m, mode="clip")
+        m *= _MIX2
+        m += c_mix1
+        m *= m
+        m += colors
+        _mod_prime(m, tmp[:hi - lo])
+        m.sum(axis=1, out=feat[lo:hi])
+    _mod_prime(feat, tmp[0])
+    feat += colors[S.T[np.arange(n), np.arange(n)]]
+    return _mod_prime(feat, tmp[0])
+
+
 def test_blocked_round_features_match_unblocked(contexts):
+    # the hash is defined for class functions: random colours are drawn per class
     from d4fusion.automorphisms import _BLOCK, _round_features
     small = _s5()
     assert small.n % _BLOCK != 0
     rng = np.random.default_rng(7)
     for S in (contexts["omega8plus2"].S, small):
+        labels = S.conjugacy_classes()
+        assert len(np.unique(labels)) % _BLOCK != 0
         for colors in (S.order_of.astype(np.int64),
-                       rng.integers(0, 1 << 13, S.n, dtype=np.int64)):
+                       rng.integers(0, 1 << 13, S.n, dtype=np.int64)[labels]):
             assert np.array_equal(_round_features(S, colors),
                                   _round_features_reference(S, colors))
+
+
+@pytest.mark.parametrize("name", ["affine", "omega8plus2", "frame"])
+def test_class_rows_match_the_all_rows_hash_in_every_round(contexts, name):
+    from d4fusion.automorphisms import _attribute_matrix, _round_features
+    ctx = contexts[name]
+    _, colors = np.unique(_attribute_matrix(ctx), axis=0, return_inverse=True)
+    colors = colors.astype(np.int64)
+    rounds = 0
+    while True:
+        feat = _round_features(ctx.S, colors)
+        assert np.array_equal(feat, _round_features_all_rows(ctx.S, colors))
+        rounds += 1
+        _, new = np.unique(np.stack([colors, feat], axis=1), axis=0,
+                           return_inverse=True)
+        if np.array_equal(new, colors):
+            break
+        colors = new.astype(np.int64)
+    assert rounds >= 2
+    assert np.array_equal(colors, element_colors(ctx))
+
+
+def test_round_features_hash_one_row_per_class(contexts, monkeypatch):
+    from d4fusion import automorphisms
+    ctx = contexts["omega8plus2"]
+    colors = element_colors(ctx)
+    rows = []
+    real = automorphisms._mod_prime
+
+    def counted(v, tmp):
+        if v.ndim == 2:
+            rows.append(v.shape[0])
+        return real(v, tmp)
+
+    monkeypatch.setattr(automorphisms, "_mod_prime", counted)
+    automorphisms._round_features(ctx.S, colors)
+    assert len(np.unique(ctx.S.conjugacy_classes())) == 103
+    assert sum(rows) == 103 and max(rows) == automorphisms._BLOCK
+
+
+def test_colors_that_split_a_class_are_refused(contexts, monkeypatch):
+    from d4fusion import automorphisms
+    from d4fusion.perms import ConfigurationError
+    from d4fusion.structure import StructureContext
+    ctx = contexts["affine"]
+    labels = ctx.S.conjugacy_classes()
+    x = int(np.flatnonzero(labels != np.arange(ctx.S.n))[0])
+    real = automorphisms._attribute_matrix
+
+    def seeded(c):
+        marker = np.zeros((c.S.n, 1), dtype=np.int64)
+        marker[x] = 1
+        return np.hstack([real(c), marker])
+
+    monkeypatch.setattr(automorphisms, "_attribute_matrix", seeded)
+    with pytest.raises(ConfigurationError) as exc:
+        element_colors(StructureContext(ctx.bundle))
+    assert "element %d" % x in str(exc.value)
+    assert "class minimum %d" % labels[x] in str(exc.value)
 
 
 def test_mod_prime_matches_remainder_at_the_edges():

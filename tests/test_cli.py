@@ -62,11 +62,14 @@ def test_verify_accepts_spec_alias(tmp_path):
 
 
 def test_verify_valuation(tmp_path):
-    code = run(["verify", "--lemma", "appendix", "--q", "3"], tmp_path)
-    assert code == 0
-    cert = json.loads((tmp_path / "certificate-verify.json").read_text())
-    (rep,) = cert["reports"]
-    assert rep["witnesses"]["pinned"]["POmega8+_q3"] == 12
+    # without --q the valuation lemma runs q = 3 and echoes it
+    for q in (["--q", "3"], []):
+        code = run(["verify", "--lemma", "appendix"] + q, tmp_path)
+        assert code == 0
+        cert = json.loads((tmp_path / "certificate-verify.json").read_text())
+        assert cert["config"]["q"] == 3
+        (rep,) = cert["reports"]
+        assert rep["witnesses"]["pinned"]["POmega8+_q3"] == 12
 
 
 def test_verify_reports_deterministic_modulo_timing(tmp_path):
@@ -128,6 +131,35 @@ def test_fusion_o2_action(tmp_path):
     assert frep["essential_count"] == 4
     assert frep["o2_order"] == 1
     assert len(frep["autFE_orders"]) == 6
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--model", "affine", "--lemma", "cent", "--q", "99"],
+    ["verify", "--lemma", "all", "--q", "5"],
+    ["verify", "--lemma", "cent", "--budget-secs", "-1"],
+])
+def test_stray_q_and_bad_budget_are_configuration_errors(tmp_path, capsys, args):
+    assert run(args, tmp_path) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "certificate-verify.json").exists()
+
+
+def test_isomorphism_budget_overrun_exits_2(tmp_path, capsys, monkeypatch):
+    from d4fusion import automorphisms, structure
+    from d4fusion.perms import ResourceError
+
+    def overrun(ctx1, ctx2, budget_secs):
+        raise ResourceError("isomorphism search exceeded its budget",
+                            stats={"nodes": 7})
+
+    monkeypatch.setattr(structure, "run_battery",
+                        lambda ctx, ids: [LemmaReport("stub", "pass", {}, 0)])
+    monkeypatch.setattr(automorphisms, "find_isomorphism", overrun)
+    assert run(["verify", "--lemma", "all"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "resource error: isomorphism affine-omega8plus2" in err
+    assert "after 7 nodes" in err
+    assert not (tmp_path / "certificate-verify.json").exists()
 
 
 def test_config_validation():
