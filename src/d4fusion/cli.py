@@ -288,8 +288,9 @@ def make_parser():
     common(p)
 
     p = sub.add_parser("fusion", help="assemble and analyze fusion systems")
-    p.add_argument("--variant", default="O8p2",
-                   choices=("O8p2", "O8p2x3", "PO8p3", "PO8p3x3"))
+    p.add_argument("--variant", default=None,
+                   choices=("O8p2", "O8p2x3", "PO8p3", "PO8p3x3"),
+                   help="system for --action build (default O8p2)")
     p.add_argument("--action", default="build",
                    choices=("build", "compare"))
     common(p)
@@ -311,6 +312,17 @@ def _field_size(args) -> int:
     return q
 
 
+def _variant(args) -> str:
+    """The --variant value, which only --action build reads; O8p2 if not given."""
+    variant = getattr(args, "variant", None)
+    if variant is None:
+        return "O8p2"
+    if args.action != "build":
+        raise ConfigurationError("--variant applies to --action build only, not %r"
+                                 % args.action)
+    return variant
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
@@ -326,7 +338,7 @@ def main(argv=None) -> int:
             command=args.command,
             model=getattr(args, "model", "all"),
             lemma=getattr(args, "lemma", "all"),
-            variant=getattr(args, "variant", "O8p2"),
+            variant=_variant(args),
             action=getattr(args, "action", "build"),
             q=_field_size(args),
             cache_dir=resolve_cache_dir(args.cache_dir),

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .automorphisms import order3_automorphisms
-from .cayley import (AutoMap, CayleyGroup, SubgroupBits, closure_levels, inner_automap,
-                     orbit_minima)
+from .cayley import (AutoMap, CayleyGroup, ClosureError, SubgroupBits, closure_levels,
+                     inner_automap, orbit_minima)
 from .domains import singular_objects
 from .groupmodels import (
     Frame,
@@ -27,6 +27,7 @@ from .groupmodels import (
     a8_generators,
     check_in_omega,
     frame_from_involutions,
+    frame_line_action,
     perm_matrix,
 )
 from .perms import ConfigurationError, compose, inverse, perm_order
@@ -192,13 +193,28 @@ def automizer_from_model(bundle: ModelBundle, overgroup_gens, order3_elem,
                          tag: str) -> EssentialSlot:
     """Slot for the 2-radical of one minimal overgroup P of S.
 
-    The radical is the intersection of the three Sylow conjugates of S in
-    P.  The inner maps come from S's own table, one per element of S's
-    verified generating set; the others from ambient conjugation by the
-    P-generators outside S and the order-3 element.  The
-    induced group on the radical must exceed the S-conjugation image by an
-    odd factor of exactly 3 (so the outer automizer is of order 6).  That
-    image is S / C_S(R) for the radical R, read off one centralizer.
+    The radical is R = S meet S^g3 meet S^(g3^-1), the intersection of the
+    three Sylow conjugates of S in P.  It is read off signature lookups
+    and proved by the order-3 map's own check:
+
+    - Every member of R has conjugates by g3 and g3^-1 in S, and each hits
+      its own signature, so the mask M keeps all of R.
+    - `conjugation_automap(bundle, M, g3)` proves that M is a subgroup
+      (the closure check of its generating set), that the lookup permutes
+      M homomorphically (the AutoMap check), and that the lookup equals
+      full-degree conjugation on M's generators.  Conjugation by g3 and
+      the lookup followed by the embedding are homomorphisms on M that
+      agree on generators, so they agree everywhere: conjugation by g3
+      permutes M inside S, and so does its inverse, conjugation by g3^-1.
+      Hence M is inside R, and M = R.
+
+    A failure raises `ConfigurationError` naming the slot tag.  The inner
+    maps come from S's own table, one per element of S's verified
+    generating set; the others from ambient conjugation by the
+    P-generators outside S.  The induced group on the radical must exceed
+    the S-conjugation image by an odd factor of exactly 3 (so the outer
+    automizer is of order 6).  That image is S / C_S(R), read off one
+    centralizer.
     """
     S = bundle.sylow
     g3 = np.asarray(order3_elem, dtype=np.uint16)
@@ -206,19 +222,21 @@ def automizer_from_model(bundle: ModelBundle, overgroup_gens, order3_elem,
     # x lies in S^g3 and S^(g3^2) iff its conjugates by g3^-1 and by g3 lie in S
     for conj in (g3, inverse(g3)):
         members = np.flatnonzero(mask)
-        mask[members[bundle.conjugate_indices(conj, members) < 0]] = False
-    # S inter S^g3 inter S^(g3^-1): full-degree conjugates through the
-    # embedding that `check_embedding` proved a homomorphism
+        mask[members[bundle.conjugate_indices(conj, members, verify=False) < 0]] = False
     radical = SubgroupBits(S, mask)
     if radical.order != 2048:
-        raise ConfigurationError("radical of the minimal overgroup has order %d"
-                                 % radical.order)
+        raise ConfigurationError("%s: radical of the minimal overgroup has order %d"
+                                 % (tag, radical.order))
+    try:
+        order3_map = conjugation_automap(bundle, radical, g3)
+    except (ClosureError, ConfigurationError) as exc:
+        raise ConfigurationError("%s: conjugation by the order-3 element does not "
+                                 "permute the signature radical: %s" % (tag, exc)) from exc
+    if order3_map.map_order() != 3:
+        raise ConfigurationError("conjugation by the order-3 element has wrong order")
     inner_maps = [inner_automap(S, gi, radical) for gi in S.generating_set()]
     outer_maps = [conjugation_automap(bundle, radical, np.asarray(g, dtype=np.uint16))
                   for g in overgroup_gens]
-    order3_map = conjugation_automap(bundle, radical, g3)
-    if order3_map.map_order() != 3:
-        raise ConfigurationError("conjugation by the order-3 element has wrong order")
     big = _map_group_order(radical, inner_maps + outer_maps + [order3_map])
     small = S.n // S.centralizer(S.generating_set(radical)).order
     if big != 3 * small:
@@ -318,23 +336,6 @@ def minimal_overgroups_in_alternating(t_gens):
     if len(found) != 3:
         raise ConfigurationError("found %d minimal overgroups, expected 3" % len(found))
     return found
-
-
-def frame_line_action(frame, mat) -> np.ndarray:
-    """Permutation of the 8 frame lines induced by a frame-monomial matrix."""
-    vecs = frame.vectors
-    out = np.empty(8, dtype=np.uint16)
-    for i in range(8):
-        img = (np.asarray(mat, dtype=np.int64) @ vecs[i]) % 3
-        hit = None
-        for j in range(8):
-            if np.array_equal(img, vecs[j]) or np.array_equal(img, (2 * vecs[j]) % 3):
-                hit = j
-                break
-        if hit is None:
-            raise ConfigurationError("matrix does not permute the frame lines")
-        out[i] = hit
-    return out
 
 
 def frame_parabolic_slots(bundle: ModelBundle, frame: Frame, tag_prefix: str):

@@ -56,10 +56,6 @@ Q_TRANSLATION_SETS = [(0, 1), (0, 2), (4, 5), (4, 6), (0, 1, 2, 3)]
 Q_PERM_CYCLES = T_PART_CYCLES[:4]
 
 
-# rows per block in the full-degree membership scans
-SCAN_BLOCK = 512
-
-
 def _sig_keys(sigs) -> np.ndarray:
     """One opaque sortable key per signature row."""
     sigs = np.ascontiguousarray(sigs)
@@ -118,8 +114,9 @@ class ModelBundle:
         a conjugate lies outside the Sylow.
 
         Without `verify` only the signature columns of the conjugates are
-        computed and looked up.  With it, the conjugates are built at full
-        degree in blocks of SCAN_BLOCK rows and every hit is compared with
+        computed and looked up: a true member always hits its own element,
+        but a conjugate outside the Sylow may hit one too.  With it, the
+        conjugates are built at full degree and every hit is compared with
         its embedding row.
         """
         g = np.asarray(g, dtype=self.embedding.dtype)
@@ -127,12 +124,8 @@ class ModelBundle:
         members = np.asarray(members, dtype=np.int64)
         if not verify:
             return self.lookup(g[self.embedding[np.ix_(members, g_inv[self.sig_cols])]])
-        out = np.empty(len(members), dtype=np.int64)
-        for start in range(0, len(members), SCAN_BLOCK):
-            block = self.embedding.take(members[start:start + SCAN_BLOCK], axis=0)
-            rows = g.take(block.take(g_inv, axis=1))
-            out[start:start + SCAN_BLOCK] = self.lookup(rows[:, self.sig_cols], rows)
-        return out
+        rows = g[self.embedding[members][:, g_inv]]
+        return self.lookup(rows[:, self.sig_cols], rows)
 
     def subgroup_from_perms(self, perms) -> SubgroupBits:
         idxs = []
@@ -467,19 +460,35 @@ def check_in_omega(mat) -> None:
 
 
 def build_frame_model_gf3() -> ModelBundle:
-    """The frame group (even sign changes):A8 inside POmega8+(3)."""
+    """The frame group (even sign changes):A8 inside POmega8+(3).
+
+    The ambient chain is built at a proved order (`build_stab_chain`).
+    Let M be the matrix group the generators span and G its image on the
+    1120 singular points.  Every generator is frame-monomial
+    (`frame_line_action` raises otherwise), so M permutes the 8 frame
+    lines, and the kernel of that letter action is M meet D, D the 2^7
+    diagonal +-1 matrices of det 1 (the frame is the standard one, and
+    `check_in_omega` puts every generator in SL).  -I lies in D and acts trivially on the points.  If
+    -I lies in M, then |G| <= |M| / 2 <= 2^6 |L|, L the letter image;
+    if not, M meet D avoids -I, so has order at most 2^6, and
+    |G| <= |M| <= 2^6 |L|.  An 8-point chain of the generators' letter
+    permutations gives |L|, and the bound must equal FRAME_ORDER.
+    """
     domain = singular_objects(GF3_SPACE, "points")
+    frame = standard_frame()
     signs = frame_sign_gens()
-    a8_mats = [perm_matrix(p) for p in a8_generators()]
-    for m in signs + a8_mats:
+    ambient_mats = signs + [perm_matrix(p) for p in a8_generators()]
+    letters = [frame_line_action(frame, m) for m in ambient_mats]
+    for m in ambient_mats:
         check_in_omega(m)
-    ambient_mats = signs + a8_mats
+    bound = 2 ** 6 * build_stab_chain(GroupHandle("frame-letters", letters)).order()
+    if bound != FRAME_ORDER:
+        raise ConfigurationError("frame ambient order is bounded by %d, not %d"
+                                 % (bound, FRAME_ORDER))
     perms = induced_action(ambient_mats, domain)
     ambient = GroupHandle("frame2e6A8", perms)
     ambient.gen_matrices = ambient_mats
-    chain = build_stab_chain(ambient)
-    if chain.order() != FRAME_ORDER:
-        raise ConfigurationError("frame ambient order %d unexpected" % chain.order())
+    chain = build_stab_chain(ambient, order=bound)
     t_mats = [perm_matrix(p) for p in t_part_perms()]
     for m in t_mats:
         check_in_omega(m)
@@ -498,7 +507,7 @@ def build_frame_model_gf3() -> ModelBundle:
         embedding=emb,
         sig_cols=sig_cols,
         matrices=mats,
-        extras={"frame": standard_frame(), "sign_perms": perms[: len(signs)]},
+        extras={"frame": frame, "sign_perms": perms[: len(signs)]},
     )
     bundle.extras["O2"] = verify_frame_o2(bundle)
     return bundle
@@ -507,9 +516,12 @@ def build_frame_model_gf3() -> ModelBundle:
 def verify_frame_o2(bundle: ModelBundle) -> SubgroupBits:
     """Certify that the sign-change image is the 2-radical of the ambient.
 
-    Downward: intersect the Sylow with conjugates until stable (always
-    contains the radical).  Upward: the stable intersection is checked to
-    be a normal 2-subgroup, hence inside the radical.
+    Downward: intersect the Sylow with conjugates until stable.  The
+    conjugates are looked up by signature alone, so each step keeps a
+    superset of the true intersection, which always contains the
+    radical; the result must equal the closure of the sign changes.
+    Upward: that subgroup is checked, at full degree, to be a normal
+    2-subgroup, hence inside the radical.
     """
     g = bundle.ambient
     d_bits = bundle.subgroup_from_perms(bundle.extras["sign_perms"])
@@ -521,20 +533,18 @@ def verify_frame_o2(bundle: ModelBundle) -> SubgroupBits:
         # keep the members whose conjugate by the inverse stays in the Sylow
         conj_inv = inverse(g.chain.random_element(rng))
         members = np.flatnonzero(x)
-        x[members[bundle.conjugate_indices(conj_inv, members) < 0]] = False
+        x[members[bundle.conjugate_indices(conj_inv, members, verify=False) < 0]] = False
         if int(x.sum()) == d_bits.order:
             break
-    # an intersection of Sylow conjugates, compared with the closure d_bits below
-    cand = SubgroupBits(bundle.sylow, x)
-    if not np.array_equal(cand.bits, d_bits.bits):
+    if not np.array_equal(x, d_bits.bits):
         raise ConfigurationError("Sylow-conjugate intersection did not stabilize at "
                                  "the sign-change subgroup")
     # upward: normality under the ambient generators
     for gen in g.generators:
-        j = bundle.conjugate_indices(inverse(gen), cand.members)
-        if (j < 0).any() or not cand.bits[j].all():
+        j = bundle.conjugate_indices(inverse(gen), d_bits.members)
+        if (j < 0).any() or not d_bits.bits[j].all():
             raise ConfigurationError("candidate radical is not normal")
-    return cand
+    return d_bits
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +570,24 @@ class Frame:
 
     def basis_matrix(self) -> np.ndarray:
         return self.vectors.T % 3
+
+
+def frame_line_action(frame: Frame, mat) -> np.ndarray:
+    """Permutation of the 8 frame lines induced by a frame-monomial matrix;
+    raises `ConfigurationError` if the matrix is not frame-monomial."""
+    vecs = frame.vectors
+    out = np.empty(DIM, dtype=np.uint16)
+    for i in range(DIM):
+        img = (np.asarray(mat, dtype=np.int64) @ vecs[i]) % 3
+        hit = None
+        for j in range(DIM):
+            if np.array_equal(img, vecs[j]) or np.array_equal(img, (2 * vecs[j]) % 3):
+                hit = j
+                break
+        if hit is None:
+            raise ConfigurationError("matrix does not permute the frame lines")
+        out[i] = hit
+    return out
 
 
 def standard_frame() -> Frame:

@@ -251,10 +251,12 @@ def build_stab_chain(g: GroupHandle, base_hint=None, max_seconds=None,
     and every Schreier generator left unsifted would sift to the identity
     (Seress, Permutation Group Algorithms, 2003, ch. 4; Holt, Eick and
     O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).  A
-    build that ends with another order raises.  The bound has two
+    build that ends with another order raises.  The bound has three
     sources: `_rebased_chain` (the order of a verified chain of a group
-    containing G) and `groupmodels.build_omega8plus2` (the order of a
-    faithful action of the same matrix group).
+    containing G), `groupmodels.build_omega8plus2` (the order of a
+    faithful action of the same matrix group) and
+    `groupmodels.build_frame_model_gf3` (2^6 times the order of the
+    generators' action on the 8 frame lines).
     """
     degree = g.degree
     chain = StabChain(degree=degree)

@@ -144,6 +144,16 @@ def test_stray_q_and_bad_budget_are_configuration_errors(tmp_path, capsys, args)
     assert not (tmp_path / "certificate-verify.json").exists()
 
 
+def test_fusion_compare_refuses_a_variant(tmp_path, capsys):
+    assert run(["fusion", "--action", "compare", "--variant", "PO8p3"], tmp_path) == 2
+    assert "--variant applies to --action build only" in capsys.readouterr().err
+    assert not (tmp_path / "certificate-fusion.json").exists()
+    # without --variant, build reads O8p2 and compare echoes it, as before
+    for action in ("build", "compare"):
+        args = cli.make_parser().parse_args(["fusion", "--action", action])
+        assert args.variant is None and cli._variant(args) == "O8p2"
+
+
 def test_isomorphism_budget_overrun_exits_2(tmp_path, capsys, monkeypatch):
     from d4fusion import automorphisms, structure
     from d4fusion.perms import ResourceError

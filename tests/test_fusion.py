@@ -15,14 +15,14 @@ from d4fusion.fusion import (
     FusionSystem,
     essential_candidates,
     fingerprint_fusion,
-    frame_line_action,
     fuse_elements,
     fusion_report,
     inner_only_system,
     minimal_overgroups_in_alternating,
     pair_of_elab,
 )
-from d4fusion.perms import ConfigurationError, perm_order
+from d4fusion.groupmodels import frame_line_action
+from d4fusion.perms import ConfigurationError, inverse, perm_order
 from d4fusion.stabchain import GroupHandle, build_stab_chain
 
 
@@ -132,6 +132,62 @@ def test_order3_slot_maps_are_deterministic(fusion_systems, chamber_bundle):
     assert len(fresh.essentials) == len(first) == 4
     for a, b in zip(first, fresh.essentials):
         assert np.array_equal(a.order3_gen.images, b.order3_gen.images)
+
+
+def _full_degree_radical(bundle, g3):
+    """S meet S^g3 meet S^(g3^-1) from full-degree conjugates: the reference."""
+    mask = np.ones(bundle.sylow.n, dtype=bool)
+    for conj in (g3, inverse(g3)):
+        members = np.flatnonzero(mask)
+        mask[members[bundle.conjugate_indices(conj, members, verify=True) < 0]] = False
+    return mask
+
+
+def test_signature_radicals_equal_the_full_degree_intersection(chamber_bundle, frame_bundle,
+                                                               contexts, monkeypatch):
+    calls = []
+    real = fusion.automizer_from_model
+
+    def recording(bundle, overgroup_gens, g3, tag):
+        slot = real(bundle, overgroup_gens, g3, tag)
+        calls.append((bundle, g3, slot))
+        return slot
+
+    monkeypatch.setattr(fusion, "automizer_from_model", recording)
+    fusion.chamber_parabolic_slots(chamber_bundle)
+    ctx = contexts["frame"]
+    fusion._frame_slots(frame_bundle, ctx,
+                        ctx.once("candidates", lambda: essential_candidates(ctx)))
+    assert [slot.model_tag for _, _, slot in calls] == (
+        ["omega8plus2-parabolic-omit%d" % k for k in range(4)]
+        + ["frame-%s-parabolic-%d" % (f, k) for f in ("standard", "disjoint")
+           for k in range(3)])
+    for bundle, g3, slot in calls:
+        assert np.array_equal(_full_degree_radical(bundle, g3), slot.subgroup.bits)
+
+
+def test_a_swapped_signature_hit_is_refused_naming_the_slot(chamber_bundle, fusion_systems,
+                                                           monkeypatch):
+    slot = next(s for s in fusion_systems["O8p2"].essentials
+                if s.model_tag == "omega8plus2-parabolic-omit0")
+    radical = slot.subgroup.bits
+    # one radical member misses its signature, one non-member hits the identity's,
+    # so the mask keeps order 2048 and only the order-3 map's check can refuse it
+    dropped, stray = int(np.flatnonzero(radical)[-1]), int(np.flatnonzero(~radical)[0])
+    real = chamber_bundle.conjugate_indices
+
+    def swapped(g, members, verify=True):
+        out = real(g, members, verify)
+        if not verify:
+            members = np.asarray(members)
+            out[members == dropped] = -1
+            out[members == stray] = 0
+        return out
+
+    monkeypatch.setattr(chamber_bundle, "conjugate_indices", swapped)
+    with pytest.raises(ConfigurationError,
+                       match="omega8plus2-parabolic-omit0: conjugation by the order-3"):
+        fusion.chamber_parabolic_slots(chamber_bundle)
 
 
 def test_radicals_trivial_for_all_variants(fusion_radicals):

@@ -16,6 +16,7 @@ from d4fusion.groupmodels import (
     perm_matrix,
     standard_frame,
     verify_embedding,
+    verify_frame_o2,
 )
 from d4fusion.perms import ConfigurationError, Permutation, compose, inverse
 from d4fusion.quadforms import (GF2_SPACE, GF3_SPACE, PreconditionError, gf3_det,
@@ -261,6 +262,46 @@ def test_check_in_omega_rejects_a_letter_across_mixed_q_values():
     letter = perm_matrix(Permutation.from_cycles(8, (0, 2, 3)).images)
     with pytest.raises(ConfigurationError, match="not an isometry"):
         check_in_omega((c @ letter @ gf3_inverse(c)) % 3)
+
+
+def test_a_frame_generator_that_is_not_frame_monomial_is_refused_before_any_chain(
+        monkeypatch):
+    from d4fusion import groupmodels
+    # the product of the reflections in e0+..+e3 and e4+..+e7: in Omega, but it
+    # maps e0 to 2e0+e1+e2+e3, off the frame lines
+    block = (np.ones((4, 4), dtype=np.int64) + np.eye(4, dtype=np.int64)) % 3
+    bad = np.zeros((8, 8), dtype=np.int64)
+    bad[:4, :4] = bad[4:, 4:] = block
+    check_in_omega(bad)
+    built = []
+
+    def counting(handle, *args, **kwargs):
+        built.append(handle.name)
+        return build_stab_chain(handle, *args, **kwargs)
+
+    monkeypatch.setattr(groupmodels, "build_stab_chain", counting)
+    monkeypatch.setattr(groupmodels, "frame_sign_gens", lambda: frame_sign_gens() + [bad])
+    with pytest.raises(ConfigurationError, match="does not permute the frame lines"):
+        groupmodels.build_frame_model_gf3()
+    assert built == []
+
+
+def test_a_false_signature_hit_in_the_frame_radical_scan_is_refused(frame_bundle,
+                                                                     monkeypatch):
+    o2 = frame_bundle.extras["O2"]
+    assert np.array_equal(verify_frame_o2(frame_bundle).bits, o2.bits)
+    stray = int(np.flatnonzero(~o2.bits)[0])
+    real = frame_bundle.conjugate_indices
+
+    def false_hit(g, members, verify=True):
+        out = real(g, members, verify)
+        if not verify:
+            out[np.asarray(members) == stray] = 0
+        return out
+
+    monkeypatch.setattr(frame_bundle, "conjugate_indices", false_hit)
+    with pytest.raises(ConfigurationError, match="did not stabilize"):
+        verify_frame_o2(frame_bundle)
 
 
 def test_frame_from_involutions_rejects_junk():
