@@ -394,25 +394,12 @@ class CayleyGroup:
         return np.unique(self.T[m, m])
 
     def frattini(self, sub: SubgroupBits | None = None) -> SubgroupBits:
-        """Frattini subgroup of a 2-group, computed two ways that must agree.
+        """Frattini subgroup of a 2-group: <squares>.
 
-        Route 1: closure of the derived subgroup and the squares.  Route 2:
-        the intersection of all maximal subgroups, which `maximal_subgroups`
-        builds as hyperplane preimages over <squares>, so it is <squares>
-        itself.  The two routes are not independent: what their agreement
-        proves is that the derived subgroup lies in <squares>.
+        Phi(H) = H' H^2 for a p-group H, and for p = 2 the identity
+        [x, y] = x^-2 (x y^-1)^2 y^2 puts H' inside <H^2>.
         """
-        if sub is None:
-            sub = self.full_bits()
-        derived = self.derived_subgroup(sub)
-        seeds = np.concatenate([derived.members, self.squares(sub)])
-        phi1 = self.closure(seeds)
-        inter = sub.bits.copy()
-        for mx in self.maximal_subgroups(sub):
-            inter &= mx.bits
-        if not np.array_equal(phi1.bits, inter):
-            raise ClosureError("the two Frattini computations disagree")
-        return phi1
+        return self.closure(self.squares(sub))
 
     # -- quotients ----------------------------------------------------------
 
@@ -511,16 +498,14 @@ class CayleyGroup:
         """Index-2 subgroups of sub: hyperplane preimages mod <squares>.
 
         Every index-2 subgroup contains every square, so it contains
-        Phi = <squares of sub> (in a 2-group the Frattini subgroup, since
-        [x, y] = x^-2 (x y^-1)^2 y^2).  The coordinates on sub/Phi are
+        Phi = <squares of sub> (`frattini`).  The coordinates on sub/Phi are
         verified to be a homomorphism onto GF(2)^r with kernel Phi, so each
         hyperplane preimage is the kernel of a homomorphism onto GF(2): an
         index-2 subgroup, and every index-2 subgroup arises exactly once.
         """
         if sub is None:
             sub = self.full_bits()
-        phi = self.closure(self.squares(sub))
-        coords, basis = self.elementary_quotient_coords(phi, sub)
+        coords, basis = self.elementary_quotient_coords(self.frattini(sub), sub)
         sm = sub.members
         cm = coords[sm]
         parity = _popcount(np.arange(1 << len(basis))) & 1
@@ -576,10 +561,9 @@ class CayleyGroup:
     def is_extraspecial(self, sub: SubgroupBits) -> bool:
         """|sub| = 2^(1+2m) and Z(sub) = sub' = Phi(sub) of order 2.
 
-        Phi contains <squares>, which is all of Phi in a 2-group, and is
-        trivial only for an elementary abelian group; so a sub with more
-        than one non-trivial square, or with <squares> not of order 2, is
-        rejected in O(|sub|) before the definition is checked in full.
+        Phi = <squares> (`frattini`), so a sub with more than one
+        non-trivial square, or with <squares> not of order 2, is rejected
+        in O(|sub|); what remains to check is Z(sub) = sub' of order 2.
         """
         n = sub.order
         power = n.bit_length() - 1
@@ -591,11 +575,8 @@ class CayleyGroup:
         z = self.center_of(sub)
         if z.order != 2:
             return False
-        d = self.derived_subgroup(sub)
-        if not np.array_equal(d.bits, z.bits):
-            return False
-        phi = self.closure(np.concatenate([d.members, sq]))
-        return bool(np.array_equal(phi.bits, z.bits))
+        # Phi = <sq> has order 2 and contains sub' = Z, so Phi = Z as well
+        return bool(np.array_equal(self.derived_subgroup(sub).bits, z.bits))
 
     def extraspecial_type(self, sub: SubgroupBits) -> str:
         """'+' or '-' by involution count, for extraspecial 2-groups."""
@@ -643,14 +624,12 @@ class CayleyGroup:
         """Isomorphism-invariant tuple used for dedup and search pruning."""
         z = self.center_of(sub)
         d = self.derived_subgroup(sub)
-        phi_seeds = np.concatenate([d.members, self.squares(sub)])
-        phi = self.closure(phi_seeds)
         return (
             sub.order,
             self.exponent(sub),
             z.order,
             d.order,
-            phi.order,
+            self.frattini(sub).order,
             self.order_histogram(sub),
             self.is_abelian(sub),
             self.is_elementary_abelian(sub),

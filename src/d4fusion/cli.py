@@ -301,7 +301,8 @@ def make_parser():
 
 
 def _field_size(args) -> int:
-    """The --q value, which only the valuation lemma reads; 3 if not given."""
+    """The --q value, which only the valuation lemma reads; 3 if not given.
+    The valuation tables are defined for odd field sizes q >= 3 only."""
     q = getattr(args, "q", None)
     if q is None:
         return 3
@@ -309,6 +310,8 @@ def _field_size(args) -> int:
     if CHECK_ALIASES.get(args.lemma, args.lemma) != "valuation":
         raise ConfigurationError("--q applies to --lemma valuation only, not %r"
                                  % args.lemma)
+    if q < 3 or q % 2 == 0:
+        raise ConfigurationError("--q must be an odd integer >= 3, not %d" % q)
     return q
 
 

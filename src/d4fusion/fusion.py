@@ -1,8 +1,8 @@
 """Fusion-system assembly on the Sylow 2-subgroup and its key invariants.
 
 A fusion system here is concrete data: the Cayley group S, essential
-slots (a subgroup plus automizer generator maps pulled back from an
-ambient model), and the maps granted to S itself (inner ones always, plus
+slots (a subgroup plus the conjugation by one order-3 element of an
+ambient overgroup), and the maps granted to S itself (Inn(S) always, plus
 one verified order-3 map for the ":3" variants).  Element fusion is the
 orbit closure of those partial bijections; normality of a subgroup in the
 system is the essential-plus-S invariance criterion; the distinguishing
@@ -44,13 +44,13 @@ VARIANTS = ("O8p2", "O8p2x3", "PO8p3", "PO8p3x3")
 
 @dataclass
 class EssentialSlot:
-    """An essential subgroup with automizer generators from one model."""
+    """An essential subgroup with automizer generators from one model: for
+    the parabolic slots, the conjugation by one order-3 element."""
 
     subgroup: SubgroupBits
     automizer_gens: list            # AutoMap objects on the subgroup
     model_tag: str
     outer_order: int = 0
-    order3_gen: AutoMap | None = None
 
     def __post_init__(self):
         self.validate()
@@ -180,22 +180,39 @@ def conjugation_automap(bundle: ModelBundle, domain: SubgroupBits, g) -> AutoMap
     return AutoMap(S, images, domain)
 
 
-def _map_group_order(domain: SubgroupBits, maps) -> int:
-    """Order of the permutation group the maps generate on the domain."""
+def _map_group_order(domain: SubgroupBits, images) -> int:
+    """Order of the permutation group that the image arrays, each mapping
+    the domain onto itself, generate on the domain."""
     members = domain.members
     local = np.full(domain.group.n, -1, dtype=np.int64)
     local[members] = np.arange(len(members))
-    gens = [local[a.images[members]].astype(np.uint16) for a in maps]
+    gens = [local[img[members]].astype(np.uint16) for img in images]
     return build_stab_chain(GroupHandle("automizer", gens)).order()
 
 
-def automizer_from_model(bundle: ModelBundle, overgroup_gens, order3_elem,
-                         tag: str) -> EssentialSlot:
-    """Slot for the 2-radical of one minimal overgroup P of S.
+def automizer_from_model(bundle: ModelBundle, order3_elem, tag: str) -> EssentialSlot:
+    """Slot for the 2-radical R of the minimal overgroup P = <S, g3> of S.
 
-    The radical is R = S meet S^g3 meet S^(g3^-1), the intersection of the
-    three Sylow conjugates of S in P.  It is read off signature lookups
-    and proved by the order-3 map's own check:
+    The caller proves P = <S, g3>: |P : S| = 3 is prime and g3 lies in P
+    outside S, so no group lies strictly between S and P.  By Alperin's
+    theorem the system is generated by Inn(S) and the automizers Aut_P(R)
+    (Aschbacher, Kessar and Oliver, *Fusion Systems in Algebra and
+    Topology*, 2011, Part I), and Aut_P(R) is generated by the restrictions
+    c_s|_R (s in S) and c_g3.  The slot keeps c_g3 alone: the system holds
+    each c_s on all of S once, in `FusionSystem.aut_s_gens`, and a
+    restriction c_s|_R adds nothing that any reader sees:
+
+    - its fusion edges (x, x^s) are a subset of those of c_s;
+    - `check_O2`'s R lies in every domain, and there c_s|_R and c_s agree;
+    - on each E inside R it induces the same linear map as c_s, which
+      `aut_group_on_elab` deduplicates.
+
+    Conjugation by any other element of P is a word in these maps, so it
+    adds no fusion orbit and no invariant subgroup either.
+
+    R = S meet S^g3 meet S^(g3^-1), the intersection of the three Sylow
+    conjugates of S in P, is read off signature lookups and proved by the
+    order-3 map's own check:
 
     - Every member of R has conjugates by g3 and g3^-1 in S, and each hits
       its own signature, so the mask M keeps all of R.
@@ -208,13 +225,11 @@ def automizer_from_model(bundle: ModelBundle, overgroup_gens, order3_elem,
       permutes M inside S, and so does its inverse, conjugation by g3^-1.
       Hence M is inside R, and M = R.
 
-    A failure raises `ConfigurationError` naming the slot tag.  The inner
-    maps come from S's own table, one per element of S's verified
-    generating set; the others from ambient conjugation by the
-    P-generators outside S.  The induced group on the radical must exceed
-    the S-conjugation image by an odd factor of exactly 3 (so the outer
-    automizer is of order 6).  That image is S / C_S(R), read off one
-    centralizer.
+    A failure raises `ConfigurationError` naming the slot tag.  The slot's
+    independent oracle is the order of Aut_P(R), built as a chain on R's
+    2048 members from Inn(S)'s image arrays (R has index 2, so S normalizes
+    it) and c_g3: it must exceed the S-conjugation image S / C_S(R), read
+    off one centralizer, by exactly 3, so the outer automizer has order 6.
     """
     S = bundle.sylow
     g3 = np.asarray(order3_elem, dtype=np.uint16)
@@ -234,16 +249,13 @@ def automizer_from_model(bundle: ModelBundle, overgroup_gens, order3_elem,
                                  "permute the signature radical: %s" % (tag, exc)) from exc
     if order3_map.map_order() != 3:
         raise ConfigurationError("conjugation by the order-3 element has wrong order")
-    inner_maps = [inner_automap(S, gi, radical) for gi in S.generating_set()]
-    outer_maps = [conjugation_automap(bundle, radical, np.asarray(g, dtype=np.uint16))
-                  for g in overgroup_gens]
-    big = _map_group_order(radical, inner_maps + outer_maps + [order3_map])
+    inner = [S.conj_map_images(gi) for gi in S.generating_set()]
+    big = _map_group_order(radical, inner + [order3_map.images])
     small = S.n // S.centralizer(S.generating_set(radical)).order
     if big != 3 * small:
         raise ConfigurationError("outer automizer odd part is %s, not 3" % (big / small))
-    return EssentialSlot(subgroup=radical,
-                         automizer_gens=inner_maps + outer_maps + [order3_map],
-                         model_tag=tag, outer_order=6, order3_gen=order3_map)
+    return EssentialSlot(subgroup=radical, automizer_gens=[order3_map], model_tag=tag,
+                         outer_order=6)
 
 
 # -- chamber model: the four minimal flag stabilizers ------------------------
@@ -271,7 +283,11 @@ def _perm_power(g, k):
 
 
 def chamber_parabolic_slots(bundle: ModelBundle):
-    """One slot per minimal flag-stabilizer overgroup of the chamber Sylow."""
+    """One slot per minimal flag-stabilizer overgroup P of the chamber Sylow.
+
+    The chain of P, rebased from the ambient one, proves |P| = 3 * 4096, so
+    P = <S, g3> for the order-3 element g3 taken from that chain.
+    """
     ambient = bundle.ambient
     base = bundle.extras["flag_base"]
     slots = []
@@ -282,9 +298,8 @@ def chamber_parabolic_slots(bundle: ModelBundle):
         if order != 3 * 4096:
             raise ConfigurationError("minimal flag stabilizer has order %d" % order)
         g3 = _order3_from_chain(over.chain)
-        slots.append(automizer_from_model(
-            bundle, over.generators, g3,
-            tag="omega8plus2-parabolic-omit%d" % omit))
+        slots.append(automizer_from_model(bundle, g3,
+                                          tag="omega8plus2-parabolic-omit%d" % omit))
     return slots
 
 
@@ -344,9 +359,9 @@ def frame_parabolic_slots(bundle: ModelBundle, frame: Frame, tag_prefix: str):
     The frame group maps onto the alternating group of its 8 lines; the
     minimal overgroups of S are the preimages of the minimal overgroups of
     the letter image of S, realized by lifting one order-3 letter
-    permutation each.  P = <S, g3> for the lift g3, so the slot's maps are
-    the inner maps and the conjugation by g3.  No chain of the frame group
-    is built; each fact it stood for rests here:
+    permutation each.  The preimage P of a letter group of order 192 has
+    order 3 * |S|, so P = <S, g3> for the lift g3 (`automizer_from_model`).
+    No chain of the frame group is built; each fact it stood for rests here:
 
     - S permutes the frame lines: `frame_line_action` raises unless each
       generator matrix of S does.
@@ -369,7 +384,7 @@ def frame_parabolic_slots(bundle: ModelBundle, frame: Frame, tag_prefix: str):
         mat = (c @ perm_matrix(rho) @ cinv) % 3
         check_in_omega(mat)
         g3 = dom.perm_of_matrix(mat)
-        slots.append(automizer_from_model(bundle, [], g3,
+        slots.append(automizer_from_model(bundle, g3,
                                           tag="%s-parabolic-%d" % (tag_prefix, k)))
     return slots
 
@@ -644,7 +659,7 @@ def aut_group_on_elab(fs: FusionSystem, e: SubgroupBits):
             raise ConfigurationError("induced map is not linear on the subgroup")
         applicable.append(a)
         vec_perms.append(vp)
-    order = _map_group_order(e, applicable) if applicable else 1
+    order = _map_group_order(e, [a.images for a in applicable]) if applicable else 1
     return {"order": order, "generator_count": len(applicable),
             "skipped_maps": skipped, "form": _invariant_form_info(vec_perms)}
 

@@ -92,6 +92,16 @@ def test_d8_derived_and_frattini(d8):
     assert np.array_equal(der.bits, phi.bits)
 
 
+def test_frattini_equals_the_intersection_of_the_maximal_subgroups(d8, contexts):
+    # the independent route: Phi(H) is the intersection of the index-2 subgroups
+    groups = [d8] + [ctx.S for ctx in contexts.values()]
+    for g in groups:
+        inter = np.ones(g.n, dtype=bool)
+        for mx in g.maximal_subgroups():
+            inter &= mx.bits
+        assert np.array_equal(g.frattini().bits, inter)
+
+
 def test_d8_maximal_and_index_descent(d8):
     maxs = d8.maximal_subgroups()
     assert len(maxs) == 3

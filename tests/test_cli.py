@@ -137,6 +137,8 @@ def test_fusion_o2_action(tmp_path):
     ["verify", "--model", "affine", "--lemma", "cent", "--q", "99"],
     ["verify", "--lemma", "all", "--q", "5"],
     ["verify", "--lemma", "cent", "--budget-secs", "-1"],
+    ["verify", "--lemma", "valuation", "--q", "4"],
+    ["verify", "--lemma", "valuation", "--q", "1"],
 ])
 def test_stray_q_and_bad_budget_are_configuration_errors(tmp_path, capsys, args):
     assert run(args, tmp_path) == 2

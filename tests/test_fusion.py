@@ -60,8 +60,35 @@ def test_slot_outer_orders(fusion_systems):
     for fs in fusion_systems.values():
         for slot in fs.essentials:
             assert slot.outer_order == 6
-            assert slot.order3_gen is not None
-            assert slot.order3_gen.map_order() == 3
+            assert slot.automizer_gens[0].map_order() == 3
+
+
+def with_restricted_inner_maps(fs):
+    """The same system with each slot's restricted copy of Inn(S) added back."""
+    S = fs.s
+    slots = [EssentialSlot(subgroup=slot.subgroup,
+                           automizer_gens=[inner_automap(S, g, slot.subgroup)
+                                           for g in S.generating_set()]
+                           + slot.automizer_gens,
+                           model_tag=slot.model_tag, outer_order=slot.outer_order)
+             for slot in fs.essentials]
+    return FusionSystem(ctx=fs.ctx, essentials=slots, aut_s_gens=fs.aut_s_gens,
+                        variant=fs.variant, notes=dict(fs.notes))
+
+
+def test_each_slot_is_one_order3_map_and_restricted_inner_maps_add_nothing(
+        fusion_systems, fusion_partitions, fusion_radicals):
+    for variant, fs in fusion_systems.items():
+        for slot in fs.essentials:
+            (order3_map,) = slot.automizer_gens
+            assert order3_map.map_order() == 3
+        reference = with_restricted_inner_maps(fs)
+        assert np.array_equal(fuse_elements(reference).class_id,
+                              fusion_partitions[variant].class_id), variant
+        assert check_O2(reference) == fusion_radicals[variant], variant
+        for e in fs.ctx.six_E:
+            assert (aut_group_on_elab(reference, e)["order"]
+                    == aut_group_on_elab(fs, e)["order"]), variant
 
 
 def test_non_essential_candidate_matches_order3_fixed(fusion_systems):
@@ -113,14 +140,17 @@ def test_inner_conjugation_is_inner_automap(chamber_bundle, contexts):
 
 @pytest.mark.parametrize("variant", ["O8p2", "PO8p3"])
 def test_slot_inner_maps_equal_ambient_conjugation(fusion_systems, bundles, variant):
-    # the inner maps of a slot come from S's table; the ambient conjugation
-    # through the verified embedding must give the same image arrays
+    # the inner maps come from S's table; restricted to each slot radical,
+    # the ambient conjugation through the verified embedding must agree
     bundle = bundles["omega8plus2" if variant == "O8p2" else "frame"]
     S = bundle.sylow
-    for slot in fusion_systems[variant].essentials:
-        for gi, table_map in zip(S.generating_set(), slot.automizer_gens):
+    fs = fusion_systems[variant]
+    assert len(fs.aut_s_gens) == len(S.generating_set())
+    for slot in fs.essentials:
+        members = slot.subgroup.members
+        for gi, table_map in zip(S.generating_set(), fs.aut_s_gens):
             ambient = conjugation_automap(bundle, slot.subgroup, bundle.embedding[gi])
-            assert np.array_equal(table_map.images, ambient.images)
+            assert np.array_equal(table_map.images[members], ambient.images[members])
 
 
 def test_order3_slot_maps_are_deterministic(fusion_systems, chamber_bundle):
@@ -131,7 +161,7 @@ def test_order3_slot_maps_are_deterministic(fusion_systems, chamber_bundle):
     first = fusion_systems["O8p2"].essentials
     assert len(fresh.essentials) == len(first) == 4
     for a, b in zip(first, fresh.essentials):
-        assert np.array_equal(a.order3_gen.images, b.order3_gen.images)
+        assert np.array_equal(a.automizer_gens[0].images, b.automizer_gens[0].images)
 
 
 def _full_degree_radical(bundle, g3):
@@ -148,8 +178,8 @@ def test_signature_radicals_equal_the_full_degree_intersection(chamber_bundle, f
     calls = []
     real = fusion.automizer_from_model
 
-    def recording(bundle, overgroup_gens, g3, tag):
-        slot = real(bundle, overgroup_gens, g3, tag)
+    def recording(bundle, g3, tag):
+        slot = real(bundle, g3, tag)
         calls.append((bundle, g3, slot))
         return slot
 
