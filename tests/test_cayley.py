@@ -93,13 +93,16 @@ def test_d8_derived_and_frattini(d8):
 
 
 def test_frattini_equals_the_intersection_of_the_maximal_subgroups(d8, contexts):
-    # the independent route: Phi(H) is the intersection of the index-2 subgroups
-    groups = [d8] + [ctx.S for ctx in contexts.values()]
-    for g in groups:
+    # Phi(H) is the intersection of the index-2 subgroups, and H' H^2; the
+    # second proves the derived subgroup lies in <squares>
+    for g in [d8] + [ctx.S for ctx in contexts.values()]:
+        phi = g.frattini().bits
         inter = np.ones(g.n, dtype=bool)
         for mx in g.maximal_subgroups():
             inter &= mx.bits
-        assert np.array_equal(g.frattini().bits, inter)
+        assert np.array_equal(phi, inter)
+        seeds = np.concatenate([g.derived_subgroup().members, g.squares()])
+        assert np.array_equal(phi, g.closure(seeds).bits)
 
 
 def test_d8_maximal_and_index_descent(d8):
