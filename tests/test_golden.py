@@ -1,4 +1,4 @@
-"""Golden fusion certificates: the CLI output, apart from timing, is pinned.
+"""Golden certificates: the CLI output, apart from timing, is pinned.
 
 Each run goes through `cli.main` in-process, once per session, over the
 session bundles (the same builds `cli.build_bundles` makes).  Its
@@ -24,6 +24,7 @@ RUNS = {
     "fusion-O8p2x3": ["fusion", "--variant", "O8p2x3"],
     "fusion-PO8p3": ["fusion", "--variant", "PO8p3"],
     "fusion-PO8p3x3": ["fusion", "--variant", "PO8p3x3"],
+    "verify-all": ["verify", "--lemma", "all"],
 }
 
 # SHA-1 of each canonical certificate text
@@ -33,6 +34,7 @@ PINS = {
     "fusion-O8p2x3": "2c8d96a44a50302b2cd44dab1fc28252f85fee28",
     "fusion-PO8p3": "4e4f9a13d3ae440127c9569e4da648ba84fc5b2b",
     "fusion-PO8p3x3": "f699d33508939e63dc6e220e964d57c8ad480f92",
+    "verify-all": "d4172a2735b6b6758b95eeedce943780ff0a2d66",
 }
 
 VOLATILE = {"elapsed_ms", "cache_dir"}
@@ -56,7 +58,8 @@ def golden_certificates(bundles, tmp_path_factory):
     for name, args in RUNS.items():
         cache = tmp_path_factory.mktemp(name)
         assert cli.main(args + ["--cache-dir", str(cache)]) == 0, name
-        out[name] = canonical(json.loads((cache / "certificate-fusion.json").read_text()))
+        path = cache / ("certificate-%s.json" % args[0])
+        out[name] = canonical(json.loads(path.read_text()))
     return out
 
 
