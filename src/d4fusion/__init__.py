@@ -9,14 +9,13 @@ invariants that tell them apart.
 
 __version__ = "0.1.0"
 
-from .perms import Permutation, identity_perm, compose, inverse
+from .perms import compose, inverse, perm_from_cycles
 from .stabchain import StabChain, GroupHandle, build_stab_chain, orbit
 
 __all__ = [
-    "Permutation",
-    "identity_perm",
     "compose",
     "inverse",
+    "perm_from_cycles",
     "StabChain",
     "GroupHandle",
     "build_stab_chain",

@@ -24,6 +24,8 @@ chains rest on, as the pinned tables rest on the engine's order.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,14 +75,6 @@ class SubgroupBits:
 
     def __le__(self, other) -> bool:
         return bool((~other.bits[self.members]).sum() == 0)
-
-    @property
-    def is_elementary_abelian(self) -> bool:
-        return self.group.is_elementary_abelian(self)
-
-    @property
-    def is_extraspecial(self) -> bool:
-        return self.group.is_extraspecial(self)
 
 
 class CayleyGroup:
@@ -551,9 +545,6 @@ class CayleyGroup:
             return False
         return self.is_abelian(sub)
 
-    def exponent(self, sub: SubgroupBits) -> int:
-        return int(np.lcm.reduce(self.order_of[sub.members]))
-
     def order_histogram(self, sub: SubgroupBits):
         vals, counts = np.unique(self.order_of[sub.members], return_counts=True)
         return tuple((int(v), int(c)) for v, c in zip(vals, counts))
@@ -595,46 +586,19 @@ class CayleyGroup:
 
     def abelian_invariant_check(self, sub: SubgroupBits, invariants) -> bool:
         """Does an abelian sub have the given cyclic invariants (e.g. (4,2,2,2))?"""
-        if not self.is_abelian(sub):
+        if not self.is_abelian(sub) or sub.order != math.prod(invariants):
             return False
-        import math
-        order = 1
+        # compare the full order histogram with the abstract product's; the
+        # element k of Z/q has order q / gcd(k, q)
+        target = Counter({1: 1})
         for q in invariants:
-            order *= q
-        if sub.order != order:
-            return False
-        # compare the full order histogram with the abstract product's
-        from collections import Counter
-        hist = Counter()
-        def count_orders(invs):
-            tallies = Counter({1: 1})
-            for q in invs:
-                new = Counter()
-                for o, c in tallies.items():
-                    for k in range(q):
-                        e = _order_in_cyclic(k, q)
-                        new[math.lcm(o, e)] += c
-                tallies = new
-            return tallies
-        target = count_orders(tuple(invariants))
+            new = Counter()
+            for o, c in target.items():
+                for k in range(q):
+                    new[math.lcm(o, q // math.gcd(k, q))] += c
+            target = new
         actual = Counter({int(v): int(c) for v, c in self.order_histogram(sub)})
         return target == actual
-
-    def fingerprint(self, sub: SubgroupBits):
-        """Isomorphism-invariant tuple used for dedup and search pruning."""
-        z = self.center_of(sub)
-        d = self.derived_subgroup(sub)
-        return (
-            sub.order,
-            self.exponent(sub),
-            z.order,
-            d.order,
-            self.frattini(sub).order,
-            self.order_histogram(sub),
-            self.is_abelian(sub),
-            self.is_elementary_abelian(sub),
-            self.is_extraspecial(sub),
-        )
 
     # -- conjugacy ----------------------------------------------------------
 
@@ -770,11 +734,6 @@ def _popcount(arr):
         out += arr & 1
         arr >>= 1
     return out
-
-
-def _order_in_cyclic(k, q):
-    from math import gcd
-    return q // gcd(k, q)
 
 
 def check_isomorphism(images, source: CayleyGroup, target: CayleyGroup,

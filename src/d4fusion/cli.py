@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -37,8 +38,14 @@ class RunConfig:
     out: Path = None
 
     def __post_init__(self):
-        if self.budget_secs <= 0:
-            raise ConfigurationError("budgets must be positive")
+        # a NaN budget would switch every deadline off, and neither NaN nor
+        # an infinity is JSON
+        if not (math.isfinite(self.budget_secs) and self.budget_secs > 0):
+            raise ConfigurationError("budgets must be finite and positive, not %r"
+                                     % self.budget_secs)
+        if self.out is not None and (self.out.is_dir() or not self.out.parent.is_dir()):
+            raise ConfigurationError("--out %s must name a file in an existing "
+                                     "directory" % self.out)
 
     def echo(self) -> dict:
         return {
@@ -61,7 +68,10 @@ def resolve_cache_dir(flag_value) -> Path:
         path = Path(os.environ["D4FUSION_CACHE"])
     else:
         path = Path("d4fusion-cache")
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError("cache directory %s is unusable: %s" % (path, exc)) from exc
     return path
 
 
@@ -131,11 +141,9 @@ def cmd_verify(config: RunConfig) -> Certificate:
     models = MODELS if config.model == "all" else (config.model,)
     bundles = build_bundles(config, models=models)
     contexts = {m: StructureContext(b) for m, b in bundles.items()}
-    ids = None if lemma == "all" else [lemma]
-
+    # run_battery owns the rule that a8 runs on the affine model only
+    sel = list(CHECKS) + ["a8"] if lemma == "all" else [lemma]
     for model in models:
-        extra = ["a8"] if model == "affine" else []
-        sel = ids if ids is not None else list(CHECKS) + extra
         for rep in run_battery(contexts[model], ids=sel):
             rep.lemma_id = "%s@%s" % (rep.lemma_id, model)
             cert.add(rep)

@@ -229,11 +229,7 @@ class ConcatenatedDomain(IndexedDomain):
 
 def induced_action(group_gens, domain: IndexedDomain):
     """Permutations induced by matrix generators on an indexed domain."""
-    out = []
-    for g in group_gens:
-        mat = g.entries if hasattr(g, "entries") else g
-        out.append(domain.perm_of_matrix(mat))
-    return out
+    return [domain.perm_of_matrix(g) for g in group_gens]
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .domains import (
     singular_objects,
     span_codes_gf2,
 )
-from .perms import ConfigurationError, Permutation, inverse
+from .perms import ConfigurationError, inverse, perm_from_cycles
 from .quadforms import (
     DIM,
     GF2_SPACE,
@@ -213,7 +213,7 @@ def omega_transvection_pairs():
 def pair_transvection_matrix(a, b):
     ta = transvection(GF2_SPACE, a)
     tb = transvection(GF2_SPACE, b)
-    return (tb.entries.astype(np.int64) @ ta.entries) % 2
+    return (tb.astype(np.int64) @ ta) % 2
 
 
 def standard_chamber():
@@ -382,11 +382,11 @@ class AffineModule:
 
 def a8_generators():
     """Three-cycles (0,1,k): a generating set of the alternating group."""
-    return [Permutation.from_cycles(8, (0, 1, k)).images for k in range(2, 8)]
+    return [perm_from_cycles(8, [(0, 1, k)]) for k in range(2, 8)]
 
 
 def t_part_perms():
-    return [Permutation.from_cycles(8, *cycles).images for cycles in T_PART_CYCLES]
+    return [perm_from_cycles(8, cycles) for cycles in T_PART_CYCLES]
 
 
 def build_affine_model() -> ModelBundle:
@@ -407,8 +407,7 @@ def build_affine_model() -> ModelBundle:
         raise ConfigurationError("affine Sylow enumeration did not reach 4096")
     sig_cols = distinguishing_columns(emb)
     q_translations = [module.subset(s) for s in Q_TRANSLATION_SETS]
-    q_perm_part = [module.linear_perm(Permutation.from_cycles(8, *c).images)
-                   for c in Q_PERM_CYCLES]
+    q_perm_part = [module.linear_perm(perm_from_cycles(8, c)) for c in Q_PERM_CYCLES]
     bundle = ModelBundle(
         provenance="affine-A8",
         ambient=ambient,
@@ -601,8 +600,7 @@ def frame_from_involutions(lifts) -> Frame:
     eigenspaces; anything else signals a non-frame-type subgroup or a bad
     lift choice.
     """
-    mats = [np.asarray(m.entries if hasattr(m, "entries") else m, dtype=np.int64) % 3
-            for m in lifts]
+    mats = [np.asarray(m, dtype=np.int64) % 3 for m in lifts]
     for m in mats:
         if not np.array_equal((m @ m) % 3, np.eye(DIM, dtype=np.int64)):
             raise PreconditionError("lift is not an involution")

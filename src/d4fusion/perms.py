@@ -8,7 +8,7 @@ matrix product b @ a on column vectors).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
 
@@ -31,9 +31,7 @@ class ResourceError(RuntimeError):
 
 
 def as_images(p) -> np.ndarray:
-    """Coerce a permutation-like object to a validated image array."""
-    if isinstance(p, Permutation):
-        return p.images
+    """Coerce a sequence of images to a validated image array."""
     arr = np.asarray(p, dtype=DTYPE)
     check_images(arr)
     return arr
@@ -86,95 +84,19 @@ def perm_order(a: np.ndarray) -> int:
             seen[j] = True
             j = images[j]
             length += 1
-        out = _lcm(out, length)
-    return out
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a // gcd(a, b) * b
-
-
-def cycles_of(a: np.ndarray) -> list:
-    """Nontrivial cycles, each rotated to start at its minimum."""
-    images = a.tolist()
-    seen = [False] * len(images)
-    out = []
-    for i in range(len(images)):
-        if seen[i] or images[i] == i:
-            seen[i] = True
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = images[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = images[j]
-        out.append(tuple(cyc))
+        out = lcm(out, length)
     return out
 
 
 def perm_from_cycles(degree: int, cycles) -> np.ndarray:
+    """The image array of a product of disjoint cycles, each a tuple of points."""
     images = identity_images(degree)
     for cyc in cycles:
+        if not all(0 <= x < degree for x in cyc):
+            raise ConfigurationError("cycle %r has a point outside 0..%d"
+                                     % (tuple(cyc), degree - 1))
         for x, y in zip(cyc, cyc[1:]):
             images[x] = y
         images[cyc[-1]] = cyc[0]
     check_images(images)
     return images
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on {0, ..., degree-1}, wrapping an image array."""
-
-    images: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "images", np.asarray(self.images, dtype=DTYPE))
-        check_images(self.images)
-
-    @property
-    def degree(self) -> int:
-        return self.images.shape[0]
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(identity_images(degree))
-
-    @classmethod
-    def from_cycles(cls, degree: int, *cycles) -> "Permutation":
-        return cls(perm_from_cycles(degree, cycles))
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return Permutation(compose(self.images, other.images))
-
-    def __invert__(self) -> "Permutation":
-        return Permutation(inverse(self.images))
-
-    def __call__(self, point: int) -> int:
-        return int(self.images[point])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and np.array_equal(self.images, other.images)
-
-    def __hash__(self) -> int:
-        return hash(self.images.tobytes())
-
-    def is_identity(self) -> bool:
-        return is_identity(self.images)
-
-    def order(self) -> int:
-        return perm_order(self.images)
-
-    def __repr__(self) -> str:
-        cyc = cycles_of(self.images)
-        if not cyc:
-            return "Permutation(id, degree=%d)" % self.degree
-        return "Permutation(%s)" % "".join(str(c) for c in cyc)
-
-
-def identity_perm(degree: int) -> Permutation:
-    return Permutation.identity(degree)

@@ -272,20 +272,6 @@ def gf3_det(mat) -> int:
 # isometries
 
 
-@dataclass
-class IsometryMatrix:
-    """An 8x8 matrix preserving the ambient quadratic form."""
-
-    space: QuadraticSpace
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.uint8) % self.space.field_order
-        if self.entries.shape != (DIM, DIM):
-            raise ConfigurationError("isometry matrices are 8x8")
-        check_isometry(self.space, self.entries)
-
-
 def check_isometry(space, mat) -> None:
     """Exact check: Q on the 8 basis vectors and B on the 28 basis pairs.
 
@@ -326,8 +312,9 @@ def is_isometry_exhaustive(space, mat) -> bool:
     return True
 
 
-def transvection(space: QuadraticSpace, v) -> IsometryMatrix:
-    """x -> x + B(x, v) v for a nonsingular v, GF(2) only."""
+def transvection(space: QuadraticSpace, v) -> np.ndarray:
+    """x -> x + B(x, v) v for a nonsingular v, GF(2) only; a checked uint8
+    matrix."""
     if space.field_order != 2:
         raise PreconditionError("transvections live in the GF(2) space")
     if isinstance(v, (int, np.integer)):
@@ -338,7 +325,8 @@ def transvection(space: QuadraticSpace, v) -> IsometryMatrix:
     bv = np.array([space.polar(GF2_SPACE.code(np.eye(DIM, dtype=np.uint8)[i]),
                                GF2_SPACE.code(v)) for i in range(DIM)], dtype=np.uint8)
     mat = (np.eye(DIM, dtype=np.uint8) + np.outer(v, bv)) % 2
-    return IsometryMatrix(space, mat)
+    check_isometry(space, mat)
+    return mat
 
 
 def dickson(space: QuadraticSpace, mat) -> int:
@@ -350,8 +338,9 @@ def dickson(space: QuadraticSpace, mat) -> int:
     return gf2_rank((mat + np.eye(DIM, dtype=np.uint8)) % 2) % 2
 
 
-def reflection(space: QuadraticSpace, v) -> IsometryMatrix:
-    """x -> x - B(x, v)/Q(v) v for a nonsingular v, GF(3) only."""
+def reflection(space: QuadraticSpace, v) -> np.ndarray:
+    """x -> x - B(x, v)/Q(v) v for a nonsingular v, GF(3) only; a checked
+    uint8 matrix."""
     if space.field_order != 3:
         raise PreconditionError("reflections live in the GF(3) space")
     v = np.asarray(v, dtype=np.int64) % 3
@@ -364,8 +353,9 @@ def reflection(space: QuadraticSpace, v) -> IsometryMatrix:
         e = np.zeros(DIM, dtype=np.int64)
         e[i] = 1
         cols.append((e - space.polar(e, v) * inv_qv * v) % 3)
-    mat = np.stack(cols, axis=1) % 3
-    return IsometryMatrix(space, mat)
+    mat = (np.stack(cols, axis=1) % 3).astype(np.uint8)
+    check_isometry(space, mat)
+    return mat
 
 
 def reflection_decomposition(space: QuadraticSpace, mat):
@@ -388,17 +378,14 @@ def reflection_decomposition(space: QuadraticSpace, mat):
             continue
         w = (img - e) % 3
         if space.eval_q(w) != 0:
-            r = reflection(space, w)
-            work = (r.entries.astype(np.int64) @ work) % 3
+            work = (reflection(space, w).astype(np.int64) @ work) % 3
             vectors.append(w)
         else:
             z = (img + e) % 3
             if space.eval_q(z) == 0:
                 raise PreconditionError("decomposition failed; input is not an isometry")
-            r1 = reflection(space, z)
-            work = (r1.entries.astype(np.int64) @ work) % 3
-            r2 = reflection(space, e)
-            work = (r2.entries.astype(np.int64) @ work) % 3
+            work = (reflection(space, z).astype(np.int64) @ work) % 3
+            work = (reflection(space, e).astype(np.int64) @ work) % 3
             vectors.extend([z, e])
         if not np.array_equal(work[:, i] % 3, e):
             raise PreconditionError("decomposition failed to fix a basis vector")

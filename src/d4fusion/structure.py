@@ -18,7 +18,7 @@ import numpy as np
 
 from .cayley import CayleyGroup, SubgroupBits, closure_levels, enumerate_elab_subgroups
 from .groupmodels import ModelBundle
-from .perms import ConfigurationError, Permutation
+from .perms import ConfigurationError, perm_from_cycles
 from .reports import LemmaReport, check_timer
 from .quadforms import invariant_quadratic_forms, q
 from .stabchain import orbit
@@ -494,20 +494,19 @@ def check_a8(ctx: StructureContext) -> LemmaReport:
         elems = np.concatenate([ident] + [rows for rows, *_ in closure_levels(
             ident, np.stack(a8_generators()), np.arange(8))])
         w = {"a8_order": len(elems)}
-        x = Permutation.from_cycles(8, (0, 1), (2, 3), (4, 5), (6, 7)).images
+        x = perm_from_cycles(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
         cent = elems[(x[elems] == elems[:, x]).all(axis=1)]
         w["centralizer_order"] = len(cent)
         qx_gens = [
-            Permutation.from_cycles(8, (0, 1), (2, 3), (4, 5), (6, 7)),
-            Permutation.from_cycles(8, (0, 2), (1, 3), (4, 6), (5, 7)),
-            Permutation.from_cycles(8, (0, 4), (1, 5), (2, 6), (3, 7)),
-            Permutation.from_cycles(8, (0, 3), (1, 2), (4, 6), (5, 7)),
-            Permutation.from_cycles(8, (0, 5), (1, 4), (2, 6), (3, 7)),
+            x,
+            perm_from_cycles(8, [(0, 2), (1, 3), (4, 6), (5, 7)]),
+            perm_from_cycles(8, [(0, 4), (1, 5), (2, 6), (3, 7)]),
+            perm_from_cycles(8, [(0, 3), (1, 2), (4, 6), (5, 7)]),
+            perm_from_cycles(8, [(0, 5), (1, 4), (2, 6), (3, 7)]),
         ]
-        extra = [Permutation.from_cycles(8, (0, 2, 4), (1, 3, 5)),
-                 Permutation.from_cycles(8, (0, 2), (1, 3))]
-        cgrp = CayleyGroup.from_generators([p.images for p in qx_gens + extra],
-                                           name="C_A8(x)")
+        extra = [perm_from_cycles(8, [(0, 2, 4), (1, 3, 5)]),
+                 perm_from_cycles(8, [(0, 2), (1, 3)])]
+        cgrp = CayleyGroup.from_generators(qx_gens + extra, name="C_A8(x)")
         qx = cgrp.closure(cgrp.gen_indices[:len(qx_gens)])
         w["qx_order"] = qx.order
         w["qx_extraspecial"] = cgrp.is_extraspecial(qx)
@@ -519,11 +518,11 @@ def check_a8(ctx: StructureContext) -> LemmaReport:
             cgrp.n == len(cent) == 192
             and all(e.tobytes() in cent_keys for e in cgrp.elements))
         key_to_idx = {e.tobytes(): i for i, e in enumerate(cgrp.elements)}
-        listed = [Permutation.from_cycles(8, (0, 1), (2, 3)),
-                  Permutation.from_cycles(8, (0, 1), (4, 5)),
-                  Permutation.from_cycles(8, (2, 3), (4, 5))]
+        listed = [perm_from_cycles(8, [(0, 1), (2, 3)]),
+                  perm_from_cycles(8, [(0, 1), (4, 5)]),
+                  perm_from_cycles(8, [(2, 3), (4, 5)])]
         w["listed_involutions_in_qx"] = all(
-            key_to_idx[p.images.tobytes()] in qx for p in listed)
+            key_to_idx[p.tobytes()] in qx for p in listed)
 
         # commutator subspaces on the module, with the invariant form
         def comm_space(perm8):
@@ -531,7 +530,7 @@ def check_a8(ctx: StructureContext) -> LemmaReport:
             return vals
 
         deep = comm_space(x)
-        shallow = comm_space(Permutation.from_cycles(8, (0, 1), (2, 3)).images)
+        shallow = comm_space(perm_from_cycles(8, [(0, 1), (2, 3)]))
         w["deep_space_size"] = len(deep)
         w["deep_isotropic"] = all(module.weight_form(m) == 0 for m in deep)
         w["shallow_space_size"] = len(shallow)

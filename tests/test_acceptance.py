@@ -182,7 +182,7 @@ def test_criterion_10_valuations():
 
 
 def test_criterion_11_property_suites(contexts, affine_bundle):
-    from d4fusion.perms import Permutation, compose, inverse
+    from d4fusion.perms import compose, inverse, perm_from_cycles
     from d4fusion.quadforms import (GF2_SPACE, GF3_SPACE, dickson, reflection,
                                     spinor_norm, transvection)
     from d4fusion.domains import singular_objects
@@ -192,8 +192,8 @@ def test_criterion_11_property_suites(contexts, affine_bundle):
 
     # permutation engine: order is the product of basic orbit lengths and
     # membership respects products and inverses
-    gens = [Permutation.from_cycles(8, (0, 1, 2, 3, 4, 5, 6, 7)),
-            Permutation.from_cycles(8, (0, 1))]
+    gens = [perm_from_cycles(8, [(0, 1, 2, 3, 4, 5, 6, 7)]),
+            perm_from_cycles(8, [(0, 1)])]
     chain = build_stab_chain(GroupHandle("s8", gens))
     n = 1
     for ln in (len(lv.orbit) for lv in chain.levels):
@@ -211,7 +211,7 @@ def test_criterion_11_property_suites(contexts, affine_bundle):
         m = np.eye(8, dtype=np.int64)
         for _ in range(int(rng.integers(1, 6))):
             t = transvection(GF2_SPACE, int(rng.choice(ns_codes)))
-            m = (t.entries.astype(np.int64) @ m) % 2
+            m = (t.astype(np.int64) @ m) % 2
         mats2.append(m)
     for _ in range(1000):
         i, j = rng.integers(0, len(mats2), 2)
@@ -223,7 +223,7 @@ def test_criterion_11_property_suites(contexts, affine_bundle):
         v = rng.integers(0, 3, 8)
         if GF3_SPACE.eval_q(v) == 0:
             continue
-        mats3.append(reflection(GF3_SPACE, v).entries.astype(np.int64))
+        mats3.append(reflection(GF3_SPACE, v).astype(np.int64))
     cls = {"square": 0, "nonsquare": 1}
     for _ in range(1000):
         i, j = rng.integers(0, len(mats3), 2)

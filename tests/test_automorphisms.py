@@ -145,9 +145,9 @@ def _round_features_reference(S, colors):
 
 def _s5():
     from d4fusion.cayley import CayleyGroup
-    from d4fusion.perms import Permutation
-    gens = [Permutation.from_cycles(5, (0, 1, 2, 3, 4)).images,
-            Permutation.from_cycles(5, (0, 1)).images]
+    from d4fusion.perms import perm_from_cycles
+    gens = [perm_from_cycles(5, [(0, 1, 2, 3, 4)]),
+            perm_from_cycles(5, [(0, 1)])]
     return CayleyGroup.from_generators(gens)
 
 

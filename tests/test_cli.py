@@ -139,11 +139,35 @@ def test_fusion_o2_action(tmp_path):
     ["verify", "--lemma", "cent", "--budget-secs", "-1"],
     ["verify", "--lemma", "valuation", "--q", "4"],
     ["verify", "--lemma", "valuation", "--q", "1"],
+    ["verify", "--lemma", "valuation", "--budget-secs", "nan"],
+    ["verify", "--lemma", "valuation", "--budget-secs", "inf"],
 ])
 def test_stray_q_and_bad_budget_are_configuration_errors(tmp_path, capsys, args):
     assert run(args, tmp_path) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "certificate-verify.json").exists()
+
+
+@pytest.mark.parametrize("where", ["cache-dir flag", "cache-dir variable", "out"])
+def test_unusable_output_location_is_a_configuration_error(tmp_path, capsys, monkeypatch,
+                                                           where):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(cli, "build_bundles", no_build)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    args = ["verify", "--lemma", "cent"]
+    if where == "cache-dir flag":
+        args += ["--cache-dir", str(blocker)]
+    elif where == "cache-dir variable":
+        monkeypatch.setenv("D4FUSION_CACHE", str(blocker))
+    else:
+        args += ["--cache-dir", str(tmp_path), "--out", str(tmp_path / "missing" / "x.json")]
+    assert cli.main(args) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert blocker.read_text() == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]
 
 
 def test_fusion_compare_refuses_a_variant(tmp_path, capsys):

@@ -142,7 +142,7 @@ def test_induced_action_is_homomorphism():
         a = transvection(GF2_SPACE, int(rng.choice(codes)))
         b = transvection(GF2_SPACE, int(rng.choice(codes)))
         pa, pb = induced_action([a, b], dom)
-        pab = dom.perm_of_matrix((b.entries.astype(np.int64) @ a.entries) % 2)
+        pab = dom.perm_of_matrix((b.astype(np.int64) @ a) % 2)
         assert np.array_equal(pab, compose(pa, pb))
 
 
@@ -157,10 +157,10 @@ def test_induced_action_rejects_non_preserving():
 
 def test_code_map_matches_matrix_action():
     t = transvection(GF2_SPACE, int(GF2_SPACE.nonsingular_codes()[3]))
-    cmap = gf2_code_map(t.entries)
+    cmap = gf2_code_map(t)
     for c in (0, 1, 77, 200, 255):
         v = GF2_SPACE.vector(c)
-        assert cmap[c] == GF2_SPACE.code((t.entries.astype(np.int64) @ v) % 2)
+        assert cmap[c] == GF2_SPACE.code((t.astype(np.int64) @ v) % 2)
 
 
 def test_concatenated_domain_offsets():

@@ -6,7 +6,6 @@ from d4fusion.quadforms import (
     DIM,
     GF2_SPACE,
     GF3_SPACE,
-    IsometryMatrix,
     PreconditionError,
     check_isometry,
     dickson,
@@ -29,7 +28,7 @@ def random_isometry_gf2(rng, length=6):
     m = np.eye(DIM, dtype=np.uint8)
     for _ in range(length):
         t = transvection(GF2_SPACE, int(rng.choice(codes)))
-        m = (t.entries.astype(np.int64) @ m) % 2
+        m = (t.astype(np.int64) @ m) % 2
     return m.astype(np.uint8)
 
 
@@ -41,7 +40,7 @@ def random_isometry_gf3(rng, length=6):
         if GF3_SPACE.eval_q(v) == 0:
             continue
         r = reflection(GF3_SPACE, v)
-        m = (r.entries.astype(np.int64) @ m) % 3
+        m = (r.astype(np.int64) @ m) % 3
         count += 1
     return m
 
@@ -80,10 +79,11 @@ def test_transvection_is_involution_of_rank_one():
     rng = np.random.default_rng(1)
     for code in rng.choice(GF2_SPACE.nonsingular_codes(), 10, replace=False):
         t = transvection(GF2_SPACE, int(code))
-        sq = (t.entries.astype(np.int64) @ t.entries) % 2
+        assert t.dtype == np.uint8 and t.shape == (DIM, DIM)
+        sq = (t.astype(np.int64) @ t) % 2
         assert np.array_equal(sq, np.eye(DIM, dtype=np.int64))
-        assert gf2_rank((t.entries + np.eye(DIM, dtype=np.uint8)) % 2) == 1
-        assert dickson(GF2_SPACE, t.entries) == 1
+        assert gf2_rank((t + np.eye(DIM, dtype=np.uint8)) % 2) == 1
+        assert dickson(GF2_SPACE, t) == 1
 
 
 def test_transvection_rejects_singular_vector():
@@ -117,11 +117,12 @@ def test_isometry_exhaustive_gf2():
 def test_reflection_fixes_perp_and_negates_vector():
     e1 = np.eye(8, dtype=np.int64)[0]
     r = reflection(GF3_SPACE, e1)
-    assert np.array_equal((r.entries @ e1) % 3, (-e1) % 3)
+    assert r.dtype == np.uint8 and r.shape == (DIM, DIM)
+    assert np.array_equal((r @ e1) % 3, (-e1) % 3)
     for i in range(1, 8):
         e = np.eye(8, dtype=np.int64)[i]
-        assert np.array_equal((r.entries @ e) % 3, e)
-    assert gf3_det(r.entries) == 2  # determinant -1
+        assert np.array_equal((r @ e) % 3, e)
+    assert gf3_det(r) == 2  # determinant -1
 
 
 def test_reflection_rejects_singular():
@@ -134,8 +135,8 @@ def test_orthogonal_reflections_commute():
     e1 = np.eye(8, dtype=np.int64)[0]
     e2 = np.eye(8, dtype=np.int64)[1]
     r1, r2 = reflection(GF3_SPACE, e1), reflection(GF3_SPACE, e2)
-    a = (r1.entries.astype(np.int64) @ r2.entries) % 3
-    b = (r2.entries.astype(np.int64) @ r1.entries) % 3
+    a = (r1.astype(np.int64) @ r2) % 3
+    b = (r2.astype(np.int64) @ r1) % 3
     assert np.array_equal(a, b)
     assert gf3_det(a) == 1
     sq = (a.astype(np.int64) @ a) % 3
@@ -185,7 +186,7 @@ def test_decomposition_rebuilds_matrix():
         vecs = reflection_decomposition(GF3_SPACE, m)
         rebuilt = np.eye(8, dtype=np.int64)
         for v in vecs:
-            rebuilt = (reflection(GF3_SPACE, v).entries.astype(np.int64) @ rebuilt) % 3
+            rebuilt = (reflection(GF3_SPACE, v).astype(np.int64) @ rebuilt) % 3
         # the decomposition satisfies r_k ... r_1 M = I
         assert np.array_equal((rebuilt @ m) % 3, np.eye(8, dtype=np.int64))
 
@@ -194,7 +195,7 @@ def test_isometry_matrix_spot_check_rejects_garbage():
     bad = np.zeros((8, 8), dtype=np.uint8)
     bad[0, 0] = 1
     with pytest.raises(PreconditionError):
-        IsometryMatrix(GF2_SPACE, bad)
+        check_isometry(GF2_SPACE, bad)
 
 
 def test_isometry_check_catches_one_changed_polar_value():
@@ -209,7 +210,7 @@ def test_isometry_check_catches_one_changed_polar_value():
     assert changed == [(0, 3)]
     assert not is_isometry_exhaustive(GF2_SPACE, m)
     with pytest.raises(PreconditionError, match="polar"):
-        IsometryMatrix(GF2_SPACE, m)
+        check_isometry(GF2_SPACE, m)
     with pytest.raises(PreconditionError, match="polar"):
         dickson(GF2_SPACE, m)
 

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from d4fusion.perms import ConfigurationError, Permutation
+from d4fusion.perms import ConfigurationError, perm_from_cycles
 from d4fusion.cayley import CayleyGroup
 from d4fusion.groupmodels import build_affine_model
 from d4fusion.structure import (
@@ -231,9 +231,16 @@ def test_model_fingerprints_agree(contexts):
 
 def test_order_histogram_value(contexts):
     ctx = contexts["affine"]
-    hist = dict(ctx.S.order_histogram(ctx.S.full_bits()))
+    S = ctx.S
+    hist = dict(S.order_histogram(S.full_bits()))
     assert hist == {1: 1, 2: 495, 4: 3344, 8: 256}
     assert sum(hist.values()) == 4096
+    # the distinguished subgroups: Q is extraspecial of exponent 4, each E is
+    # elementary abelian of order 64, and |Z3| = 32
+    assert max(dict(S.order_histogram(ctx.Q))) == 4
+    assert S.is_extraspecial(ctx.Q)
+    assert all(e.order == 64 and S.is_elementary_abelian(e) for e in ctx.six_E)
+    assert ctx.Z3.order == 32
 
 
 def test_characteristic_series_containments(contexts):
@@ -261,19 +268,6 @@ def test_index8_subgroups_pass_closure_oracle(contexts):
         S.check_closed(sub)
     assert S.is_extraspecial(ctx.Q)
     assert [sub for sub in idx8 if S.is_extraspecial(sub)] == [ctx.Q]
-
-
-def test_fingerprint_of_distinguished_subgroups(contexts):
-    ctx = contexts["affine"]
-    fp_q = ctx.S.fingerprint(ctx.Q)
-    assert fp_q[:5] == (512, 4, 2, 2, 2)
-    assert fp_q[8] is True  # extraspecial
-    for e in ctx.six_E:
-        fp_e = ctx.S.fingerprint(e)
-        assert fp_e[:5] == (64, 2, 64, 1, 1)
-        assert fp_e[7] is True  # elementary abelian
-    fp_z3 = ctx.S.fingerprint(ctx.Z3)
-    assert fp_z3[:5] == (32, 2, 32, 1, 1)
 
 
 def test_subgroup_closure_check_runs(contexts):
@@ -305,10 +299,9 @@ def test_battery_rejects_unknown_id(contexts):
 def test_context_rejects_wrong_group():
     # a tiny abelian 2-group has no extraspecial candidate above its
     # Frattini subgroup, so the distinguished-subgroup search must fail
-    gens = [Permutation.from_cycles(6, (0, 1)), Permutation.from_cycles(6, (2, 3)),
-            Permutation.from_cycles(6, (4, 5))]
-    arrs = [g.images for g in gens]
-    grp = CayleyGroup.from_generators(arrs)
+    gens = [perm_from_cycles(6, [(0, 1)]), perm_from_cycles(6, [(2, 3)]),
+            perm_from_cycles(6, [(4, 5)])]
+    grp = CayleyGroup.from_generators(gens)
 
     class FakeBundle:
         sylow = grp
