@@ -1,4 +1,5 @@
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -268,6 +269,29 @@ def test_index8_subgroups_pass_closure_oracle(contexts):
         S.check_closed(sub)
     assert S.is_extraspecial(ctx.Q)
     assert [sub for sub in idx8 if S.is_extraspecial(sub)] == [ctx.Q]
+
+
+def packed_sha1(subs):
+    return hashlib.sha1(b"".join(np.packbits(sub.bits).tobytes()
+                                 for sub in subs)).hexdigest()
+
+
+def test_index8_subgroup_lists_are_pinned(contexts):
+    # content and order of the descent's output on each model
+    pins = {"affine": "4bb2203bee468e54defc16576e68aa9488b3b9e6",
+            "omega8plus2": "28256654af47d1f453e00b9d8c1c3833fe782c30",
+            "frame": "c2681df70df43e4ba8c0d20b6f4bd33ff17dfe8f"}
+    assert {name: packed_sha1(contexts[name].S.subgroups_of_index(8))
+            for name in pins} == pins
+
+
+def test_quotient_index2_list_is_pinned(contexts):
+    # essential_candidates takes its fours, in this order, from S/Q
+    for ctx in contexts.values():
+        quot, _, _ = ctx.S.quotient_group(ctx.Q)
+        subs = quot.subgroups_of_index(2)
+        assert len(subs) == 7
+        assert packed_sha1(subs) == "2c576cfcc5508ae476f684b25a8afaf5aee7dc20"
 
 
 def test_subgroup_closure_check_runs(contexts):
