@@ -7,17 +7,26 @@ the left-to-right convention of the rest of the package:
 ``T[a, b] = a then b``.
 
 Subgroups are boolean vectors over element indices.  Centres,
-centralizers, central series, derived subgroups and the index-2 descent
-work against a verified generating set of the subgroup, at O(|H| * k) for
-a subgroup H with k generators.  No n x n commutator table is built:
-every reader, the elementary abelian search on the involution commuting
-graph included, gathers the commutators it needs (`_commutators`).
+centralizers, central series and derived subgroups work against a
+verified generating set of the subgroup, at O(|H| * k) for a subgroup H
+with k generators.  No n x n commutator table is built: every reader, the
+elementary abelian search on the involution commuting graph included,
+gathers the commutators it needs (`_commutators`).
+
+The index-2/4/8 descent works a level at a time, through Frattini
+quotients as in Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory* (2005): the subgroups of one level are the rows of one boolean
+matrix, and their squares, Frattini subgroups, verified quotient
+coordinates and hyperplane preimages are computed for all rows together
+(`_maximal_rows`).  `maximal_subgroups`, `frattini`,
+`elementary_quotient_coords` and `closure` are one-row calls of the same
+routines.
 
 One closure engine, `closure_levels`, enumerates elements with parents
 and products: the `from_generators` tables, the ambient-conjugacy oracle,
 the alternating-group scans and the search's anchor prefixes.
-`CayleyGroup.closure` stays apart, a keyless bit-vector fixpoint inside a
-built table that the battery calls thousands of times; so does
+`CayleyGroup._closure_rows` stays apart, a keyless bit-vector fixpoint
+inside a built table that closes the rows of a level at once; so does
 `stabchain._Level.recompute`, whose ascending orbit layers the pinned
 chains rest on, as the pinned tables rest on the engine's order.
 """
@@ -36,6 +45,7 @@ IDX = np.uint16
 _ROOT_BLOCK = 8  # roots per level-synchronous step of span_search
 _ROW_BLOCK = 256  # rows per block of the table builds and checks
 _GATHER = 1 << 20  # entries per row gather of closure_levels, so none copies a level
+_OFF = IDX(np.iinfo(IDX).max)  # a quotient code off the span: no coordinate reaches it
 
 
 class ClosureError(ValueError):
@@ -101,6 +111,7 @@ class CayleyGroup:
         if not np.array_equal(table[:, 0], np.arange(n, dtype=IDX)):
             raise ClosureError("element 0 is not a right identity")
         self.order_of, self.inv = self._orders_and_inverses()
+        self.square_of = table[np.arange(n), np.arange(n)]  # contiguous, unlike the diagonal
         if not np.array_equal(table[np.arange(n), self.inv], np.zeros(n, dtype=IDX)):
             raise ClosureError("inverses do not verify")
         self._light_gens = self._check_associativity()
@@ -291,21 +302,30 @@ class CayleyGroup:
         return SubgroupBits(self, bits)
 
     def closure(self, seed) -> SubgroupBits:
-        """Subgroup generated by the seed indices.
+        """Subgroup generated by the seed indices: one row of `_closure_rows`."""
+        gens = np.unique(np.fromiter((int(s) for s in seed), dtype=np.int64))
+        return SubgroupBits(self, self._closure_rows(gens[None, :])[0])
+
+    def _closure_rows(self, seeds) -> np.ndarray:
+        """The subgroup generated by each row of the (r, s) index matrix `seeds`.
 
         Breadth-first from the identity, multiplying on the right by the
-        seeds only: in a finite group the positive words in the seeds are
-        the whole generated subgroup, so the cost is |closure| * |seeds|.
+        row's seeds only: in a finite group the positive words in the seeds
+        are the whole generated subgroup, so a row costs |closure| * s.  All
+        rows step together; a row padded with the identity gains no product
+        from it.  Returns an (r, n) boolean matrix.
         """
-        bits = np.zeros(self.n, dtype=bool)
-        bits[0] = True
-        gens = np.unique(np.fromiter((int(s) for s in seed), dtype=np.int64))
-        frontier = np.zeros(1, dtype=np.int64)
-        while frontier.size:
-            prods = self.T[np.ix_(frontier, gens)].ravel()
-            frontier = np.unique(prods[~bits[prods]])
-            bits[frontier] = True
-        return SubgroupBits(self, bits)
+        bits = np.zeros((len(seeds), self.n), dtype=bool)
+        bits[:, 0] = True
+        frontier = np.zeros((len(seeds), 1), dtype=IDX)
+        at = np.arange(len(seeds))[:, None, None]
+        while frontier.shape[1]:
+            fresh = np.zeros_like(bits)
+            fresh[at, self.T[frontier[:, :, None], seeds[:, None, :]]] = True
+            fresh &= ~bits
+            bits |= fresh
+            frontier = _padded(fresh)
+        return bits
 
     def _commutators(self, members, gens) -> np.ndarray:
         """[x, g] = x^-1 g^-1 x g for x in members (rows), g in gens (columns)."""
@@ -384,16 +404,41 @@ class CayleyGroup:
     def squares(self, sub: SubgroupBits | None = None) -> np.ndarray:
         if sub is None:
             sub = self.full_bits()
-        m = sub.members
-        return np.unique(self.T[m, m])
+        return np.unique(self.square_of[sub.members])
+
+    def lone_squares(self, rows) -> np.ndarray:
+        """Per boolean row, the one non-trivial square of the row's members.
+
+        The entry is 0 when every square in the row is the identity and -1
+        when the row has two distinct non-trivial squares.  `rows` is a
+        boolean matrix or a list of boolean vectors; each block of rows is
+        stacked on its own and read in one pass over `square_of`.
+        """
+        out = []
+        for s in range(0, len(rows), _ROW_BLOCK):
+            sq = np.asarray(rows[s:s + _ROW_BLOCK]) * self.square_of  # 0 off the row
+            top = sq.max(axis=1, initial=0)
+            lone = ((sq == 0) | (sq == top[:, None])).all(axis=1)
+            out.append(np.where(lone, top.astype(np.int64), -1))
+        return np.concatenate(out)
 
     def frattini(self, sub: SubgroupBits | None = None) -> SubgroupBits:
-        """Frattini subgroup of a 2-group: <squares>.
+        """Frattini subgroup of a 2-group: one row of `_frattini_rows`."""
+        if sub is None:
+            sub = self.full_bits()
+        return SubgroupBits(self, self._frattini_rows(sub.bits[None, :])[0])
+
+    def _frattini_rows(self, rows) -> np.ndarray:
+        """Phi(H) = <squares of H> for each row H of a boolean matrix.
 
         Phi(H) = H' H^2 for a p-group H, and for p = 2 the identity
-        [x, y] = x^-2 (x y^-1)^2 y^2 puts H' inside <H^2>.
+        [x, y] = x^-2 (x y^-1)^2 y^2 puts H' inside <H^2>.  The squares of
+        all rows are one gather, and their closures one `_closure_rows`.
         """
-        return self.closure(self.squares(sub))
+        members = _padded(rows)
+        squares = np.zeros_like(rows)
+        squares[np.arange(len(rows))[:, None], self.square_of[members]] = True
+        return self._closure_rows(_padded(squares))
 
     # -- quotients ----------------------------------------------------------
 
@@ -429,48 +474,83 @@ class CayleyGroup:
         if not k.bits[self._conjugates(k.members, self.generating_set(sub))].all():
             raise ClosureError("subgroup is not normal where required")
 
-    def _quotient_coords(self, k: SubgroupBits, sub: SubgroupBits):
-        """Unverified coordinates on sub/k, by doubling the span.
+    def _quotient_coords(self, kernels, rows):
+        """Unverified coordinates on rows[i]/kernels[i] for each row, by doubling spans.
 
-        Each basis lift is the least member of sub outside the span so far
-        (so it is the least element of its k-coset), and the span grows by
-        the coset span * lift, whose members get the lift's bit.
+        Each basis lift is the least member of its row outside the span so
+        far (so it is the least element of its kernel coset), and the span
+        grows by lift * span, whose members get the lift's bit.  Only the
+        rows' members are gathered.  Returns the (r, n) coordinates, 0 off
+        each row, and the (r, d) lifts, -1 past a row's rank.
         """
-        coords = np.zeros(self.n, dtype=np.int64)
-        span = k.bits.copy()
-        span[0] = True
+        code = ~kernels * _OFF  # coordinates on the span so far, _OFF elsewhere
+        code[:, 0] = 0
+        members = _padded(rows)
         basis = []
         while True:
-            outside = np.flatnonzero(sub.bits & ~span)
-            if not outside.size:
-                return coords, basis
-            g = int(outside[0])
-            members = np.flatnonzero(span)
-            coset = self.T[members, g]
-            coords[coset] = coords[members] | (1 << len(basis))
-            span[coset] = True
-            basis.append(g)
+            outside = rows & (code == _OFF)
+            live = np.flatnonzero(outside.any(axis=1))
+            if not live.size:
+                break
+            g = outside[live].argmax(axis=1)
+            basis.append(np.full(len(rows), -1))
+            basis[-1][live] = g
+            x, at = members[live], live[:, None]
+            back = code[at, self.T[self.inv[g][:, None], x]]  # code of g^-1 y
+            coset = back != _OFF
+            code[np.broadcast_to(at, x.shape)[coset], x[coset]] = (back[coset]
+                                                                  | (1 << len(basis) - 1))
+        code[code == _OFF] = 0
+        return code, np.array(basis, dtype=np.int64).reshape(-1, len(rows)).T
+
+    def _check_quotient_rows(self, coords, basis, kernels, rows) -> None:
+        """Raise unless each coords[i] maps rows[i] onto GF(2)^d with kernel kernels[i].
+
+        Premises, which the callers establish: each row is a subgroup H and
+        its kernel row a normal subgroup N of H.  With g_1..g_d the row's
+        lifts and c its coordinates, checked:
+
+            (a) N = {x in H : c(x) = 0}, and c(x) < 2^d for every x in H;
+            (b) g_j x is in H and c(g_j x) = c(x) ^ (1 << j) for x in H
+                (one comparison: off H the code reads _OFF, which no
+                coordinate reaches).
+
+        By (b) and induction on length, c(w x) = c(x) ^ e(w) for a word w
+        in the g_j, e(w) its parity vector; so c(w) = e(w), and c(w n) =
+        c(w) for n in N.  Left multiplication by g_j maps the fibre of c over
+        v injectively into the fibre over v ^ (1 << j), so all 2^d fibres
+        have |N| elements; each is w_v N, and by (a) they cover H.  For
+        x = w n and y = w' n', x y = w w' (w'^-1 n w') n' with the bracket in
+        N, so c(x y) = c(x) ^ c(y): c is a homomorphism, onto as c(g_j) =
+        1 << j, with kernel N.  A row costs O(|H| * d).
+        """
+        limit = np.int64(1) << (basis >= 0).sum(axis=1)
+        if (not np.array_equal(rows & (coords == 0), kernels)
+                or (rows & (coords >= limit[:, None])).any()):
+            raise ClosureError("quotient coordinates do not have the given kernel")
+        code = coords.astype(IDX) | ~rows * _OFF  # _OFF: not in the row
+        members = _padded(rows)
+        for j in range(basis.shape[1]):
+            live = np.flatnonzero(basis[:, j] >= 0)
+            x, at = members[live], live[:, None]
+            if not np.array_equal(code[at, self.T[basis[live, j][:, None], x]],
+                                  code[at, x] ^ (1 << j)):
+                raise ClosureError("quotient coordinates are not a homomorphism onto "
+                                   "an elementary abelian group")
 
     def check_quotient_coords(self, coords, basis, k: SubgroupBits,
                               sub: SubgroupBits) -> None:
         """Raise unless coords is a homomorphism of sub onto GF(2)^r with kernel k.
 
-        Checked: the basis lifts generate sub (`check_generates`), every x in
-        sub satisfies ``coords[T[x, g_i]] == coords[x] ^ (1 << i)``, and
-        coords vanishes on sub exactly at k.  As coords[0] = 0, induction
-        on the length of a word in the g_i gives coords[x y] = coords[x] ^
-        coords[y].  The check costs O(|sub| * r).
+        One row of `_check_quotient_rows`, after its premises:
+        `generating_set` proves k a subgroup, and `check_normal` proves sub
+        a subgroup (through its verified generating set) and k normal in it.
         """
-        self.check_generates(basis, sub)
-        m = sub.members
-        units = np.int64(1) << np.arange(len(basis), dtype=np.int64)
-        lhs = coords[self.T[np.ix_(m, np.asarray(basis, dtype=np.int64))]]
-        if not np.array_equal(lhs, coords[m][:, None] ^ units[None, :]):
-            raise ClosureError("quotient coordinates are not a homomorphism onto "
-                               "an elementary abelian group")
-        if (coords[0] != 0 or not np.array_equal(coords[m] == 0, k.bits[m])
-                or (k.bits & ~sub.bits).any()):
-            raise ClosureError("quotient coordinates do not have the given kernel")
+        self.generating_set(k)
+        self.check_normal(k, sub)
+        self._check_quotient_rows(np.asarray(coords)[None, :],
+                                  np.asarray(basis, dtype=np.int64).reshape(1, -1),
+                                  k.bits[None, :], sub.bits[None, :])
 
     def elementary_quotient_coords(self, k: SubgroupBits,
                                    sub: SubgroupBits | None = None):
@@ -478,60 +558,93 @@ class CayleyGroup:
 
         Returns (coords, basis_reps): coords[x] is the bit vector of the
         coset of x for every x in sub (0 outside sub), and basis_reps[i],
-        the least element of its coset, has coords 1 << i.
+        the least element of its coset, has coords 1 << i.  One row of
+        `_quotient_coords`, checked by `check_quotient_coords`.
         """
         if sub is None:
             sub = self.full_bits()
-        coords, basis = self._quotient_coords(k, sub)
-        self.check_quotient_coords(coords, basis, k, sub)
-        return coords, basis
+        coords, basis = self._quotient_coords(k.bits[None, :], sub.bits[None, :])
+        basis = basis[0].tolist()
+        self.check_quotient_coords(coords[0], basis, k, sub)
+        return coords[0], basis
 
     # -- maximal subgroup descent -------------------------------------------
 
-    def maximal_subgroups(self, sub: SubgroupBits | None = None):
-        """Index-2 subgroups of sub: hyperplane preimages mod <squares>.
+    def _maximal_rows(self, rows) -> np.ndarray:
+        """The index-2 subgroups of the subgroups in `rows`: one descent level.
 
-        Every index-2 subgroup contains every square, so it contains
-        Phi = <squares of sub> (`frattini`).  The coordinates on sub/Phi are
-        verified to be a homomorphism onto GF(2)^r with kernel Phi, so each
-        hyperplane preimage is the kernel of a homomorphism onto GF(2): an
-        index-2 subgroup, and every index-2 subgroup arises exactly once.
+        `rows` is an (r, n) boolean matrix of subgroups.  Per block of rows:
+        Phi(H) = <squares of H> (`_frattini_rows`), normal in H as the
+        squares are; coordinates on H/Phi(H) (`_quotient_coords`), verified
+        to be a homomorphism onto GF(2)^d with kernel Phi(H)
+        (`_check_quotient_rows`); and the preimage of each hyperplane
+        ker(lambda), lambda = 1 .. 2^d - 1, packed to a key.  Every index-2
+        subgroup of H contains every square, so it contains Phi(H) and is
+        one of these preimages, each the kernel of a homomorphism onto GF(2):
+        every row's index-2 subgroups arise exactly once, and they are
+        subgroups without a further check.  Returns the distinct preimages
+        in order of first occurrence over (row, lambda).
+        """
+        nbytes = (self.n + 7) // 8
+        keys = [np.empty((0, nbytes), dtype=np.uint8)]
+        for s in range(0, len(rows), _ROW_BLOCK):
+            block = rows[s:s + _ROW_BLOCK]
+            phi = self._frattini_rows(block)
+            coords, basis = self._quotient_coords(phi, block)
+            self._check_quotient_rows(coords, basis, phi, block)
+            # odd[:, lam] packs {x in H : c(x) & lam has odd weight}: bit planes
+            # of c, XORed over the bits of lam by doubling
+            odd = np.zeros((len(block), 1, nbytes), dtype=np.uint8)
+            for j in range(basis.shape[1]):
+                plane = np.packbits(coords & (1 << j) != 0, axis=1)[:, None, :]
+                odd = np.concatenate([odd, odd ^ plane], axis=1)
+            lam = np.arange(odd.shape[1])
+            wanted = (lam >= 1) & (lam < 1 << (basis >= 0).sum(axis=1)[:, None])
+            even = np.invert(odd, out=odd)  # in place, as are the cuts to each row
+            even &= np.packbits(block, axis=1)[:, None, :]
+            keys.append(even[wanted])
+        keys = np.concatenate(keys)
+        _, first = np.unique(keys.view(np.dtype((np.void, nbytes))).ravel(),
+                             return_index=True)
+        return np.unpackbits(keys[np.sort(first)], axis=1, count=self.n).view(bool)
+
+    def maximal_subgroups(self, sub: SubgroupBits | None = None):
+        """Index-2 subgroups of sub: one row of `_maximal_rows`.
+
+        A sub from outside enters unverified: `generating_set` proves it a
+        subgroup, and raises `ClosureError` when it is not, before the
+        descent relies on it.
         """
         if sub is None:
             sub = self.full_bits()
-        coords, basis = self.elementary_quotient_coords(self.frattini(sub), sub)
-        sm = sub.members
-        cm = coords[sm]
-        parity = _popcount(np.arange(1 << len(basis))) & 1
-        out = []
-        for lam in range(1, 1 << len(basis)):
-            bits = sub.bits.copy()
-            bits[sm[parity[cm & lam] == 1]] = False
-            out.append(SubgroupBits(self, bits))
-        return out
+        else:
+            self.generating_set(sub)
+        return [SubgroupBits(self, bits) for bits in self._maximal_rows(sub.bits[None, :])]
 
     def subgroups_of_index(self, k: int, explosion_guard=1_000_000):
         """Complete duplicate-free list for k in {2, 4, 8} by maximal descent.
 
-        Every step takes kernels of verified homomorphisms (see
-        `maximal_subgroups`), so the results are subgroups without a
-        further closure check.
+        One `_maximal_rows` call per level, from the whole group down.
+        Every level holds kernels of verified homomorphisms, so the results
+        are subgroups without a further closure check.  The list is sorted
+        by each subgroup's three least members, ties in order of first
+        occurrence.
         """
         if k not in (2, 4, 8):
             raise ConfigurationError("only indices 2, 4, 8 are supported")
-        current = {self.full_bits().key(): self.full_bits()}
-        depth = {2: 1, 4: 2, 8: 3}[k]
-        for _ in range(depth):
-            nxt = {}
-            for sub in current.values():
-                for mx in self.maximal_subgroups(sub):
-                    key = mx.key()
-                    if key not in nxt:
-                        if len(nxt) > explosion_guard:
-                            raise ResourceError("subgroup descent exploded")
-                        nxt[key] = mx
-            current = nxt
-        return sorted(current.values(), key=lambda s: tuple(s.members[:3]))
+        rows = np.ones((1, self.n), dtype=bool)
+        for _ in range({2: 1, 4: 2, 8: 3}[k]):
+            rows = self._maximal_rows(rows)
+            if len(rows) > explosion_guard:
+                raise ResourceError("subgroup descent exploded")
+        lead = np.zeros((len(rows), 3), dtype=np.int64)  # the identity leads every row
+        at = np.arange(len(rows))
+        rows[:, 0] = False  # each member found is cleared for the next search
+        for c in (1, 2):
+            lead[:, c] = rows.argmax(axis=1)  # 0 past the row's last member
+            rows[at, lead[:, c]] = False
+        rows[at[:, None], lead] = True  # restores every cleared member
+        return [SubgroupBits(self, rows[i]) for i in np.lexsort(lead.T[::-1])]
 
     # -- structure flags ----------------------------------------------------
 
@@ -552,16 +665,17 @@ class CayleyGroup:
     def is_extraspecial(self, sub: SubgroupBits) -> bool:
         """|sub| = 2^(1+2m) and Z(sub) = sub' = Phi(sub) of order 2.
 
-        Phi = <squares> (`frattini`), so a sub with more than one
-        non-trivial square, or with <squares> not of order 2, is rejected
-        in O(|sub|); what remains to check is Z(sub) = sub' of order 2.
+        Phi = <squares> (`frattini`), so a sub without exactly one
+        non-trivial square s (`lone_squares`), or with s not an involution
+        so that <squares> = <s> does not have order 2, is rejected in
+        O(|sub|); what remains to check is Z(sub) = sub' of order 2.
         """
         n = sub.order
         power = n.bit_length() - 1
         if n != 1 << power or power % 2 == 0:
             return False
-        sq = self.squares(sub)
-        if len(sq) > 2 or self.closure(sq).order != 2:
+        s = int(self.lone_squares(sub.bits[None, :])[0])
+        if s <= 0 or self.order_of[s] != 2:
             return False
         z = self.center_of(sub)
         if z.order != 2:
@@ -727,12 +841,15 @@ def closure_levels(start, post, base, pre=None):
         yield rows, lo + f, j, idx.reshape(width, k)
 
 
-def _popcount(arr):
-    arr = np.asarray(arr, dtype=np.int64)
-    out = np.zeros_like(arr)
-    while arr.any():
-        out += arr & 1
-        arr >>= 1
+def _padded(bits) -> np.ndarray:
+    """The members of each row of a boolean matrix, ascending, padded with 0."""
+    if len(bits) == 1:
+        return np.flatnonzero(bits[0])[None, :]
+    flat = np.flatnonzero(bits)  # faster than a 2-D nonzero
+    count = np.count_nonzero(bits, axis=1)
+    row = np.repeat(np.arange(len(bits)), count)
+    out = np.zeros((len(bits), count.max(initial=0)), dtype=IDX)
+    out[row, np.arange(len(flat)) - (np.cumsum(count) - count)[row]] = flat - row * bits.shape[1]
     return out
 
 

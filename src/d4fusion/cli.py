@@ -46,6 +46,13 @@ class RunConfig:
         if self.out is not None and (self.out.is_dir() or not self.out.parent.is_dir()):
             raise ConfigurationError("--out %s must name a file in an existing "
                                      "directory" % self.out)
+        # last, so that a refused configuration leaves no directory behind
+        if self.cache_dir is not None:
+            try:
+                self.cache_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigurationError("cache directory %s is unusable: %s"
+                                         % (self.cache_dir, exc)) from exc
 
     def echo(self) -> dict:
         return {
@@ -62,17 +69,15 @@ class RunConfig:
 
 
 def resolve_cache_dir(flag_value) -> Path:
+    """The cache directory: the flag, else D4FUSION_CACHE, else d4fusion-cache.
+
+    `RunConfig` creates it, once the rest of the configuration has passed.
+    """
     if flag_value:
-        path = Path(flag_value)
-    elif os.environ.get("D4FUSION_CACHE"):
-        path = Path(os.environ["D4FUSION_CACHE"])
-    else:
-        path = Path("d4fusion-cache")
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError("cache directory %s is unusable: %s" % (path, exc)) from exc
-    return path
+        return Path(flag_value)
+    if os.environ.get("D4FUSION_CACHE"):
+        return Path(os.environ["D4FUSION_CACHE"])
+    return Path("d4fusion-cache")
 
 
 # ---------------------------------------------------------------------------

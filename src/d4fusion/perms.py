@@ -32,13 +32,22 @@ class ResourceError(RuntimeError):
 
 def as_images(p) -> np.ndarray:
     """Coerce a sequence of images to a validated image array."""
-    arr = np.asarray(p, dtype=DTYPE)
+    try:
+        arr = np.asarray(p, dtype=DTYPE)
+    except OverflowError as exc:  # a negative image, or one past DTYPE
+        raise ConfigurationError("image outside the range of %s" % DTYPE.__name__) from exc
     check_images(arr)
     return arr
 
 
 def check_images(images: np.ndarray) -> None:
+    """Raise unless `images` is a one-dimensional bijection of 0..n-1, in O(n)."""
+    if images.ndim != 1:
+        raise ConfigurationError("an image array is one-dimensional, not of shape %r"
+                                 % (images.shape,))
     n = images.shape[0]
+    if n and int(images.max()) >= n:
+        raise ConfigurationError("image %d outside 0..%d" % (int(images.max()), n - 1))
     seen = np.zeros(n, dtype=bool)
     seen[images] = True
     if not seen.all():

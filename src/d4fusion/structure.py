@@ -463,7 +463,9 @@ def check_extraspecial_unique(ctx: StructureContext) -> LemmaReport:
     with check_timer() as t:
         S = ctx.S
         idx8 = S.subgroups_of_index(8)
-        hits = [sub for sub in idx8 if S.is_extraspecial(sub)]
+        # is_extraspecial's first test on all rows at once: one non-trivial square
+        lone = S.lone_squares([sub.bits for sub in idx8])
+        hits = [idx8[i] for i in np.flatnonzero(lone > 0) if S.is_extraspecial(idx8[i])]
         w = {"index8_count": len(idx8), "extraspecial_count": len(hits)}
         ok = len(hits) == 1 and np.array_equal(hits[0].bits, ctx.Q.bits)
         if ok:

@@ -465,6 +465,43 @@ def test_center_series_and_derived_match_definitions(small_group):
         assert [list(t.members) for t in g.upper_central_series(sub)] == series
 
 
+def test_lone_squares_and_is_extraspecial_match_definitions(small_group):
+    # the squares filter keeps every extraspecial subgroup: there Phi = <squares>
+    # has order 2, so all squares lie in {1, z}
+    g, brute = small_group
+    subs = list(brute.values()) + [g.full_bits()]
+    lone = g.lone_squares(np.array([sub.bits for sub in subs]))
+    kept = 0  # the group itself, and in 2^(1+4) its D8 and Q8 subgroups
+    for sub, s in zip(subs, lone):
+        squares = g.squares(sub)
+        assert s == {1: 0, 2: squares[-1]}.get(len(squares), -1)
+        m = sub.members
+        block = commutator_table(g, m)
+        center = g.closure(m[(block == 0).all(axis=1)])
+        derived = g.closure(np.unique(block))
+        extraspecial = (bin(len(m)).count("1") == 1 and len(m).bit_length() % 2 == 0
+                        and center.order == 2 and center == derived
+                        and center == g.closure(squares))
+        assert g.is_extraspecial(sub) == extraspecial
+        if extraspecial:
+            assert s > 0
+            kept += 1
+    assert kept >= 1
+
+
+def test_one_level_of_all_rows_matches_one_row_at_a_time(small_group):
+    # one batched level over subgroups of mixed orders and ranks gives the
+    # one-row results, deduplicated in order of first occurrence
+    g, brute = small_group
+    subs = list(brute.values())
+    want = {}
+    for sub in subs:
+        for mx in g.maximal_subgroups(sub):
+            want.setdefault(mx.key(), mx)
+    rows = g._maximal_rows(np.array([sub.bits for sub in subs]))
+    assert [np.packbits(row).tobytes() for row in rows] == list(want)
+
+
 def test_commutator_table_matches_the_definition():
     # S5 has 120 elements: one full block of 64 rows and a shorter last one
     s5 = perm_group([perm_from_cycles(5, [(0, 1, 2, 3, 4)]),
@@ -515,9 +552,9 @@ def test_corrupted_quotient_coordinate_is_caught(monkeypatch):
     # maximal_subgroups checks the coordinates it is handed
     original = CayleyGroup._quotient_coords
 
-    def corrupted(self, k, sub):
-        coords, basis = original(self, k, sub)
-        coords[int(sub.members[-1])] ^= 1
+    def corrupted(self, kernels, rows):
+        coords, basis = original(self, kernels, rows)
+        coords[0, int(np.flatnonzero(rows[0])[-1])] ^= 1
         return coords, basis
 
     monkeypatch.setattr(CayleyGroup, "_quotient_coords", corrupted)

@@ -170,6 +170,17 @@ def test_unusable_output_location_is_a_configuration_error(tmp_path, capsys, mon
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]
 
 
+@pytest.mark.parametrize("refused", [["--budget-secs", "nan"], ["--out", "missing/x.json"]])
+def test_refused_configuration_creates_no_cache_directory(tmp_path, capsys, monkeypatch,
+                                                          refused):
+    monkeypatch.chdir(tmp_path)
+    cache = tmp_path / "new-cache"
+    args = ["verify", "--lemma", "valuation", "--cache-dir", str(cache)] + refused
+    assert cli.main(args) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not cache.exists()
+
+
 def test_fusion_compare_refuses_a_variant(tmp_path, capsys):
     assert run(["fusion", "--action", "compare", "--variant", "PO8p3"], tmp_path) == 2
     assert "--variant applies to --action build only" in capsys.readouterr().err

@@ -102,6 +102,13 @@ def test_rejects_non_bijection():
         perm_from_cycles(3, [(0, 1), (1, 2)])
 
 
+def test_as_images_refuses_stray_images_and_other_shapes():
+    for bad in ([0, 5, 1], [0, -1, 1], [[0, 1], [1, 0]], 0):
+        with pytest.raises(ConfigurationError):
+            as_images(bad)
+    assert as_images([2, 0, 1]).tolist() == [2, 0, 1]
+
+
 def test_compose_degree_mismatch():
     with pytest.raises(ConfigurationError):
         compose(np.arange(3, dtype=np.uint16), np.arange(4, dtype=np.uint16))

@@ -285,6 +285,21 @@ def test_index8_subgroup_lists_are_pinned(contexts):
             for name in pins} == pins
 
 
+def test_lone_squares_match_the_squares_of_every_index8_subgroup(contexts):
+    # the extraspecial scan's filter against each row's own squares: it keeps
+    # every row that is_extraspecial accepts, and on each model only Q
+    for ctx in contexts.values():
+        S = ctx.S
+        idx8 = S.subgroups_of_index(8)
+        lone = S.lone_squares(np.array([sub.bits for sub in idx8]))
+        for sub, s in zip(idx8, lone):
+            squares = S.squares(sub)
+            assert s == {1: 0, 2: squares[-1]}.get(len(squares), -1)
+        kept = np.flatnonzero(lone > 0)
+        assert set(i for i, sub in enumerate(idx8) if S.is_extraspecial(sub)) <= set(kept)
+        assert [idx8[i] for i in kept] == [ctx.Q]
+
+
 def test_quotient_index2_list_is_pinned(contexts):
     # essential_candidates takes its fours, in this order, from S/Q
     for ctx in contexts.values():
