@@ -309,6 +309,16 @@ def test_quotient_index2_list_is_pinned(contexts):
         assert packed_sha1(subs) == "2c576cfcc5508ae476f684b25a8afaf5aee7dc20"
 
 
+def test_essential_candidate_lists_are_pinned(contexts):
+    # F1, then the four index-2 overgroups of Q: content and order per model
+    from d4fusion.fusion import essential_candidates
+    pins = {"affine": "bc1dd98cc2559e27f23487e8ca182249792ba44a",
+            "omega8plus2": "5f2f7fab5a72ed4d04a96c55f83b911eb0ffd05f",
+            "frame": "27b92e6d0c698d77f034edf16b56704b423e4240"}
+    assert {name: packed_sha1(essential_candidates(contexts[name]))
+            for name in pins} == pins
+
+
 def test_subgroup_closure_check_runs(contexts):
     ctx = contexts["affine"]
     for e in ctx.six_E:
