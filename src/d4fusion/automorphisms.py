@@ -276,7 +276,7 @@ def _anchors_for(ctx: StructureContext, colors: np.ndarray):
     """Four generators whose Frattini-quotient images are independent,
     preferring rare colors so candidate lists stay small."""
     S = ctx.S
-    coords, basis = S.elementary_quotient_coords(ctx.phi)
+    coords, _ = ctx.phi_coords
     _, counts = np.unique(colors, return_counts=True)
     size_of = dict(zip(np.unique(colors).tolist(), counts.tolist()))
     order = sorted(range(S.n), key=lambda x: (size_of[int(colors[x])], int(colors[x]), x))
@@ -481,10 +481,8 @@ def order3_behavior(ctx: StructureContext, auto: AutoMap) -> dict:
     out = {}
     out["fixes_Q"] = auto.stabilizes(ctx.Q)
     out["fixes_phi"] = auto.stabilizes(ctx.phi)
-    phi_rep = S.coset_reps(ctx.phi)
-    qm = ctx.Q.members
-    out["trivial_on_Q_mod_phi"] = bool(
-        (phi_rep[auto.images[qm]] == phi_rep[qm]).all())
+    coords, qm = ctx.phi_coords[0], ctx.Q.members
+    out["trivial_on_Q_mod_phi"] = bool((coords[auto.images[qm]] == coords[qm]).all())
     # induced permutation of the 8 Q-cosets
     rep = ctx.coset_rep
     cosets = [0] + ctx.nontrivial_cosets
@@ -498,11 +496,11 @@ def order3_behavior(ctx: StructureContext, auto: AutoMap) -> dict:
     fixed = sorted(r for r in cosets if induced[r] == r)
     out["fixed_cosets"] = fixed
     out["fixed_is_i0_only"] = fixed == sorted({0, ctx.i0_coset})
-    # [rho, Sbar]: subgroup generated downstairs by x^-1 * rho(x)
-    quot, rep_of, new_index = S.quotient_group(ctx.Q)
-    gens = np.unique(new_index[rep_of[S.T[S.inv, auto.images]]])
-    sub = quot.closure(gens.tolist())
-    out["commutator_image_order"] = sub.order
+    # [rho, Sbar]: the span of the S/Q coordinates of every x^-1 * rho(x)
+    span = {0}
+    for v in np.unique(ctx.Q_coords[0][S.T[S.inv, auto.images]]).tolist():
+        span |= {s ^ v for s in span}
+    out["commutator_image_order"] = len(span)
     perm = {}
     e_keys = {e.key(): i for i, e in enumerate(ctx.six_E)}
     for i, e in enumerate(ctx.six_E):

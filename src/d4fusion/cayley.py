@@ -1,10 +1,15 @@
 """Fully enumerated finite groups: Cayley tables, bit-vector subgroups, series.
 
-Groups of order up to a few thousand (here: 4096 and its quotients) are
-enumerated once; every structural question afterwards is an exhaustive
-table computation, never a sampled one.  The multiplication table keeps
-the left-to-right convention of the rest of the package:
-``T[a, b] = a then b``.
+Permutation groups of order up to a few thousand (here: 4096) are
+enumerated once, by `from_generators`; every structural question
+afterwards is an exhaustive table computation, never a sampled one.  The
+multiplication table keeps the left-to-right convention of the rest of
+the package: ``T[a, b] = a then b``.
+
+No quotient gets a table of its own.  A quotient by a normal subgroup K
+is held as the least members of the K-cosets (`coset_reps`), on which the
+elementary abelian search runs modulo K, or, when it is elementary
+abelian, as verified GF(2) coordinates (`elementary_quotient_coords`).
 
 Subgroups are boolean vectors over element indices.  Centres,
 centralizers, central series and derived subgroups work against a
@@ -442,32 +447,9 @@ class CayleyGroup:
 
     # -- quotients ----------------------------------------------------------
 
-    def coset_reps(self, k: SubgroupBits, sub: SubgroupBits | None = None) -> np.ndarray:
-        """rep[x] = min element of the coset K x, for x in sub (K normal in sub).
-
-        Only sub's columns are gathered; non-members of sub get -1.
-        """
-        cols = np.arange(self.n) if sub is None else sub.members
-        reps = np.full(self.n, -1, dtype=np.int64)
-        reps[cols] = self.T[np.ix_(k.members, cols)].min(axis=0)
-        return reps
-
-    def quotient_group(self, k: SubgroupBits, sub: SubgroupBits | None = None):
-        """Quotient (sub or whole group)/k as a fresh CayleyGroup.
-
-        Returns (quotient, rep_of, new_index) where rep_of[x] is the coset
-        representative and new_index[rep] the quotient element index.
-        """
-        if sub is None:
-            sub = self.full_bits()
-        self.check_normal(k, sub)
-        rep_of = self.coset_reps(k, sub)
-        reps = np.unique(rep_of[sub.members])
-        new_index = np.full(self.n, -1, dtype=np.int64)
-        new_index[reps] = np.arange(len(reps))
-        table = new_index[rep_of[self.T[np.ix_(reps, reps)]]]
-        q = CayleyGroup(table.astype(IDX), name="%s/%s" % (self.name, "K"))
-        return q, rep_of, new_index
+    def coset_reps(self, k: SubgroupBits) -> np.ndarray:
+        """rep[x] = min element of the coset K x, for every x (K normal)."""
+        return self.T[k.members].min(axis=0).astype(np.int64)
 
     def check_normal(self, k: SubgroupBits, sub: SubgroupBits | None = None) -> None:
         """K is normal in sub iff conjugation by each generator maps K into K."""
@@ -724,8 +706,9 @@ class CayleyGroup:
         generators, so that set must lie inside them: it does exactly when
         gen_indices generate, since otherwise Light's test had to add an
         element outside their closure.  A proper subgroup's set is picked
-        greedily, the least member outside the closure so far, and checked
-        once, closure(gens) == sub.  Either way it is cached by the
+        greedily, the least member outside the closure so far, until the
+        closure covers sub; that last closure must equal sub, which a member
+        set that is not a subgroup fails.  Either way it is cached by the
         subgroup's key.
         """
         if sub is None:
@@ -743,14 +726,10 @@ class CayleyGroup:
                 while (sub.bits & ~bits).any():
                     gens.append(int(np.flatnonzero(sub.bits & ~bits)[0]))
                     bits = self.closure(gens).bits
-                self.check_generates(gens, sub)
+                if not np.array_equal(bits, sub.bits):
+                    raise ClosureError("member set is not a subgroup")
             self._gen_sets[key] = gens
         return list(gens)
-
-    def check_generates(self, gens, sub: SubgroupBits | None = None) -> None:
-        target = self.full_bits() if sub is None else sub
-        if not np.array_equal(self.closure(gens).bits, target.bits):
-            raise ClosureError("the generators do not generate the subgroup")
 
     def conjugacy_classes(self) -> np.ndarray:
         """class id (minimal member) per element, under inner automorphisms."""
@@ -994,32 +973,43 @@ def span_search(adjacent: np.ndarray, product: np.ndarray, rank: int,
 
 def enumerate_elab_subgroups(g: CayleyGroup, rank: int,
                              avoid: SubgroupBits | None = None,
-                             max_nodes: int = 5_000_000):
-    """All elementary abelian subgroups of 2^rank elements, exhaustively.
+                             max_nodes: int = 5_000_000,
+                             modulo: SubgroupBits | None = None):
+    """All elementary abelian subgroups of order 2^rank in g/K, exhaustively.
 
-    One `span_search` on the commuting graph of g's involutions, with g's
-    product in local indices (the identity is -1).  When ``avoid`` is
-    given, only subgroups with a member outside ``avoid`` are wanted: a
-    stable sort puts the involutions outside ``avoid`` first, so those
-    subgroups start their basis outside and the roots inside are skipped.
-    Each leaf is a search result, so it enters through `subgroup`'s
-    closure check.
+    K is `modulo` (trivial when None), proved a subgroup by `generating_set`
+    and normal by `check_normal`.  One `span_search` on the commuting graph
+    of the involutions of g/K on coset representatives (`coset_reps`): the
+    vertices are the representatives x outside K with x^2 in K, x and y
+    commute when [x, y] lies in K, and their product is the representative
+    of x y (-1 on K).  With ``avoid`` (which must contain K), only subgroups
+    with a member outside it are wanted: a stable sort puts the vertices
+    outside ``avoid`` first, and the roots inside are skipped.  Each leaf is
+    a search result, returned as its preimage in g through `subgroup`'s
+    closure check; a subgroup of order 2^rank |K| whose members outside K
+    square into K is elementary abelian modulo K.
     """
-    invol = np.flatnonzero(g.order_of == 2)
+    k = g.trivial_bits() if modulo is None else modulo
+    g.generating_set(k)
+    g.check_normal(k)
+    if avoid is not None and not k <= avoid:
+        raise ConfigurationError("avoid must contain the subgroup factored out")
+    rep_of = g.coset_reps(k)
+    invol = np.flatnonzero((rep_of == np.arange(g.n)) & k.bits[g.square_of] & ~k.bits)
     roots = None
     if avoid is not None:
         invol = invol[np.argsort(avoid.bits[invol], kind="stable")]
         roots = int((~avoid.bits[invol]).sum())
     local = np.full(g.n, -1)
     local[invol] = np.arange(len(invol))
-    commute = g._commutators(invol, invol) == 0
-    # only commuting pairs are read: their product is the identity or an involution
-    prod = local[g.T[np.ix_(invol, invol)]]
+    commute = k.bits[g._commutators(invol, invol)]
+    # only commuting pairs are read: their product lies in K or over a vertex
+    prod = local[rep_of[g.T[np.ix_(invol, invol)]]]
     rows, nodes = span_search(commute, prod, rank, roots, max_nodes)
     found = []
     for row in rows:
-        bits = np.zeros(g.n, dtype=bool)
-        bits[0] = True
-        bits[invol[row]] = True
-        found.append(g.subgroup(bits))
+        over = np.zeros(g.n, dtype=bool)  # the representatives of the leaf
+        over[0] = True
+        over[invol[row]] = True
+        found.append(g.subgroup(over[rep_of]))
     return found, nodes

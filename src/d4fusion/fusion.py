@@ -116,26 +116,22 @@ class FusionClassPartition:
 
 
 def essential_candidates(ctx: StructureContext):
-    """F1 = C_S(Z2(S)) plus the four index-2 overgroups of Q whose image
-    downstairs is a fours group avoiding the distinguished coset."""
+    """F1 = C_S(Z2(S)) plus the four maximal subgroups of S that contain Q and
+    miss the distinguished coset (fours groups in S/Q), sorted by their three
+    least Q-coset representatives, which two distinct fours groups never share."""
     S = ctx.S
     f1 = S.centralizer(ctx.Z2.members)
     if f1.order != 2048:
         raise ConfigurationError("C_S(Z2) does not have index 2")
     if ctx.Q <= f1:
         raise ConfigurationError("Q unexpectedly centralizes Z2(S)")
-    quot, rep_of, new_index = S.quotient_group(ctx.Q)
-    i0_new = int(new_index[ctx.i0_coset])
-    fours = [sub for sub in quot.subgroups_of_index(2) if not sub.bits[i0_new]]
+    fours = [m for m in S.maximal_subgroups() if ctx.Q <= m and not m.bits[ctx.i0_coset]]
     if len(fours) != 4:
         raise ConfigurationError("expected 4 fours-subgroups avoiding the "
                                  "distinguished coset, found %d" % len(fours))
+    fours.sort(key=lambda m: tuple(np.unique(ctx.coset_rep[m.bits])[:3]))
     out = [f1]
-    for sub in fours:
-        # the preimage of a subgroup of S/Q under the verified quotient map
-        cand = SubgroupBits(S, sub.bits[new_index[rep_of]])
-        if cand.order != 2048 or not (ctx.Q <= cand):
-            raise ConfigurationError("candidate is not an index-2 overgroup of Q")
+    for cand in fours:
         if sum(1 for e in ctx.six_E if e <= cand) != 3:
             raise ConfigurationError("candidate does not contain exactly 3 of the six "
                                      "elementary abelian subgroups")

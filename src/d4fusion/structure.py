@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .cayley import CayleyGroup, SubgroupBits, closure_levels, enumerate_elab_subgroups
+from .cayley import (CayleyGroup, ClosureError, SubgroupBits, closure_levels,
+                     enumerate_elab_subgroups)
 from .groupmodels import ModelBundle
 from .perms import ConfigurationError, perm_from_cycles
 from .reports import LemmaReport, check_timer
@@ -71,6 +72,16 @@ class StructureContext:
         return self.S.frattini()
 
     @cached_property
+    def phi_coords(self):
+        """Verified (coords, basis) on S/Phi(S), by `elementary_quotient_coords`."""
+        return self.S.elementary_quotient_coords(self.phi)
+
+    @cached_property
+    def Q_coords(self):
+        """Verified (coords, basis) on S/Q; `ClosureError` unless elementary abelian."""
+        return self.S.elementary_quotient_coords(self.Q)
+
+    @cached_property
     def Q(self) -> SubgroupBits:
         """The extraspecial subgroup of order 2^9 above the Frattini subgroup.
 
@@ -78,7 +89,7 @@ class StructureContext:
         is extraspecial.  (Global uniqueness among all index-8 subgroups is
         re-established by the dedicated uniqueness check.)
         """
-        coords, basis = self.S.elementary_quotient_coords(self.phi)
+        coords, basis = self.phi_coords
         if len(basis) != 4:
             raise ConfigurationError("S/Phi(S) does not have rank 4")
         hits = []
@@ -167,11 +178,11 @@ class StructureContext:
             if (S.order_of[np.flatnonzero(bits)] > 2).any():
                 continue
             sub = SubgroupBits(S, bits)
-            if S.is_abelian(sub):
-                found.setdefault(sub.key(), sub)
-        for sub in found.values():
+            found.setdefault(sub.key(), sub)  # each E is reached from 32 involutions
+        found = [sub for sub in found.values() if S.is_abelian(sub)]
+        for sub in found:
             S.check_closed(sub)
-        return sorted(found.values(), key=lambda e: tuple(e.members[:4]))
+        return sorted(found, key=lambda e: tuple(e.members[:4]))
 
     @cached_property
     def E_coset(self):
@@ -212,8 +223,11 @@ def check_cent(ctx: StructureContext) -> LemmaReport:
             "Z2_order": ctx.Z2.order,
             "coset_count": len(ctx.nontrivial_cosets) + 1,
         }
-        q_quot, _, _ = S.quotient_group(ctx.Q)
-        w["Sbar_elementary_abelian"] = q_quot.is_elementary_abelian(q_quot.full_bits())
+        try:
+            ctx.Q_coords  # verified coordinates exist iff S/Q is elementary abelian
+            w["Sbar_elementary_abelian"] = True
+        except ClosureError:
+            w["Sbar_elementary_abelian"] = False
         w["Z_in_Q"] = bool(ctx.Z <= ctx.Q)
         w["Z2_in_Q"] = bool(ctx.Z2 <= ctx.Q)
         w["ZQ_equals_ZS"] = bool(np.array_equal(
@@ -445,14 +459,9 @@ def check_elab(ctx: StructureContext) -> LemmaReport:
     claim = ("in S/Z(Q), every elementary abelian subgroup of order at least 64 "
              "lies inside Q/Z(Q)")
     with check_timer() as t:
-        S = ctx.S
-        quot, rep_of, new_index = S.quotient_group(ctx.Z)
-        qbar_bits = np.zeros(quot.n, dtype=bool)
-        qbar_bits[new_index[np.unique(rep_of[ctx.Q.members])]] = True
-        # the image of Q under the quotient map; quotient_group checked Z normal
-        qbar = SubgroupBits(quot, qbar_bits)
-        offenders, nodes = enumerate_elab_subgroups(quot, rank=6, avoid=qbar)
-        w = {"quotient_order": quot.n, "offenders": len(offenders),
+        S, Z = ctx.S, ctx.Z
+        offenders, nodes = enumerate_elab_subgroups(S, rank=6, avoid=ctx.Q, modulo=Z)
+        w = {"quotient_order": S.n // Z.order, "offenders": len(offenders),
              "search_nodes": nodes}
         ok = len(offenders) == 0
     return _report("elab", claim, t, ok, w)

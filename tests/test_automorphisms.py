@@ -12,7 +12,7 @@ from d4fusion.automorphisms import (
     order3_automorphisms,
     order3_behavior,
 )
-from d4fusion.cayley import AutoMap
+from d4fusion.cayley import AutoMap, CayleyGroup
 
 
 def test_joint_colors_agree_across_models(contexts):
@@ -89,10 +89,11 @@ def test_isomorphism_self_is_trivial_to_find(contexts):
 
 def test_mismatched_sizes_fail_fast(contexts):
     ctx = contexts["affine"]
-    quot, _, _ = ctx.S.quotient_group(ctx.Z)
+    smaller = CayleyGroup.from_generators([np.array([1, 2, 3, 0], dtype=np.uint16)])
+    assert smaller.n == 4
 
     class FakeCtx:
-        S = quot
+        S = smaller
 
     out = find_isomorphism(ctx, FakeCtx(), budget_secs=10)
     assert isinstance(out, SearchOutcome) and not out.ok

@@ -13,7 +13,8 @@ from d4fusion.cayley import (
     enumerate_elab_subgroups,
     inner_automap,
 )
-from d4fusion.perms import ResourceError, compose, inverse, perm_from_cycles
+from d4fusion.perms import (ConfigurationError, ResourceError, compose, inverse,
+                            perm_from_cycles)
 
 
 def perm_group(gens):
@@ -119,20 +120,15 @@ def test_d8_conjugacy_classes(d8):
     assert len(np.unique(labels)) == 5
 
 
-def test_d8_quotient_by_center_is_v4(d8):
-    z = d8.center_of(d8.full_bits())
-    q, rep_of, new_index = d8.quotient_group(z)
-    assert q.n == 4
-    assert q.is_elementary_abelian(q.full_bits())
-
-
 def test_quotient_by_a_non_normal_subgroup_is_rejected(d8):
-    # the subgroups built as preimages and images under a quotient map rely
-    # on this check
+    # the search modulo a subgroup and the quotient coordinates rely on this check
     s = d8.closure([d8.gen_indices[1]])
     assert s.order == 2
     with pytest.raises(ClosureError, match="not normal"):
-        d8.quotient_group(s)
+        d8.check_normal(s)
+    with pytest.raises(ClosureError, match="not normal"):
+        enumerate_elab_subgroups(d8, rank=1, modulo=s)
+    d8.check_normal(d8.center_of(d8.full_bits()))
 
 
 def test_closure_against_brute(d8):
@@ -275,6 +271,40 @@ def test_elab_enumeration_matches_brute_force_on_d8xd8(rank):
     assert not hasattr(g, "comm")
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("central", ["diagonal", "centre"])
+def test_elab_search_modulo_matches_brute_force_on_d8xd8(rank, central):
+    # oracle: close every rank-sized set of coset representatives together
+    # with K, and keep the closures of order 2^rank |K| whose squares and
+    # commutators lie in K
+    gens = [perm_from_cycles(8, [(0, 1, 2, 3)]), perm_from_cycles(8, [(1, 3)]),
+            perm_from_cycles(8, [(4, 5, 6, 7)]), perm_from_cycles(8, [(5, 7)])]
+    g = perm_group(gens)
+    k = g.center_of(g.full_bits())
+    if central == "diagonal":  # <z1 z2>, so that g/K is not elementary abelian
+        z1z2 = perm_from_cycles(8, [(0, 2), (1, 3), (4, 6), (5, 7)])
+        k = g.closure([int(np.flatnonzero((g.elements == z1z2).all(axis=1))[0])])
+    assert k.order == {"diagonal": 2, "centre": 4}[central]
+    reps = np.unique(g.coset_reps(k))[1:]
+    want = {}
+    for seed in itertools.combinations(reps, rank):
+        sub = g.closure(np.concatenate([seed, k.members]))
+        m = sub.members
+        if (sub.order == (1 << rank) * k.order and k.bits[g.square_of[m]].all()
+                and k.bits[commutator_table(g, m)].all()):
+            want[sub.key()] = sub
+    avoid = g.closure(g.gen_indices[:3])  # D8 x C4, of index 2, holding Z(g)
+    for restrict in (None, avoid):
+        subs, _ = enumerate_elab_subgroups(g, rank=rank, avoid=restrict, modulo=k)
+        keys = [s.key() for s in subs]
+        assert len(keys) == len(set(keys))  # each subgroup is made once
+        expected = {key for key, s in want.items() if restrict is None or not s <= restrict}
+        assert set(keys) == expected and expected
+    with pytest.raises(ConfigurationError, match="avoid must contain"):
+        enumerate_elab_subgroups(g, rank=rank, avoid=g.closure(g.gen_indices[:2]),
+                                 modulo=k)
+
+
 def test_elab_enumeration_finds_full_rank():
     gens = [perm_from_cycles(6, [(0, 1)]), perm_from_cycles(6, [(2, 3)]),
             perm_from_cycles(6, [(4, 5)])]
@@ -377,13 +407,15 @@ def test_generating_set_is_verified_and_cached():
 
 def test_generating_set_with_small_closure_rejected():
     g = heisenberg_2_4()
-    with pytest.raises(ClosureError):
-        g.check_generates(g.gen_indices[:2])
+    # a member set that is not a subgroup: its greedy picks close to more than it
+    bits = np.zeros(g.n, dtype=bool)
+    bits[[0] + g.gen_indices[:2]] = True
+    with pytest.raises(ClosureError, match="not a subgroup"):
+        g.generating_set(SubgroupBits(g, bits))
     dom = g.maximal_subgroups()[0]
     gens = g.generating_set(dom)
     # each greedy pick lies outside the closure of the earlier ones
-    with pytest.raises(ClosureError):
-        g.check_generates(gens[:-1], dom)
+    assert g.closure(gens[:-1]).order < dom.order
     # recorded gen_indices are checked on first use, before any map relies on them
     short = CayleyGroup(g.T, gen_indices=g.gen_indices[:3])
     with pytest.raises(ClosureError):
@@ -579,11 +611,7 @@ def test_is_extraspecial_near_misses():
 
 def test_coset_reps_cover_only_the_subgroup(d8):
     z = d8.center_of(d8.full_bits())
-    v4 = next(m for m in d8.maximal_subgroups() if d8.is_elementary_abelian(m))
     whole = d8.coset_reps(z)
-    part = d8.coset_reps(z, v4)
-    assert np.array_equal(part[v4.members], whole[v4.members])
-    assert (part[~v4.bits] == -1).all()
     for x in range(d8.n):
         assert whole[x] == min(int(d8.T[k, x]) for k in z.members)
 

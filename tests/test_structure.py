@@ -1,15 +1,17 @@
 import copy
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from d4fusion.perms import ConfigurationError, perm_from_cycles
-from d4fusion.cayley import CayleyGroup
+from d4fusion.cayley import CayleyGroup, enumerate_elab_subgroups
 from d4fusion.groupmodels import build_affine_model
 from d4fusion.structure import (
     CHECK_ALIASES,
     StructureContext,
+    check_elab,
     check_sixe,
     check_valuation,
     check_z3meet,
@@ -300,15 +302,6 @@ def test_lone_squares_match_the_squares_of_every_index8_subgroup(contexts):
         assert [idx8[i] for i in kept] == [ctx.Q]
 
 
-def test_quotient_index2_list_is_pinned(contexts):
-    # essential_candidates takes its fours, in this order, from S/Q
-    for ctx in contexts.values():
-        quot, _, _ = ctx.S.quotient_group(ctx.Q)
-        subs = quot.subgroups_of_index(2)
-        assert len(subs) == 7
-        assert packed_sha1(subs) == "2c576cfcc5508ae476f684b25a8afaf5aee7dc20"
-
-
 def test_essential_candidate_lists_are_pinned(contexts):
     # F1, then the four index-2 overgroups of Q: content and order per model
     from d4fusion.fusion import essential_candidates
@@ -317,6 +310,34 @@ def test_essential_candidate_lists_are_pinned(contexts):
             "frame": "27b92e6d0c698d77f034edf16b56704b423e4240"}
     assert {name: packed_sha1(essential_candidates(contexts[name]))
             for name in pins} == pins
+
+
+def test_six_E_tests_each_candidate_set_once(bundles, monkeypatch):
+    # the coset scan reaches each E from its 32 involutions outside Q; the
+    # list matches the exhaustive search, in the scan's sort
+    ctx = StructureContext(bundles["affine"])
+    S = ctx.S
+    calls = []
+    monkeypatch.setattr(S, "is_abelian", lambda sub: calls.append(sub.key())
+                        or CayleyGroup.is_abelian(S, sub))
+    es = ctx.six_E
+    assert len(calls) == len(set(calls)) == 6
+    complete, _ = enumerate_elab_subgroups(S, rank=6)
+    complete.sort(key=lambda e: tuple(e.members[:4]))
+    assert [e.key() for e in es] == [e.key() for e in complete]
+
+
+def test_check_elab_memory_stays_small(contexts):
+    ctx = contexts["affine"]
+    ctx.Q, ctx.Z  # forced before tracing
+    tracemalloc.start()
+    try:
+        report = check_elab(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.witnesses["search_nodes"] == 112
+    assert peak < 16 * 2 ** 20
 
 
 def test_subgroup_closure_check_runs(contexts):
