@@ -13,6 +13,7 @@ induced automizer orders on the six elementary abelian subgroups).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,7 @@ from .perms import ConfigurationError, compose, inverse, perm_order
 from .quadforms import (GF3_SPACE, PreconditionError, gf2_nullspace, gf3_inverse,
                         invariant_quadratic_forms, q)
 from .rootmodel import chamber_triality
-from .stabchain import GroupHandle, build_stab_chain, stabilizer_of_prefix
+from .stabchain import GroupHandle, build_stab_chain
 from .structure import StructureContext
 
 log = logging.getLogger(__name__)
@@ -278,24 +279,82 @@ def _perm_power(g, k):
     return out
 
 
+def _flag_stabilizer_order(ambient: GroupHandle, base, omit: int) -> int:
+    """|Stab(flag minus b_omit)| in O8+(2), from the verified ambient chain.
+
+    With the flag b_0..b_3 as the chain's base prefix, the level-k group
+    G^(k) is the stabilizer of b_0..b_(k-1), of order the product of the
+    basic orbit lengths from level k down.  The stabilizer of the flag
+    minus b_k is the stabilizer in G^(k) of the tuple (b_(k+1), .., b_3),
+    so by orbit-stabilizer its order is |G^(k)| over the length of that
+    tuple's orbit under G^(k), enumerated by `closure_levels` on point
+    tuples.  Level 0 uses the ambient generators, the fewest for G^(0).
+    """
+    levels = ambient.chain.levels[omit:]
+    gens = ambient.generators if omit == 0 else levels[0].gens
+    tail = base[omit + 1:]
+    length = 1
+    if tail:
+        for rows, *_ in closure_levels([tail], np.stack(gens), np.arange(len(tail))):
+            length += len(rows)
+    return math.prod(len(lv.orbit) for lv in levels) // length
+
+
 def chamber_parabolic_slots(bundle: ModelBundle):
     """One slot per minimal flag-stabilizer overgroup P of the chamber Sylow.
 
-    The chain of P, rebased from the ambient one, proves |P| = 3 * 4096, so
-    P = <S, g3> for the order-3 element g3 taken from that chain.
+    For omitted position k, P = Stab(flag minus b_k), and no chain of
+    O8+(2) is built:
+
+    - |P| comes from the verified ambient chain, whose base prefix is the
+      flag, by orbit-stabilizer (`_flag_stabilizer_order`); it must be
+      3 * 4096.
+    - x is the element of P that `StabChain.with_base_images` gives for
+      the first c != b_k in level k's orbit such that some element maps
+      b_k to c and fixes the other flag points.  It lies in P outside S.
+    - The generators of S and x must fix the flag minus b_k, so <S, x> is
+      inside P, and its chain, built at the proved order |P|, reaches it:
+      <S, x> = P.  g3 is the first order-3 element of that chain
+      (`_order3_from_chain`).
+
+    One code path serves all four slots; for k = 3 the tuple is empty.
+    The certificates do not depend on which g3 is taken, though the maps
+    c_g3 do.  Each of the six E's is normal in S and |P : S| = 3 is prime,
+    so N_P(E) is S or P: either every order-3 element of P stabilises E
+    or none does.  When N_P(E) = P, C_P(E) is normal in P and has index 1
+    or 3 over C_S(E); in the second case it holds every Sylow 3-subgroup
+    of P, so every g3 centralises E, and in the first none does.  So
+    whether c_g3 stabilises or centralises E does not depend on g3, and
+    neither do Aut_P(E) = <Aut_S(E), c_g3|E>, since P = <S, g3>, and the
+    generated system.
     """
     ambient = bundle.ambient
+    chain = ambient.chain
     base = bundle.extras["flag_base"]
+    S = bundle.sylow
+    s_gens = list(bundle.embedding[S.generating_set()])
     slots = []
     for omit in range(4):
-        sub_base = [b for k, b in enumerate(base) if k != omit]
-        over = stabilizer_of_prefix(ambient, sub_base)
-        order = over.chain.order()
+        tag = "omega8plus2-parabolic-omit%d" % omit
+        if chain.base[:omit + 1] != base[:omit + 1]:
+            raise ConfigurationError("%s: the flag is not a base prefix of the ambient "
+                                     "chain" % tag)
+        order = _flag_stabilizer_order(ambient, base, omit)
         if order != 3 * 4096:
-            raise ConfigurationError("minimal flag stabilizer has order %d" % order)
-        g3 = _order3_from_chain(over.chain)
-        slots.append(automizer_from_model(bundle, g3,
-                                          tag="omega8plus2-parabolic-omit%d" % omit))
+            raise ConfigurationError("%s: minimal flag stabilizer has order %d" % (tag, order))
+        sub_base = [b for k, b in enumerate(base) if k != omit]
+        x = None
+        for c in chain.levels[omit].orbit[1:]:
+            x = chain.with_base_images(base[:omit] + [c] + base[omit + 1:])
+            if x is not None:
+                break
+        if x is None or x[base[omit]] == base[omit]:
+            raise ConfigurationError("%s: no element moves the omitted flag point" % tag)
+        gens = s_gens + [x]
+        if any((g[sub_base] != sub_base).any() for g in gens):
+            raise ConfigurationError("%s: a generator moves a flag point" % tag)
+        over = build_stab_chain(GroupHandle(tag, gens), base_hint=sub_base, order=order)
+        slots.append(automizer_from_model(bundle, _order3_from_chain(over), tag=tag))
     return slots
 
 

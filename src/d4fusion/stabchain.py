@@ -9,6 +9,12 @@ which is exact (see `build_stab_chain`).  Degrees up to ~2000 and orders
 up to ~10^13 are the intended envelope.  Each level keeps a Schreier
 vector, and a transversal element is composed as an image array the
 first time it is read.
+
+A chain is never re-based.  A point stabilizer is read off a chain built
+with those points as its base prefix (`stabilizer_of_prefix`); the order
+of a stabilizer of other points comes from orbit-stabilizer on a level of
+the built chain, and its elements from `StabChain.with_base_images`
+(`fusion.chamber_parabolic_slots`).
 """
 
 from __future__ import annotations
@@ -169,6 +175,31 @@ class StabChain:
             g = compose(g, lv.inverse_of(p))
         return g, len(self.levels)
 
+    def with_base_images(self, images):
+        """An element g with b_i^g = images[i] for the first len(images)
+        base points b_i, or None when the group has none.
+
+        Level by level, like `sift`, with no search.  Every element is
+        u then t with t in level 0's transversal and u in the stabilizer
+        of b_0, so g exists iff images[0] lies in level 0's orbit, at t,
+        and some u in the stabilizer maps each later b_i to images[i]
+        under t^-1; that is the same question one level down.  The element
+        returned is the product of the transversal elements met.
+        """
+        targets = np.asarray(images, dtype=np.int64)
+        if len(targets) > len(self.levels):
+            raise ConfigurationError("more images than base points")
+        if ((targets < 0) | (targets >= self.degree)).any():
+            raise ConfigurationError("an image lies outside the domain")
+        g = identity_images(self.degree)
+        for i, lv in enumerate(self.levels[:len(targets)]):
+            p = int(targets[i])
+            if not lv.in_orbit(p):
+                return None
+            g = compose(lv.transversal[p], g)
+            targets = lv.inverse_of(p)[targets]
+        return g
+
     def contains(self, g) -> bool:
         g = as_images(g)
         if g.shape[0] != self.degree:
@@ -252,9 +283,10 @@ def build_stab_chain(g: GroupHandle, base_hint=None, max_seconds=None,
     (Seress, Permutation Group Algorithms, 2003, ch. 4; Holt, Eick and
     O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).  A
     build that ends with another order raises.  The bound has three
-    sources: `_rebased_chain` (the order of a verified chain of a group
-    containing G), `groupmodels.build_omega8plus2` (the order of a
-    faithful action of the same matrix group) and
+    sources: `fusion.chamber_parabolic_slots` (the order of a flag
+    stabilizer containing G, by orbit-stabilizer on a level of the
+    verified ambient chain), `groupmodels.build_omega8plus2` (the order of
+    a faithful action of the same matrix group) and
     `groupmodels.build_frame_model_gf3` (2^6 times the order of the
     generators' action on the 8 frame lines).
     """
@@ -388,10 +420,10 @@ def verify_chain(chain: StabChain, original_gens=None) -> None:
 def stabilizer_of_prefix(g: GroupHandle, points) -> GroupHandle:
     """Pointwise stabilizer of an ordered point list, as a fresh handle.
 
-    The points are forced to the front of the base, so the stabilizer's
-    strong generators fall out of the chain directly.  When they are not
-    already a prefix of g.chain's base, the chain is rebuilt with them in
-    front (`_rebased_chain`); g.chain stays as it is.
+    The points must be a prefix of g.chain's base, so the stabilizer's
+    strong generators fall out of the chain directly; without a chain,
+    one is built with the points as its base prefix.  Other points raise
+    `ConfigurationError`: a chain is not re-based.
     """
     points = [int(p) for p in points]
     if not points:
@@ -404,7 +436,7 @@ def stabilizer_of_prefix(g: GroupHandle, points) -> GroupHandle:
             GroupHandle(g.name, g.generators),
             base_hint=points)
     elif chain.base[: len(points)] != points:
-        chain = _rebased_chain(g, points)
+        raise ConfigurationError("%r is not a prefix of the chain's base" % (points,))
     k = len(points)
     sub = StabChain(degree=chain.degree, levels=chain.levels[k:])
     if k < len(chain.levels):
@@ -419,19 +451,3 @@ def stabilizer_of_prefix(g: GroupHandle, points) -> GroupHandle:
         chain=sub,
     )
     return handle
-
-
-def _rebased_chain(g: GroupHandle, points) -> StabChain:
-    """A chain of G = <g.generators> with base prefix `points`.
-
-    The build stops once its order reaches |g.chain| (`build_stab_chain`).
-    Every generator is checked to lie in g.chain's group H first, so
-    G <= H and the build's orbit product is at most |G| <= |H|: reaching
-    |H| proves G = H and a complete chain.  A recorded chain of a larger
-    group is never reached, and the build raises.
-    """
-    for arr in g.generators:
-        if not g.chain.contains(arr):
-            raise ConfigurationError("a generator lies outside the recorded chain")
-    return build_stab_chain(GroupHandle(g.name, g.generators),
-                            points, order=g.chain.order())

@@ -143,10 +143,23 @@ class StructureContext:
             }
         return out
 
+    @cached_property
+    def ZQ(self) -> SubgroupBits:
+        """Z(Q), of order 2 as Q is extraspecial."""
+        return self.S.center_of(self.Q)
+
     def check_commutator_witnesses(self, members) -> None:
-        """Raise unless every s in `members` has some [q, s], q in Q, outside Z(Q)."""
-        S, Q = self.S, self.Q
-        outside = ~S.center_of(Q).bits[S._commutators(Q.members, members)]
+        """Raise unless every s in `members` has some [q, s], q in Q, outside Z(Q).
+
+        Only Q's generators are tried, which is exact.  Z(Q) has order 2,
+        as Q is extraspecial, and is characteristic in Q, which contains
+        Phi(S) and so is normal in S; so Z(Q) is central in S.  As
+        [q1 q2, s] = [q1, s]^q2 [q2, s], the q in Q with [q, s] in Z(Q)
+        form a subgroup, and it is all of Q exactly when it holds every
+        generator of Q.
+        """
+        S = self.S
+        outside = ~self.ZQ.bits[S._commutators(S.generating_set(self.Q), members)]
         if not outside.any(axis=0).all():
             raise ConfigurationError("[Q, s] lies in Z(Q) for some s of the coset")
 
@@ -217,7 +230,6 @@ def _report(lemma_id, claim, timer, ok, witnesses) -> LemmaReport:
 def check_cent(ctx: StructureContext) -> LemmaReport:
     claim = "|Z(S)| = 2, |Z2(S)| = 4, S/Q elementary abelian of order 8"
     with check_timer() as t:
-        S = ctx.S
         w = {
             "Z_order": ctx.Z.order,
             "Z2_order": ctx.Z2.order,
@@ -230,8 +242,7 @@ def check_cent(ctx: StructureContext) -> LemmaReport:
             w["Sbar_elementary_abelian"] = False
         w["Z_in_Q"] = bool(ctx.Z <= ctx.Q)
         w["Z2_in_Q"] = bool(ctx.Z2 <= ctx.Q)
-        w["ZQ_equals_ZS"] = bool(np.array_equal(
-            S.center_of(ctx.Q).bits, ctx.Z.bits))
+        w["ZQ_equals_ZS"] = bool(np.array_equal(ctx.ZQ.bits, ctx.Z.bits))
         ok = (w["Z_order"] == 2 and w["Z2_order"] == 4 and w["coset_count"] == 8
               and w["Sbar_elementary_abelian"] and w["Z_in_Q"] and w["Z2_in_Q"]
               and w["ZQ_equals_ZS"])

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -153,6 +154,13 @@ def test_slot_inner_maps_equal_ambient_conjugation(fusion_systems, bundles, vari
             assert np.array_equal(table_map.images[members], ambient.images[members])
 
 
+# SHA-1 of the c_g3 image array of each flag slot, omitting b_0 .. b_3
+FLAG_ORDER3_MAP_SHA = ["dd57b6681aa121d040d15758e39a9100e0c9a0eb",
+                       "582add4e0a263cc42193574b96d4695180798601",
+                       "86d40a7618da31987b6bd4b59e84c4630d9f2212",
+                       "3008f97f8b5bd98a5f9ff9a0023ae338f4e1f621"]
+
+
 def test_order3_slot_maps_are_deterministic(fusion_systems, chamber_bundle):
     # a second build from a fresh context picks the same order-3 elements
     from d4fusion.fusion import build_fusion_system
@@ -162,6 +170,37 @@ def test_order3_slot_maps_are_deterministic(fusion_systems, chamber_bundle):
     assert len(fresh.essentials) == len(first) == 4
     for a, b in zip(first, fresh.essentials):
         assert np.array_equal(a.automizer_gens[0].images, b.automizer_gens[0].images)
+    flag = sorted((s.model_tag, hashlib.sha1(s.automizer_gens[0].images.tobytes()).hexdigest())
+                  for s in first)
+    assert flag == [("omega8plus2-parabolic-omit%d" % k, pin)
+                    for k, pin in enumerate(FLAG_ORDER3_MAP_SHA)]
+
+
+def test_flag_stabilizer_orders_equal_full_builds(omega_handle):
+    # the oracle: a chain of O8+(2) built from scratch with the flag minus
+    # b_k in front, read below those three points
+    flag = omega_handle.flag_base
+    for k in range(3):
+        points = [b for j, b in enumerate(flag) if j != k]
+        full = build_stab_chain(GroupHandle("full", list(omega_handle.generators)),
+                                base_hint=points)
+        below = 1
+        for lv in full.levels[3:]:
+            below *= len(lv.orbit)
+        assert below == fusion._flag_stabilizer_order(omega_handle, flag, k) == 3 * 4096
+
+
+@pytest.mark.parametrize("position, message", [
+    (0, "not a base prefix"), (1, "has order 512"), (2, "moves a flag point"),
+    (3, "moves a flag point")])
+def test_a_wrong_flag_point_is_refused_naming_the_slot(chamber_bundle, monkeypatch,
+                                                       position, message):
+    # another point of the same basic orbit takes the place of b_position
+    seeded = list(chamber_bundle.extras["flag_base"])
+    seeded[position] = chamber_bundle.ambient.chain.levels[position].orbit[1]
+    monkeypatch.setitem(chamber_bundle.extras, "flag_base", seeded)
+    with pytest.raises(ConfigurationError, match="omega8plus2-parabolic-omit0: .*" + message):
+        fusion.chamber_parabolic_slots(chamber_bundle)
 
 
 def _full_degree_radical(bundle, g3):

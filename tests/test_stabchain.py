@@ -4,12 +4,10 @@ import itertools
 import numpy as np
 import pytest
 
-from d4fusion import stabchain
 from d4fusion.perms import (ConfigurationError, compose, identity_images, inverse, is_identity,
                             perm_from_cycles)
 from d4fusion.stabchain import (
     GroupHandle,
-    StabChain,
     build_stab_chain,
     orbit,
     stabilizer_of_prefix,
@@ -257,45 +255,30 @@ def alt_gens(n):
     return [perm_from_cycles(n, [(0, 1, k)]) for k in range(2, n)]
 
 
-def same_chain(a, b):
-    return (a.base == b.base
-            and [lv.orbit for lv in a.levels] == [lv.orbit for lv in b.levels]
-            and all(len(x.gens) == len(y.gens)
-                    and all(np.array_equal(s, t) for s, t in zip(x.gens, y.gens))
-                    for x, y in zip(a.levels, b.levels)))
-
-
-def test_rebase_equals_a_full_build_with_the_base_hint(affine_bundle):
+def test_stabilizer_of_a_non_prefix_raises():
     s6 = GroupHandle("s6", sym_gens(6))
-    s7 = GroupHandle("s7", sym_gens(7))
-    for g in (s6, s7):
-        build_stab_chain(g)
-    cases = [(s6, [4, 2]), (s7, [6, 0, 3]), (affine_bundle.ambient, None)]
-    for g, points in cases:
-        recorded = g.chain
-        if points is None:
-            points = recorded.base[:3][::-1]
-        assert recorded.base[:len(points)] != points
-        full = build_stab_chain(GroupHandle("full", list(g.generators)),
-                                base_hint=points)
-        rebased = stabchain._rebased_chain(g, points)
-        assert same_chain(rebased, full)
-        assert not schreier_resift_fails(rebased)
-        sub = stabilizer_of_prefix(g, points)
-        assert same_chain(sub.chain, StabChain(full.degree, full.levels[len(points):]))
-        assert g.chain is recorded
-
-
-def test_rebase_against_a_larger_recorded_chain_raises():
-    a6 = GroupHandle("a6", alt_gens(6), chain=build_stab_chain(GroupHandle("s6", sym_gens(6))))
-    with pytest.raises(ConfigurationError, match="order 360.*order 720"):
-        stabilizer_of_prefix(a6, [4, 2])
-
-
-def test_rebase_against_a_smaller_recorded_chain_raises():
-    s6 = GroupHandle("s6", sym_gens(6), chain=build_stab_chain(GroupHandle("a6", alt_gens(6))))
-    with pytest.raises(ConfigurationError, match="outside the recorded chain"):
+    build_stab_chain(s6)
+    recorded = s6.chain
+    assert recorded.base[:2] != [4, 2]
+    with pytest.raises(ConfigurationError, match="not a prefix of the chain's base"):
         stabilizer_of_prefix(s6, [4, 2])
+    assert s6.chain is recorded
+
+
+@pytest.mark.parametrize("name, gens, length", [
+    ("s6", sym_gens(6), 3), ("s7", sym_gens(7), 2), ("a6", alt_gens(6), 2)])
+def test_with_base_images_matches_a_scan_of_the_elements(name, gens, length):
+    chain = build_stab_chain(GroupHandle(name, gens))
+    base = chain.base[:length]
+    reached = {tuple(int(x) for x in g[base]) for g in chain.elements()}
+    for target in itertools.product(range(chain.degree), repeat=length):
+        g = chain.with_base_images(target)
+        if target in reached:
+            assert g is not None and chain.contains(g)
+            assert tuple(int(x) for x in g[base]) == target
+        else:
+            assert g is None
+    assert len(reached) < chain.degree ** length
 
 
 def test_transversal_is_composed_on_first_read():
@@ -324,17 +307,10 @@ def chain_sha(chain):
 
 
 OMEGA_CHAIN_SHA = "5a00d61fd8fddc2ad474a622751474121c4d0efb"
-# re-bases of the ambient O8+(2) chain on the flag base without entry k
-OMEGA_REBASE_SHA = ["02c3ef89d36549f03ca5f0c1b9bcbc38ca40338d",
-                    "a43f6e9d682fc6b4eafdf69e9d933a799246cb9a",
-                    "b1a5e63bd8b1769d28f2ef09506fed8980f5b927"]
 
 
 def test_chains_equal_their_pins(omega_handle, frame_bundle, affine_bundle):
     assert chain_sha(omega_handle.chain) == OMEGA_CHAIN_SHA
-    for k, pin in enumerate(OMEGA_REBASE_SHA):
-        points = [b for j, b in enumerate(omega_handle.flag_base) if j != k]
-        assert chain_sha(stabchain._rebased_chain(omega_handle, points)) == pin
     assert chain_sha(frame_bundle.ambient.chain) == "1e758cec8f4226779d3f65cf8d5f7ebda80e9649"
     assert chain_sha(affine_bundle.ambient.chain) == "91790cf97e17ac65ca0415d5f628f4a617c27ec3"
 

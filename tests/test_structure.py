@@ -179,14 +179,23 @@ def test_coset_data_matches_per_element_closures(contexts):
 
 
 def test_commutator_witness_check_rejects_s_with_central_commutators(contexts):
-    ctx = contexts["affine"]
-    rep = ctx.nontrivial_cosets[0]
-    members = np.flatnonzero(ctx.coset_rep == rep)
-    ctx.check_commutator_witnesses(members)
-    # [Q, q] <= Q' = Z(Q) for q in Q
-    inside_q = int(np.flatnonzero(ctx.Q.bits & ~ctx.Z.bits)[0])
-    with pytest.raises(ConfigurationError, match="Z\\(Q\\)"):
-        ctx.check_commutator_witnesses(np.append(members, inside_q))
+    # the check tries Q's generators only; the reference is the full
+    # 512-row table of [q, s] against Z(Q) taken from its definition
+    for ctx in contexts.values():
+        S, qm = ctx.S, ctx.Q.members
+        zq = qm[(S._commutators(qm, qm) == 0).all(axis=1)]
+        witnessed = ~np.isin(S._commutators(qm, np.arange(S.n)), zq).all(axis=0)
+        assert np.array_equal(witnessed, ~ctx.Q.bits)  # [Q, q] <= Q' = Z(Q) for q in Q
+        for s in range(S.n):
+            if witnessed[s]:
+                ctx.check_commutator_witnesses([s])
+            else:
+                with pytest.raises(ConfigurationError, match="Z\\(Q\\)"):
+                    ctx.check_commutator_witnesses([s])
+        members = np.flatnonzero(ctx.coset_rep == ctx.nontrivial_cosets[0])
+        ctx.check_commutator_witnesses(members)
+        with pytest.raises(ConfigurationError, match="Z\\(Q\\)"):
+            ctx.check_commutator_witnesses(np.append(members, qm[-1]))
 
 
 def test_frattini_witnesses(batteries):
