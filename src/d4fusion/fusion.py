@@ -331,8 +331,7 @@ def chamber_parabolic_slots(bundle: ModelBundle):
     ambient = bundle.ambient
     chain = ambient.chain
     base = bundle.extras["flag_base"]
-    S = bundle.sylow
-    s_gens = list(bundle.embedding[S.generating_set()])
+    s_gens = list(bundle.embedding[bundle.sylow.generating_set()])
     slots = []
     for omit in range(4):
         tag = "omega8plus2-parabolic-omit%d" % omit
