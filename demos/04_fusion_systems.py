@@ -29,8 +29,9 @@ chamber = sylow_via_chamber(build_omega8plus2())
 frame = build_frame_model_gf3()
 ctx_c, ctx_f = StructureContext(chamber), StructureContext(frame)
 
-# the ":3" builders take their order-3 map themselves: the root-model
-# triality for O8p2x3, the first map of the order-3 search for PO8p3x3
+# the ":3" builders take their order-3 map themselves: the diagram
+# triality, substituted on the flag table, for O8p2x3, and the first map
+# of the order-3 search for PO8p3x3
 systems = {
     "O8p2": build_fusion_system("O8p2", chamber, ctx_c),
     "O8p2x3": build_fusion_system("O8p2x3", chamber, ctx_c),

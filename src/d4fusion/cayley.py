@@ -4,7 +4,10 @@ Permutation groups of order up to a few thousand (here: 4096) are
 enumerated once, by `from_generators`; every structural question
 afterwards is an exhaustive table computation, never a sampled one.  The
 multiplication table keeps the left-to-right convention of the rest of
-the package: ``T[a, b] = a then b``.
+the package: ``T[a, b] = a then b``.  A table is proved once, where it
+enters: a table built from generators keyed on a verified chain's base
+is exact by construction (`from_generators`), and a table handed to
+`CayleyGroup` is checked, Light's test included.
 
 No quotient gets a table of its own.  A quotient by a normal subgroup K
 is held as the least members of the K-cosets (`coset_reps`), on which the
@@ -29,7 +32,8 @@ routines.
 
 One closure engine, `closure_levels`, enumerates elements with parents
 and products: the `from_generators` tables, the ambient-conjugacy oracle,
-the alternating-group scans and the search's anchor prefixes.
+the alternating-group scans, the search's anchor prefixes and the
+triality's substitution walk (`rootmodel`).
 `CayleyGroup._closure_rows` stays apart, a keyless bit-vector fixpoint
 inside a built table that closes the rows of a level at once; so does
 `stabchain._Level.recompute`, whose ascending orbit layers the pinned
@@ -97,6 +101,32 @@ class CayleyGroup:
 
     def __init__(self, table: np.ndarray, gen_indices=None, parents=None,
                  elements=None, name=""):
+        """A table handed in: checked for an identity and inverses (`_fill`),
+        then associative by Light's test over the reduced generators.
+
+        Call a good when (a x) y = a (x y) for all x, y.  Products of good
+        elements are good: ((a b) x) y = (a (b x)) y = a ((b x) y) =
+        a (b (x y)) = (a b) (x y).  The identity is good and the reduced
+        generators (`_reduced_generators`) generate, so checking them
+        covers all n^3 triples, and with the identity and inverse checks T
+        is a group table.  Each generator costs one row gather and one
+        elementwise gather of T per row block.
+        """
+        self._fill(table, gen_indices, parents, elements, name)
+        for s in range(0, self.n, _ROW_BLOCK):
+            block = self.T[s:s + _ROW_BLOCK].astype(np.intp)
+            for g in self._gens:
+                row = self.T[g]
+                if not np.array_equal(self.T[row[s:s + _ROW_BLOCK]], row[block]):
+                    raise ClosureError("multiplication table is not associative")
+
+    def _fill(self, table, gen_indices, parents, elements, name):
+        """Set the fields of a table: the one path of both entries,
+        `__init__` and `from_generators`.
+
+        Checks the identity and the inverses, and reduces gen_indices to
+        the group's verified generating set (`_reduced_generators`).
+        """
         table = np.asarray(table, dtype=IDX)
         n = table.shape[0]
         if table.shape != (n, n):
@@ -119,47 +149,54 @@ class CayleyGroup:
         self.square_of = table[np.arange(n), np.arange(n)]  # contiguous, unlike the diagonal
         if not np.array_equal(table[np.arange(n), self.inv], np.zeros(n, dtype=IDX)):
             raise ClosureError("inverses do not verify")
-        self._light_gens = self._check_associativity()
+        self._gens = self._reduced_generators()
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_generators(cls, generators, base=None, name="", max_order=1 << 13):
-        """Enumerate the permutation group <generators> and build its table.
+    def from_generators(cls, generators, chain=None, name="", max_order=1 << 13):
+        """Enumerate the permutation group G = <generators> and build its table.
 
         The generators are image arrays of one degree d; "a then b" is
         ``b[a]``.  The elements are the rows that `closure_levels` reaches
-        from the identity under x -> x then g_j, keyed by their images on
-        `base` (all d points when None); past `max_order` of them the
-        closure raises `ResourceError`.
+        from the identity under x -> x then g_j; past `max_order` of them
+        the closure raises `ResourceError`.  Rows are keyed on the base of
+        `chain`, a verified `StabChain` into which every generator must
+        sift (`ClosureError` otherwise), or on all d points when `chain`
+        is None.
 
-        The table follows from cols[j, x] = x * g_j and the BFS
-        decomposition b = f * g_j with f on an earlier level:
+        T is exact by construction, so neither Light's test nor an
+        embedding check runs.  By induction on the BFS level:
 
-            g * b = (g * f) * g_j = cols[j, g * f]    (the row of g)
-            T[b] = T[f][T[g_j]]                        (b * y = f * (g_j * y))
+        - the keys are faithful.  G lies in the chain's group, and two
+          elements of a group with a verified base that agree on that base
+          are equal (Holt, Eick and O'Brien, *Handbook of Computational
+          Group Theory*, 2005, 4.4); all d points separate trivially.  So
+          distinct keys are distinct elements, every element of the finite
+          group G is a positive word in the generators and is reached, and
+          cols[j, x] = x * g_j;
+        - the BFS writes each b other than 1 as f * g_j with f on an
+          earlier level, so g * b = (g * f) * g_j = cols[j, g * f] gives
+          the row of every generator g, level by level;
+        - b * y = f * (g_j * y), so T[b] = T[f][T[g_j]] gives every other
+          row from rows of earlier levels, starting at T[1] = identity.
 
-        the first giving every generator's row, the second every row, one
-        level at a time.
-
-        Exactness does not rest on `base`.  `__init__` proves T a group
-        table (identity, inverses, Light's test), and `check_embedding`
-        then proves E[x g] = E[x] then E[g] for every x and every g of the
-        generating set that Light's test kept, and E[gen_indices] ==
-        generators.  By induction on word length E is a homomorphism; its
-        rows are distinct because their keys are, so it is injective; each
-        row is a product of generators and the image holds every
-        generator, so E maps T's group onto <generators>.  A key set that
-        is not a base merges distinct elements, and one of those checks
-        raises `ClosureError`: a wrong base is never trusted.
+        Hence T[x, y] is the index of x then y, the element rows are an
+        injective homomorphism onto G, and rows[gen_indices] are the
+        generators.  The identity and inverse checks of `_fill` still run;
+        a table handed to `CayleyGroup` also gets Light's test.  Tier-1
+        reruns Light's test and the full-degree embedding check on every
+        built Sylow table, as the oracle for this argument.
         """
         gens = np.stack([np.asarray(g, dtype=IDX) for g in generators])
         k, d = gens.shape
+        if chain is not None and not all(chain.contains(g) for g in gens):
+            raise ClosureError("a generator does not sift into the chain")
         levels = [np.arange(d, dtype=IDX)[None, :]]
         parent, gen_pos, prods = [np.array([-1])], [np.array([-1])], []
         n = 1
         for rows, f, j, prod in closure_levels(levels[0], gens,
-                                               np.arange(d) if base is None else base):
+                                               np.arange(d) if chain is None else chain.base):
             n += len(rows)
             if n > max_order:
                 raise ResourceError("group closure exceeded max_order")
@@ -186,22 +223,21 @@ class CayleyGroup:
             for s in range(lo, hi, _ROW_BLOCK):
                 t = min(s + _ROW_BLOCK, hi)
                 T[s:t] = flat[parent[s:t, None] * n + gen_rows[gen_pos[s:t]]]
-        group = cls(T, gen_indices=gen_idx, elements=elements, name=name,
-                    parents=list(zip(parent.tolist(), gen_pos.tolist())))
-        group.check_embedding(elements, gens)
+        group = cls.__new__(cls)
+        group._fill(T, gen_idx, list(zip(parent.tolist(), gen_pos.tolist())), elements,
+                    name)
         return group
 
-    def check_embedding(self, rows, generators=None, error=ClosureError) -> None:
+    def check_embedding(self, rows, error=ClosureError) -> None:
         """Raise `error` unless x -> rows[x] is a homomorphism into permutations.
 
         For every g of the verified generating set and every x, rows[x g]
         must be rows[x] then rows[g].  Every row is a permutation, so x = 0
-        forces rows[0] = 1.  T is a group table (checked when the group is
-        built), so for y = y' g, rows[x y] = rows[(x y') g] = rows[x y']
-        then rows[g]; induction on the word length of y gives rows[x y] =
-        rows[x] then rows[y] for all x and y, as in `check_isomorphism`.
-        With `generators` given, rows[gen_indices] must equal them.  The
-        rows are gathered in blocks of _ROW_BLOCK.
+        forces rows[0] = 1.  T is a group table, so for y = y' g,
+        rows[x y] = rows[(x y') g] = rows[x y'] then rows[g]; induction on
+        the word length of y gives rows[x y] = rows[x] then rows[y] for all
+        x and y, as in `check_isomorphism`.  The rows are gathered in
+        blocks of _ROW_BLOCK.
         """
         gens = self.generating_set()
         for s in range(0, self.n, _ROW_BLOCK):
@@ -209,15 +245,12 @@ class CayleyGroup:
             for g in gens:
                 if not np.array_equal(rows[self.T[s:s + _ROW_BLOCK, g]], rows[g][block]):
                     raise error("embedding fails at a generator column")
-        if generators is not None and not np.array_equal(rows[self.gen_indices],
-                                                         generators):
-            raise error("the generator indices do not carry the generators")
 
     def _orders_and_inverses(self):
         """Element orders and inverses from one walk of the power sequences.
 
         x^k = x^(k-1) x, the order o is the least k with x^k = 1, and then
-        x^(o-1) x = 1: x^(o-1) is the inverse that `__init__` checks.
+        x^(o-1) x = 1: x^(o-1) is the inverse that `_fill` checks.
         """
         orders = np.ones(self.n, dtype=np.int32)
         inv = np.zeros(self.n, dtype=IDX)
@@ -237,19 +270,14 @@ class CayleyGroup:
         orders[0] = 1
         return orders, inv
 
-    def _check_associativity(self):
-        """Light's test over a generating set: T is associative on all n^3 triples.
+    def _reduced_generators(self):
+        """An irredundant generating set that extends and then reduces gen_indices.
 
-        Call a good when (a x) y = a (x y) for all x, y.  Products of good
-        elements are good: ((a b) x) y = (a (b x)) y = a ((b x) y) =
-        a (b (x y)) = (a b) (x y).  The identity is good, and the loop
-        below extends gen_indices until `closure` reaches every element as
-        a product of generators, so checking the generators covers the
-        table.  With the identity and inverse checks, T is then a group
-        table.  Generators that the others already generate are dropped
-        first (4 remain for the Sylow subgroups of order 4096); each costs
-        one row gather and one elementwise gather of T per row block.
-        Returns the generators checked, a verified generating set.
+        gen_indices are extended by the least element outside their
+        closure until `closure` reaches every element; then each generator
+        that the others already generate is dropped, last first (4 remain
+        for the Sylow subgroups of order 4096).  The result generates by
+        construction: it is the group's verified generating set.
         """
         gens = list(dict.fromkeys(self.gen_indices))
         reached = self.closure(gens).bits
@@ -260,12 +288,6 @@ class CayleyGroup:
             rest = [h for h in gens if h != g]
             if self.closure(rest).order == self.n:
                 gens = rest
-        for s in range(0, self.n, _ROW_BLOCK):
-            block = self.T[s:s + _ROW_BLOCK].astype(np.intp)
-            for g in gens:
-                row = self.T[g]
-                if not np.array_equal(self.T[row[s:s + _ROW_BLOCK]], row[block]):
-                    raise ClosureError("multiplication table is not associative")
         return gens
 
     # -- primitives ---------------------------------------------------------
@@ -701,15 +723,15 @@ class CayleyGroup:
     def generating_set(self, sub: SubgroupBits | None = None):
         """A verified generating set of sub (of the whole group when None).
 
-        The whole group uses the set that Light's test reduced to, which
-        generates by construction.  Callers also use gen_indices as
-        generators, so that set must lie inside them: it does exactly when
-        gen_indices generate, since otherwise Light's test had to add an
-        element outside their closure.  A proper subgroup's set is picked
-        greedily, the least member outside the closure so far, until the
-        closure covers sub; that last closure must equal sub, which a member
-        set that is not a subgroup fails.  Either way it is cached by the
-        subgroup's key.
+        The whole group uses the set that `_reduced_generators` reduced
+        gen_indices to, which generates by construction.  Callers also use
+        gen_indices as generators, so that set must lie inside them: it
+        does exactly when gen_indices generate, since otherwise the
+        reduction had to add an element outside their closure.  A proper
+        subgroup's set is picked greedily, the least member outside the
+        closure so far, until the closure covers sub; that last closure
+        must equal sub, which a member set that is not a subgroup fails.
+        Either way it is cached by the subgroup's key.
         """
         if sub is None:
             sub = self.full_bits()
@@ -717,7 +739,7 @@ class CayleyGroup:
         gens = self._gen_sets.get(key)
         if gens is None:
             if sub.order == self.n:
-                gens = self._light_gens
+                gens = self._gens
                 if self.gen_indices and not set(gens) <= set(self.gen_indices):
                     raise ClosureError("the recorded generators do not generate the group")
             else:
@@ -767,8 +789,8 @@ def closure_levels(start, post, base, pre=None):
 
     A row is an image array, "a then b" is ``b[a]``, so generator j sends
     x to ``post[j][x[pre[j]]]`` (``post[j][x]`` when `pre` is None).  Rows
-    are keyed by their values on `base`, which the caller proves or checks
-    to tell them apart.  Each step keys the products of every frontier row
+    are keyed by their values on `base`, which the caller proves to tell
+    them apart.  Each step keys the products of every frontier row
     with every generator in row-major (x, j) order and looks them up by
     `searchsorted` in the known keys, kept sorted; an unknown key becomes
     a new row, numbered after the start rows and earlier levels, at its

@@ -162,8 +162,9 @@ def conjugation_automap(bundle: ModelBundle, domain: SubgroupBits, g) -> AutoMap
     The conjugates of all domain members are looked up by their signature
     columns alone; only the generators' conjugates are compared at full
     degree.  That suffices: x -> g^-1 E[x] g and x -> E[j(x)] are both
-    homomorphisms on the domain once the AutoMap check has passed (E is a
-    verified injective homomorphism), and they agree on the generators.
+    homomorphisms on the domain once the AutoMap check has passed (E is an
+    injective homomorphism by the table's construction,
+    `CayleyGroup.from_generators`), and they agree on the generators.
     """
     S = bundle.sylow
     members = domain.members
@@ -518,8 +519,10 @@ def build_fusion_system(variant: str, bundle: ModelBundle,
     candidate pairs).  ":3" variants additionally require a verified
     order-3 map on S fixing F1 and exactly one other candidate; for
     O8p2x3 the fixed candidate must be the non-essential one.  When no
-    map is supplied, O8p2x3 takes the root-model triality and PO8p3x3 the
-    first map of the order-3 search; notes["order3_source"] says which.
+    map is supplied, O8p2x3 takes the diagram triality, substituted on the
+    flag table (`rootmodel.chamber_triality`; notes["order3_source"] is
+    "root-triality"), and PO8p3x3 the first map of the order-3 search
+    ("search").
     """
     if variant not in VARIANTS:
         raise ConfigurationError("unknown variant %r" % variant)
@@ -774,8 +777,10 @@ def ambient_involution_fusion(bundle: ModelBundle) -> np.ndarray:
     base: elements of a verified chain's group that agree on its base are
     equal.  Each level meets S by `bundle.lookup`, which compares every
     hit at full degree.  The independent oracle for the flag-model fusion
-    partition: it shares no code with the systems, only the closure with
-    the Sylow table build, which `check_embedding` proves separately.
+    partition: it shares no code with the systems, only `closure_levels`
+    with the Sylow table build.  That engine is checked apart from both:
+    tier-1 runs Light's test and the full-degree embedding check on every
+    built table (`tests/test_groupmodels.py`).
     """
     S = bundle.sylow
     post = np.stack(bundle.ambient.generators)

@@ -4,7 +4,8 @@
 Each builder delivers a ModelBundle: the ambient permutation group with a
 certified chain, the fully enumerated Sylow 2-subgroup of order 4096 as a
 CayleyGroup, and an injective embedding (element index -> ambient
-permutation) that is verified to be a homomorphism on its generators.
+permutation) that is a homomorphism by construction: the table is keyed
+on a verified chain's base (`CayleyGroup.from_generators`).
 """
 
 from __future__ import annotations
@@ -173,10 +174,11 @@ def matrices_from_parents(group: CayleyGroup, gen_mats, modulus: int):
 def verify_embedding(bundle: ModelBundle) -> None:
     """Exhaustive homomorphism check of the embedding, at O(4096 * k).
 
-    `CayleyGroup.check_embedding` owns the argument; `from_generators`
-    has already run it on every bundle's rows.  Injectivity is the
-    signature check of `ModelBundle`.  Kept as the bundle-level entry
-    that the tests re-run and `benchmarks/tracing.py` times.
+    `CayleyGroup.check_embedding` owns the argument.  No builder runs it:
+    `from_generators` proves the embedding by construction, and tier-1
+    runs this check on every bundle as that argument's oracle.
+    Injectivity is the signature check of `ModelBundle`.
+    `benchmarks/tracing.py` times it.
     """
     bundle.sylow.check_embedding(bundle.embedding, error=ConfigurationError)
 
@@ -308,7 +310,7 @@ def sylow_via_chamber(g: GroupHandle) -> ModelBundle:
     if order != SYLOW_ORDER:
         raise ConfigurationError(
             "chamber stabilizer has order %d, not 4096; broken flag" % order)
-    group = CayleyGroup.from_generators(stab.generators, base=stab.chain.base,
+    group = CayleyGroup.from_generators(stab.generators, chain=stab.chain,
                                         name="sylow-omega8plus2")
     emb = group.elements
     if group.n != SYLOW_ORDER:
@@ -401,7 +403,7 @@ def build_affine_model() -> ModelBundle:
         raise ConfigurationError("affine ambient order %d unexpected" % chain.order())
     t_mats = t_part_perms()
     sylow_gens = translations + [module.linear_perm(p) for p in t_mats]
-    group = CayleyGroup.from_generators(sylow_gens, base=chain.base, name="sylow-affine")
+    group = CayleyGroup.from_generators(sylow_gens, chain=chain, name="sylow-affine")
     emb = group.elements
     if group.n != SYLOW_ORDER:
         raise ConfigurationError("affine Sylow enumeration did not reach 4096")
@@ -493,7 +495,7 @@ def build_frame_model_gf3() -> ModelBundle:
         check_in_omega(m)
     sylow_mats = signs + t_mats
     sylow_perms = induced_action(sylow_mats, domain)
-    group = CayleyGroup.from_generators(sylow_perms, base=chain.base, name="sylow-frame")
+    group = CayleyGroup.from_generators(sylow_perms, chain=chain, name="sylow-frame")
     emb = group.elements
     if group.n != SYLOW_ORDER:
         raise ConfigurationError("frame Sylow enumeration did not reach 4096")

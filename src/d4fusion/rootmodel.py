@@ -6,8 +6,11 @@ isometries of the hyperbolic GF(2) form; together they generate the full
 chamber stabilizer of order 2^12.  The star symmetry of the D4 diagram
 permutes the root labels with order 3, and substituting permuted
 generators into each element's factorization yields a candidate map whose
-multiplicativity is then verified exhaustively on the Cayley table.  That
-verified map is the outer automorphism of order 3 used downstream.
+multiplicativity is then verified exhaustively on a Cayley table.  That
+verified map is the outer automorphism of order 3 used downstream; it is
+built on the flag model's table (`chamber_triality`), where the root
+generators are found by their basis images, so no root-model table is
+built for it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .cayley import IDX, AutoMap, CayleyGroup, closure_levels
 from .domains import gf2_code_map
 from .perms import ConfigurationError
 from .quadforms import DIM
+from .stabchain import GroupHandle, build_stab_chain
 
 # epsilon-coordinates of the simple roots (D4, node 2 is the branch node)
 SIMPLE_ROOTS = np.array([
@@ -63,7 +67,12 @@ def root_alpha_coords(root):
 
 
 def triality_root_permutation():
-    """Order-3 permutation of the 12 positive roots from the diagram symmetry."""
+    """Permutation of the 12 positive roots from the diagram symmetry.
+
+    Its order 3 is proved on the group: `_diagram_map` sends the root
+    generators, distinct elements, to each other by this permutation and
+    must have order 3.
+    """
     roots = positive_roots()
     by_coords = {root_alpha_coords(r): k for k, r in enumerate(roots)}
     perm = []
@@ -76,13 +85,7 @@ def triality_root_permutation():
         if k is None:
             raise ConfigurationError("diagram symmetry left the positive system")
         perm.append(k)
-    perm = np.array(perm, dtype=np.int64)
-    p3 = perm[perm][perm]
-    if not np.array_equal(p3, np.arange(12)):
-        raise ConfigurationError("diagram symmetry does not have order 3 on roots")
-    if np.array_equal(perm, np.arange(12)):
-        raise ConfigurationError("diagram symmetry is trivial on roots")
-    return perm
+    return np.array(perm, dtype=np.int64)
 
 
 def root_matrix(root) -> np.ndarray:
@@ -113,33 +116,48 @@ def build_root_model() -> CayleyGroup:
 
     Each element is the permutation a matrix induces on the 256 GF(2)
     codes: composing those is "a then b" as the matrix product b @ a is.
-    A linear map is fixed by its images of the basis codes 1 << i, which
-    are the closure's base.
+    The table is keyed on a chain built with the basis codes 1 << i as
+    its base prefix; a linear map is fixed by their images, so the chain
+    needs no other base point.  This, `triality_automap` and
+    `root_model_matches` stay public because the benchmark's `search`
+    workload and `benchmarks/tracing.py` call them.
     """
-    group = CayleyGroup.from_generators(_root_generators(), base=_POW2, name="root-model")
+    gens = _root_generators()
+    chain = build_stab_chain(GroupHandle("root-model", list(gens)), base_hint=list(_POW2))
+    group = CayleyGroup.from_generators(gens, chain=chain, name="root-model")
     if group.n != 4096:
         raise ConfigurationError("root matrices generated order %d, not 4096" % group.n)
     return group
 
 
-def triality_automap(group: CayleyGroup) -> AutoMap:
-    """The verified order-3 automorphism from the diagram symmetry.
+def _diagram_map(group: CayleyGroup, anchors) -> AutoMap:
+    """The verified order-3 map a_j -> a_rot(j) of `group`, where anchors[j]
+    is the element of the j-th positive root and rot the diagram symmetry.
 
-    Images are produced by substituting rotated generators into each
-    element's breadth-first factorization; the AutoMap constructor then
-    checks the generator-column identity on every element, which forces
-    multiplicativity, so a wrong substitution cannot survive.
+    One `closure_levels` walk of the table on 1-wide rows, anchor j
+    sending x to T[x, a_j], as `automorphisms._anchor_prefixes` does; each
+    new element x a_j gets image[x] a_rot(j).  An element the walk does
+    not reach keeps image 0, which the bijection check refuses.  The
+    `AutoMap` constructor checks the generator-column identity on every
+    element, which forces multiplicativity, so a wrong substitution cannot
+    survive; the map must also have order 3.
     """
-    rot = triality_root_permutation()
-    gen_idx = group.gen_indices
-    images = np.zeros(group.n, dtype=np.uint16)
-    for b in range(1, group.n):
-        f, j = group.parents[b]
-        images[b] = group.T[images[f], gen_idx[int(rot[j])]]
+    rotated = np.asarray(anchors)[triality_root_permutation()]
+    images = np.zeros(group.n, dtype=IDX)
+    walked = np.zeros(1, dtype=IDX)  # the walk's elements, in its order
+    for rows, f, j, _ in closure_levels(walked[None, :], group.T[:, anchors].T, [0]):
+        images[rows[:, 0]] = group.T[images[walked[f]], rotated[j]]
+        walked = np.concatenate([walked, rows[:, 0]])
     auto = AutoMap(group, images)
     if auto.map_order() != 3:
         raise ConfigurationError("diagram map does not have order 3 on the group")
     return auto
+
+
+def triality_automap(group: CayleyGroup) -> AutoMap:
+    """The verified order-3 automorphism of the root model from the
+    diagram symmetry: `_diagram_map` on its generators."""
+    return _diagram_map(group, group.gen_indices)
 
 
 def root_model_matches(bundle_matrices) -> np.ndarray:
@@ -150,12 +168,16 @@ def root_model_matches(bundle_matrices) -> np.ndarray:
     differ (they must coincide for the standard chamber stabilizer).  The
     rows are `build_root_model`'s, in its order: the identity, then the
     levels that `closure_levels` reaches over the root generators keyed on
-    the basis codes, as in `from_generators`.  No table is built.
+    the basis codes, which number the rows as any faithful key does.  No
+    table is built.
     """
     gens = _root_generators()
     rows = [np.arange(gens.shape[1], dtype=IDX)[None, :]]
     rows += [new for new, *_ in closure_levels(rows[0], gens, _POW2)]
-    return _translation(np.concatenate(rows), bundle_matrices)
+    elements = np.concatenate(rows)
+    if len(elements) != len(bundle_matrices):
+        raise ConfigurationError("the root model and the bundle differ in order")
+    return _translation(elements, bundle_matrices)
 
 
 def _basis_image_keys(codes) -> np.ndarray:
@@ -164,7 +186,7 @@ def _basis_image_keys(codes) -> np.ndarray:
 
 
 def _translation(elements, bundle_matrices) -> np.ndarray:
-    """`root_model_matches` on the root model's element rows.
+    """The bundle index of each row of `elements`, permutations of the codes.
 
     An element is keyed by the codes of its 8 basis images: the columns of
     a bundle matrix, the images of the codes 1 << i under a root element.
@@ -174,23 +196,20 @@ def _translation(elements, bundle_matrices) -> np.ndarray:
     order = np.argsort(bundle_keys)
     pos = np.searchsorted(bundle_keys[order], root_keys) % len(order)
     out = order[pos]
-    if len(root_keys) != len(bundle_keys) or not np.array_equal(bundle_keys[out], root_keys):
+    if not np.array_equal(bundle_keys[out], root_keys):
         raise ConfigurationError("root-model element missing from the bundle; "
                                  "the chamber is not the standard one")
     return out
 
 
 def chamber_triality(bundle) -> AutoMap:
-    """The root-model triality carried onto the flag-model Sylow subgroup.
+    """The diagram triality on the flag-model Sylow subgroup, read on its table.
 
-    The root model and the bundle hold the same matrices
-    (`root_model_matches`), so conjugating the verified diagram map by that
-    index translation gives a map on `bundle.sylow`, verified again there.
-    The root model is built once, for both the map and the translation.
+    The twelve root generators are found in the bundle by the codes of
+    their basis images (`_translation`), and `_diagram_map` substitutes
+    them on `bundle.sylow`: no root-model table is built.  The map agrees
+    on the generators with the root model's `triality_automap` carried
+    through `root_model_matches`, and both are homomorphisms, so it is
+    the same map.
     """
-    group = build_root_model()
-    tri = triality_automap(group)
-    trans = _translation(group.elements, bundle.matrices)
-    inv = np.empty_like(trans)
-    inv[trans] = np.arange(len(trans))
-    return AutoMap(bundle.sylow, trans[tri.images[inv]].astype(np.uint16))
+    return _diagram_map(bundle.sylow, _translation(_root_generators(), bundle.matrices))

@@ -15,6 +15,7 @@ from d4fusion.cayley import (
 )
 from d4fusion.perms import (ConfigurationError, ResourceError, compose, inverse,
                             perm_from_cycles)
+from d4fusion.stabchain import GroupHandle, build_stab_chain
 
 
 def perm_group(gens):
@@ -396,7 +397,7 @@ def test_automap_on_subgroup_domain(d8):
 
 def test_generating_set_is_verified_and_cached():
     g = heisenberg_2_4()
-    # Light's test keeps all four generators: the Frattini quotient has rank 4
+    # the reduction keeps all four generators: the Frattini quotient has rank 4
     assert g.generating_set() == [1, 2, 3, 4] == g.gen_indices
     dom = g.maximal_subgroups()[0]
     gens = g.generating_set(dom)
@@ -666,17 +667,20 @@ def test_right_regular_table_is_the_cocycle_product():
 
 
 def test_from_generators_base_keys():
-    # fixing 0, 1 and 2 fixes every point of S4: a base gives the same group
+    # keyed on a chain of S4, whose base of 3 points fixes every point
     gens = _perm_case(4, (0, 1, 2, 3), (0, 1), (1, 2))
     full = CayleyGroup.from_generators(gens)
-    keyed = CayleyGroup.from_generators(gens, base=[0, 1, 2])
+    chain = build_stab_chain(GroupHandle("s4", gens))
+    assert len(chain.base) == 3
+    keyed = CayleyGroup.from_generators(gens, chain=chain)
     assert np.array_equal(keyed.T, full.T)
     assert np.array_equal(keyed.elements, full.elements)
     assert keyed.parents == full.parents
-    # the image of one point does not determine an element: the check raises
-    for base in ([0], [3], [0, 1]):
-        with pytest.raises(ClosureError):
-            CayleyGroup.from_generators(gens, base=base)
+    # the chain of a smaller group has a base that is not one of S4: a
+    # generator outside that group does not sift, and the build raises
+    for part in ([gens[0]], gens[1:], [gens[1]]):
+        with pytest.raises(ClosureError, match="sift"):
+            CayleyGroup.from_generators(gens, chain=build_stab_chain(GroupHandle("part", part)))
 
 
 def test_from_generators_respects_max_order():

@@ -190,23 +190,54 @@ def test_sylow_tables_are_pinned(model, request):
 
 @pytest.mark.parametrize("base", [[1], [1, 19], "flag"])
 def test_closure_keyed_on_a_non_base_raises(chamber_bundle, base):
-    # the images of these points do not determine an element of the flag
-    # Sylow; the flag's own four objects are fixed by all of it
+    # a table is keyed only on a verified chain, so keys that are not a base
+    # of S can come only from the chain of a smaller group: here the group of
+    # S's first two generators, with `base` as its base prefix.  The other
+    # generators do not sift into it
     S = chamber_bundle.sylow
     gens = chamber_bundle.embedding[S.gen_indices]
     if base == "flag":
         base = chamber_bundle.ambient.flag_base
-    with pytest.raises(ClosureError):
-        CayleyGroup.from_generators(gens, base=base)
+    chain = build_stab_chain(GroupHandle("part", list(gens[:2])), base_hint=base)
+    assert chain.order() < SYLOW_ORDER
+    with pytest.raises(ClosureError, match="sift"):
+        CayleyGroup.from_generators(gens, chain=chain)
 
 
-def test_closure_keyed_on_the_signature_columns(chamber_bundle):
-    # the signature columns separate the 4096 elements: they are a base of S
-    S = chamber_bundle.sylow
-    gens = chamber_bundle.embedding[S.gen_indices]
-    keyed = CayleyGroup.from_generators(gens, base=chamber_bundle.sig_cols)
-    assert np.array_equal(keyed.T, S.T)
-    assert np.array_equal(keyed.elements, chamber_bundle.embedding)
+def test_chain_keyed_and_full_row_keyed_builds_agree(affine_bundle):
+    # both keys are faithful, and the closure numbers rows by first occurrence
+    S = affine_bundle.sylow
+    assert len(affine_bundle.ambient.chain.base) < affine_bundle.degree
+    full = CayleyGroup.from_generators(affine_bundle.embedding[S.gen_indices])
+    assert np.array_equal(full.T, S.T)
+    assert np.array_equal(full.elements, affine_bundle.embedding)
+    assert full.parents == S.parents
+
+
+@pytest.mark.parametrize("model", sorted(TABLE_PINS))
+def test_built_tables_pass_lights_test_and_the_embedding_check(model, request):
+    # the oracle for `from_generators`, which runs neither check itself
+    from d4fusion.rootmodel import build_root_model
+    if model == "root":
+        group = build_root_model()
+        group.check_embedding(group.elements)
+    else:
+        bundle = request.getfixturevalue(model)
+        group = bundle.sylow
+        verify_embedding(bundle)
+    checked = CayleyGroup(group.T, gen_indices=group.gen_indices)  # runs Light's test
+    assert checked.generating_set() == group.generating_set()
+
+
+def test_a_generator_outside_the_chain_raises_at_the_sift(affine_bundle):
+    # a transposition acts on the module as an element of S8 outside 64:A8
+    S = affine_bundle.sylow
+    gens = list(affine_bundle.embedding[S.gen_indices])
+    odd = affine_bundle.extras["module"].linear_perm(perm_from_cycles(8, [(0, 1)]))
+    chain = affine_bundle.ambient.chain
+    assert CayleyGroup.from_generators(gens, chain=chain).n == SYLOW_ORDER
+    with pytest.raises(ClosureError, match="sift"):
+        CayleyGroup.from_generators(gens + [odd], chain=chain)
 
 
 def test_bundle_index_lookup(chamber_bundle):

@@ -56,29 +56,45 @@ def test_root_model_matches_chamber(chamber_bundle):
     assert len(set(trans.tolist())) == 4096
 
 
-def test_chamber_triality_builds_the_root_model_once(chamber_bundle, monkeypatch):
-    calls = []
+def test_chamber_triality_builds_no_table_and_verifies_one_map(chamber_bundle,
+                                                               monkeypatch):
+    # the root model's map, carried through the index translation, is the
+    # reference; chamber_triality reads the same map off the flag table
+    root = build_root_model()
+    trans = root_model_matches(chamber_bundle.matrices)
+    back = np.empty_like(trans)
+    back[trans] = np.arange(len(trans))
+    expected = trans[triality_automap(root).images[back]]
+    built, verified = [], []
+    real_fill, real_check = rootmodel.CayleyGroup._fill, rootmodel.AutoMap.__post_init__
 
-    def counted():
-        calls.append(1)
-        return build_root_model()
+    def counted_fill(self, *args):
+        built.append(1)
+        real_fill(self, *args)
 
-    monkeypatch.setattr(rootmodel, "build_root_model", counted)
+    def counted_check(self):
+        verified.append(1)
+        real_check(self)
+
+    monkeypatch.setattr(rootmodel.CayleyGroup, "_fill", counted_fill)
+    monkeypatch.setattr(rootmodel.AutoMap, "__post_init__", counted_check)
     tri = rootmodel.chamber_triality(chamber_bundle)
-    assert len(calls) == 1
+    assert built == [] and verified == [1]
     assert tri.map_order() == 3
+    assert np.array_equal(tri.images, expected)
 
 
 def test_root_model_matches_builds_no_table(chamber_bundle, monkeypatch):
     expected = rootmodel._translation(build_root_model().elements, chamber_bundle.matrices)
     built = []
-    real_init = rootmodel.CayleyGroup.__init__
+    real_fill = rootmodel.CayleyGroup._fill
 
-    def counted(self, *args, **kwargs):
+    def counted(self, *args):
         built.append(1)
-        real_init(self, *args, **kwargs)
+        real_fill(self, *args)
 
-    monkeypatch.setattr(rootmodel.CayleyGroup, "__init__", counted)
+    # both entries, `CayleyGroup(T)` and `from_generators`, fill through _fill
+    monkeypatch.setattr(rootmodel.CayleyGroup, "_fill", counted)
     trans = root_model_matches(chamber_bundle.matrices)
     assert built == []
     assert np.array_equal(trans, expected)
