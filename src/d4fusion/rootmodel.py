@@ -123,7 +123,7 @@ def build_root_model() -> CayleyGroup:
     workload and `benchmarks/tracing.py` call them.
     """
     gens = _root_generators()
-    chain = build_stab_chain(GroupHandle("root-model", list(gens)), base_hint=list(_POW2))
+    chain = build_stab_chain(GroupHandle("root-model", gens), base_hint=list(_POW2))
     group = CayleyGroup.from_generators(gens, chain=chain, name="root-model")
     if group.n != 4096:
         raise ConfigurationError("root matrices generated order %d, not 4096" % group.n)
