@@ -790,7 +790,11 @@ def closure_levels(start, post, base, pre=None):
     A row is an image array, "a then b" is ``b[a]``, so generator j sends
     x to ``post[j][x[pre[j]]]`` (``post[j][x]`` when `pre` is None).  Rows
     are keyed by their values on `base`, which the caller proves to tell
-    them apart.  Each step keys the products of every frontier row
+    them apart.  A key packs those values into uint64 words, one base
+    column at a time, at (degree - 1).bit_length() bits each; a key of
+    several words is viewed as one opaque value, so the sort and the
+    lookups stay integer ones whenever one word holds the base.  Each
+    step keys the products of every frontier row
     with every generator in row-major (x, j) order and looks them up by
     `searchsorted` in the known keys, kept sorted; an unknown key becomes
     a new row, numbered after the start rows and earlier levels, at its
@@ -801,23 +805,29 @@ def closure_levels(start, post, base, pre=None):
     (frontier, generator) array of the index of every product.
     """
     post = np.asarray(post)
-    k = len(post)
+    k, degree = post.shape
     base = np.asarray(base, dtype=np.intp)
     at = base[None, :] if pre is None else np.asarray(pre)[:, base]
-    void = np.dtype((np.void, len(base) * post.itemsize))
+    bits = max((degree - 1).bit_length(), 1)
+    per = 64 // bits  # base values per word
+    words = -(-len(base) // per)
+    wide = np.dtype((np.void, 8 * words))
 
-    def keys(points):  # one opaque sortable key per row of base values
-        return np.ascontiguousarray(points, dtype=post.dtype).view(void).ravel()
+    def keys(column, count):  # column(c): the c-th base value of each row
+        out = np.zeros((count, words), dtype=np.uint64)
+        for c in range(len(base)):
+            out[:, c // per] |= column(c).astype(np.uint64) << np.uint64(bits * (c % per))
+        return out.ravel() if words == 1 else out.view(wide).ravel()
 
     frontier = np.asarray(start, dtype=post.dtype)
-    known = keys(frontier[:, base])
+    known = keys(lambda c: frontier[:, base[c]], len(frontier))
     order = np.argsort(known)  # known is kept sorted, order[i] is the index of known[i]
     known = known[order]
     n = len(frontier)
+    gen = np.arange(k)[None, :]
     while len(frontier):
         lo, width = n - len(frontier), len(frontier)
-        cand = keys(post[np.arange(k)[None, :, None], frontier[:, at]]
-                    .reshape(width * k, len(base)))
+        cand = keys(lambda c: post[gen, frontier[:, at[:, c]]].ravel(), width * k)
         pos = np.searchsorted(known, cand) % len(known)
         idx = order[pos]
         miss = np.flatnonzero(known[pos] != cand)

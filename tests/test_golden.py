@@ -34,7 +34,7 @@ PINS = {
     "fusion-O8p2x3": "2c8d96a44a50302b2cd44dab1fc28252f85fee28",
     "fusion-PO8p3": "4e4f9a13d3ae440127c9569e4da648ba84fc5b2b",
     "fusion-PO8p3x3": "f699d33508939e63dc6e220e964d57c8ad480f92",
-    "verify-all": "d4172a2735b6b6758b95eeedce943780ff0a2d66",
+    "verify-all": "eef5330d31d949409ea1310b282f87fb02debdef",
 }
 
 VOLATILE = {"elapsed_ms", "cache_dir"}

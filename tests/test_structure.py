@@ -17,6 +17,7 @@ from d4fusion.structure import (
     check_z3meet,
     model_fingerprint,
     run_battery,
+    searched_E,
 )
 
 
@@ -39,8 +40,8 @@ def test_center_witnesses(batteries):
 
 
 def test_six_elab_witnesses(batteries):
-    # search_nodes: the spans visited by the one unrestricted rank-6 search
-    nodes = {"omega8plus2": 45031, "affine": 46351, "frame": 46999}
+    # search_nodes: the spans visited by the rank-5 search of S/Z(S) outside Q/Z(S)
+    nodes = {"omega8plus2": 2795, "affine": 2804, "frame": 2798}
     for name, data in batteries.items():
         rep = reports_by_id(data)["sixe"]
         assert rep.witnesses["count"] == 6
@@ -153,6 +154,30 @@ def test_sixe_fails_when_one_e_is_repeated(contexts):
     assert rep.witnesses["index_in_Q"] == [2] * 6
     assert rep.witnesses["coset_bijection"] is True
     assert rep.witnesses["scan_matches_search"] is False
+
+
+def test_unrestricted_search_finds_the_scan_and_the_quotient_route(contexts):
+    # the oracle for the argument of check_sixe: the rank-6 search of S with
+    # neither avoid nor modulo finds exactly the scanned E's and the E's of
+    # the rank-5 search of S/Z outside Q/Z, and none of them lies in Q
+    for ctx in contexts.values():
+        complete, _ = enumerate_elab_subgroups(ctx.S, rank=6)
+        routed, _ = searched_E(ctx)
+        assert not any(e <= ctx.Q for e in complete)
+        keys = {e.key() for e in complete}
+        assert len(keys) == 6
+        assert keys == {e.key() for e in ctx.six_E} == {e.key() for e in routed}
+
+
+def test_sixe_and_elab_fail_when_z_is_replaced_by_the_trivial_subgroup(bundles):
+    # the premise search modulo 1 finds the six E's outside Q; a fresh
+    # context, so that no premise is cached yet
+    ctx = StructureContext(bundles["affine"])
+    S = ctx.S
+    broken = seeded(ctx, series=[S.trivial_bits()] + ctx.series[1:])
+    sixe, elab = check_sixe(broken), check_elab(broken)
+    assert sixe.status == "fail" and sixe.witnesses["premise_offenders"] == 6
+    assert elab.status == "fail" and elab.witnesses["offenders"] == 6
 
 
 def test_coset_witnesses(batteries):
