@@ -510,11 +510,11 @@ def check_elab(ctx: StructureContext) -> LemmaReport:
     """No elementary abelian subgroup of S/Z of order 64 or more lies outside Q/Z.
 
     Z = Z(S) is Z(Q) by `check_cent`.  One search at rank 6 proves the
-    claim for every order of at least 64:
-    an elementary abelian subgroup of larger order outside Q/Z is a GF(2)
-    space with a vector outside Q/Z, and a 6-dimensional subspace through
-    that vector is one of order 64 outside Q/Z.  `check_sixe` rests on
-    this search (``ctx.elab_offenders``), which runs once per context.
+    claim for every order of at least 64: an elementary abelian subgroup
+    of larger order outside Q/Z is a GF(2) space with a vector outside
+    Q/Z, and a 6-dimensional subspace through that vector is one of order
+    64 outside Q/Z.  `check_sixe` rests on this search
+    (``ctx.elab_offenders``), which runs once per context.
     """
     claim = ("in S/Z(Q), every elementary abelian subgroup of order at least 64 "
              "lies inside Q/Z(Q)")

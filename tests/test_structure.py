@@ -169,15 +169,18 @@ def test_unrestricted_search_finds_the_scan_and_the_quotient_route(contexts):
         assert keys == {e.key() for e in ctx.six_E} == {e.key() for e in routed}
 
 
-def test_sixe_and_elab_fail_when_z_is_replaced_by_the_trivial_subgroup(bundles):
-    # the premise search modulo 1 finds the six E's outside Q; a fresh
-    # context, so that no premise is cached yet
+def test_a_premise_offender_fails_sixe_and_elab(bundles):
+    # with Z(S) replaced by 1, the premise search finds the six E's outside
+    # Q; a fresh context, so that no premise is cached yet
     ctx = StructureContext(bundles["affine"])
-    S = ctx.S
-    broken = seeded(ctx, series=[S.trivial_bits()] + ctx.series[1:])
+    broken = seeded(ctx, series=[ctx.S.trivial_bits()] + ctx.series[1:])
     sixe, elab = check_sixe(broken), check_elab(broken)
     assert sixe.status == "fail" and sixe.witnesses["premise_offenders"] == 6
     assert elab.status == "fail" and elab.witnesses["offenders"] == 6
+    # an offender alone fails sixe, whose scan and search still agree
+    rep = check_sixe(seeded(ctx, elab_offenders=(ctx.six_E[:1], 112)))
+    assert rep.status == "fail" and rep.witnesses["premise_offenders"] == 1
+    assert rep.witnesses["scan_matches_search"] is True
 
 
 def test_coset_witnesses(batteries):
