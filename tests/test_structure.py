@@ -158,15 +158,17 @@ def test_sixe_fails_when_one_e_is_repeated(contexts):
 
 def test_unrestricted_search_finds_the_scan_and_the_quotient_route(contexts):
     # the oracle for the argument of check_sixe: the rank-6 search of S with
-    # neither avoid nor modulo finds exactly the scanned E's and the E's of
-    # the rank-5 search of S/Z outside Q/Z, and none of them lies in Q
+    # neither avoid nor modulo finds exactly the scanned E's, each once, and
+    # the E's of the rank-5 search of S/Z outside Q/Z, and none of them lies
+    # in Q
     for ctx in contexts.values():
         complete, _ = enumerate_elab_subgroups(ctx.S, rank=6)
         routed, _ = searched_E(ctx)
         assert not any(e <= ctx.Q for e in complete)
-        keys = {e.key() for e in complete}
-        assert len(keys) == 6
-        assert keys == {e.key() for e in ctx.six_E} == {e.key() for e in routed}
+        keys = sorted(e.key() for e in complete)
+        assert len(set(keys)) == 6
+        assert keys == sorted(e.key() for e in ctx.six_E)
+        assert set(keys) == {e.key() for e in routed}
 
 
 def test_a_premise_offender_fails_sixe_and_elab(bundles):
@@ -350,22 +352,20 @@ def test_essential_candidate_lists_are_pinned(contexts):
 
 
 def test_six_E_tests_each_candidate_set_once(bundles, monkeypatch):
-    # the coset scan reaches each E from its 32 involutions outside Q; the
-    # list matches the exhaustive search, in the scan's sort
+    # the coset scan reaches each E from its 32 involutions outside Q
     ctx = StructureContext(bundles["affine"])
     S = ctx.S
     calls = []
     monkeypatch.setattr(S, "is_abelian", lambda sub: calls.append(sub.key())
                         or CayleyGroup.is_abelian(S, sub))
-    es = ctx.six_E
+    ctx.six_E
     assert len(calls) == len(set(calls)) == 6
-    complete, _ = enumerate_elab_subgroups(S, rank=6)
-    complete.sort(key=lambda e: tuple(e.members[:4]))
-    assert [e.key() for e in es] == [e.key() for e in complete]
 
 
-def test_check_elab_memory_stays_small(contexts):
-    ctx = contexts["affine"]
+def test_check_elab_memory_stays_small(bundles):
+    # a fresh context, so that the elab search runs under tracing and is not
+    # read from a cache the battery filled
+    ctx = StructureContext(bundles["affine"])
     ctx.Q, ctx.Z  # forced before tracing
     tracemalloc.start()
     try:
