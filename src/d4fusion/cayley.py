@@ -32,8 +32,12 @@ routines.
 
 One closure engine, `closure_levels`, enumerates elements with parents
 and products: the `from_generators` tables, the ambient-conjugacy oracle,
-the alternating-group scans, the search's anchor prefixes and the
-triality's substitution walk (`rootmodel`).
+the alternating group (`groupmodels.a8_elements`, which the A8 check and
+the minimal-overgroup scan read), the search's anchor prefixes and the
+triality's substitution walk (`rootmodel`).  No element is enumerated
+from a stabilizer chain.  One fixpoint, `invariant_core`, gives every
+largest invariant subset: the system's 2-radical (`fusion.check_O2`), a
+slot's radical and the frame model's 2-radical.
 `CayleyGroup._closure_rows` stays apart, a keyless bit-vector fixpoint
 inside a built table that closes the rows of a level at once; so does
 `stabchain._Level.recompute`, whose ascending orbit layers the pinned
@@ -55,6 +59,7 @@ _ROOT_BLOCK = 8  # roots per level-synchronous step of span_search
 _ROW_BLOCK = 256  # rows per block of the table builds and checks
 _GATHER = 1 << 20  # entries per row gather of closure_levels, so none copies a level
 _OFF = IDX(np.iinfo(IDX).max)  # a quotient code off the span: no coordinate reaches it
+_EXPLOSION_GUARD = 1_000_000  # subgroups per level of the index-2/4/8 descent
 
 
 class ClosureError(ValueError):
@@ -625,7 +630,7 @@ class CayleyGroup:
             self.generating_set(sub)
         return [SubgroupBits(self, bits) for bits in self._maximal_rows(sub.bits[None, :])]
 
-    def subgroups_of_index(self, k: int, explosion_guard=1_000_000):
+    def subgroups_of_index(self, k: int):
         """Complete duplicate-free list for k in {2, 4, 8} by maximal descent.
 
         One `_maximal_rows` call per level, from the whole group down.
@@ -639,7 +644,7 @@ class CayleyGroup:
         rows = np.ones((1, self.n), dtype=bool)
         for _ in range({2: 1, 4: 2, 8: 3}[k]):
             rows = self._maximal_rows(rows)
-            if len(rows) > explosion_guard:
+            if len(rows) > _EXPLOSION_GUARD:
                 raise ResourceError("subgroup descent exploded")
         lead = np.zeros((len(rows), 3), dtype=np.int64)  # the identity leads every row
         at = np.arange(len(rows))
@@ -782,6 +787,27 @@ def orbit_minima(n: int, src, dst) -> np.ndarray:
         label = label[label]
         if np.array_equal(label, prev):
             return label
+
+
+def invariant_core(bits, images) -> np.ndarray:
+    """The largest subset of `bits` that every row of `images` maps into itself.
+
+    `bits` is a boolean vector over the elements, and each row of `images`
+    gives the image of every element, -1 where it falls off the group.
+    Top-down fixpoint: repeat X <- {x in X : a(x) in X for every row a}
+    until X stops changing.  A subset Y of X with a(Y) <= Y for every a
+    lies in each step's result, so it stays; at the fixpoint X itself is
+    such a subset, hence the largest.  Returns X as a new boolean vector.
+    """
+    x = np.array(bits, dtype=bool)
+    images = np.asarray(images)
+    while True:
+        members = np.flatnonzero(x)
+        img = images[:, members]
+        keep = ((img >= 0) & x[img]).all(axis=0)
+        if keep.all():
+            return x
+        x[members[~keep]] = False
 
 
 def closure_levels(start, post, base, pre=None):

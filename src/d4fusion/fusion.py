@@ -20,18 +20,18 @@ import numpy as np
 
 from .automorphisms import order3_automorphisms
 from .cayley import (AutoMap, CayleyGroup, ClosureError, SubgroupBits, closure_levels,
-                     inner_automap, orbit_minima)
+                     inner_automap, invariant_core, orbit_minima)
 from .domains import singular_objects
 from .groupmodels import (
     Frame,
     ModelBundle,
-    a8_generators,
+    a8_elements,
     check_in_omega,
     frame_from_involutions,
     frame_line_action,
     perm_matrix,
 )
-from .perms import ConfigurationError, compose, inverse, perm_order
+from .perms import ConfigurationError, inverse
 from .quadforms import (GF3_SPACE, PreconditionError, gf2_nullspace, gf3_inverse,
                         invariant_quadratic_forms, q)
 from .rootmodel import chamber_triality
@@ -41,6 +41,7 @@ from .structure import StructureContext
 log = logging.getLogger(__name__)
 
 VARIANTS = ("O8p2", "O8p2x3", "PO8p3", "PO8p3x3")
+_COSET_BLOCK = 256  # rows per block of the chamber slots' coset scan
 
 
 @dataclass
@@ -209,11 +210,14 @@ def automizer_from_model(bundle: ModelBundle, order3_elem, tag: str) -> Essentia
     adds no fusion orbit and no invariant subgroup either.
 
     R = S meet S^g3 meet S^(g3^-1), the intersection of the three Sylow
-    conjugates of S in P, is read off signature lookups and proved by the
-    order-3 map's own check:
+    conjugates of S in P, is the largest subset of S that conjugation by
+    g3 and by g3^-1 both map into S, and so into itself: such a subset X
+    has X^g3 and X^(g3^-1) inside S, so X lies in R, and R is normal in
+    P.  R is the fixpoint M of those two conjugations (`invariant_core`)
+    on signature lookups, proved by the order-3 map's own check:
 
-    - Every member of R has conjugates by g3 and g3^-1 in S, and each hits
-      its own signature, so the mask M keeps all of R.
+    - Every member of R has conjugates by g3 and g3^-1 in R, and each hits
+      its own signature, so the fixpoint M keeps all of R.
     - `conjugation_automap(bundle, M, g3)` proves that M is a subgroup
       (the closure check of its generating set), that the lookup permutes
       M homomorphically (the AutoMap check), and that the lookup equals
@@ -231,12 +235,10 @@ def automizer_from_model(bundle: ModelBundle, order3_elem, tag: str) -> Essentia
     """
     S = bundle.sylow
     g3 = np.asarray(order3_elem, dtype=np.uint16)
-    mask = np.ones(S.n, dtype=bool)
-    # x lies in S^g3 and S^(g3^2) iff its conjugates by g3^-1 and by g3 lie in S
-    for conj in (g3, inverse(g3)):
-        members = np.flatnonzero(mask)
-        mask[members[bundle.conjugate_indices(conj, members, verify=False) < 0]] = False
-    radical = SubgroupBits(S, mask)
+    everything = np.arange(S.n)
+    radical = SubgroupBits(S, invariant_core(np.ones(S.n, dtype=bool), [
+        bundle.conjugate_indices(conj, everything, verify=False)
+        for conj in (g3, inverse(g3))]))
     if radical.order != 2048:
         raise ConfigurationError("%s: radical of the minimal overgroup has order %d"
                                  % (tag, radical.order))
@@ -259,25 +261,15 @@ def automizer_from_model(bundle: ModelBundle, order3_elem, tag: str) -> Essentia
 # -- chamber model: the four minimal flag stabilizers ------------------------
 
 
-def _order3_from_chain(chain):
-    """An order-3 power of the first element, in chain enumeration order,
-    whose order is divisible by 3."""
-    for g in chain.elements():
-        o = perm_order(g)
-        if o % 3 == 0:
-            return _perm_power(g, o // 3)
-    raise ConfigurationError("no order-3 element found in the overgroup")
+def _cubes(rows) -> np.ndarray:
+    """The cube of each image array along the last axis of `rows`."""
+    return np.take_along_axis(rows, np.take_along_axis(rows, rows, axis=-1), axis=-1)
 
 
-def _perm_power(g, k):
-    out = np.arange(g.shape[0], dtype=g.dtype)
-    base = g
-    while k:
-        if k & 1:
-            out = compose(out, base)
-        base = compose(base, base)
-        k >>= 1
-    return out
+def _order3_rows(rows) -> np.ndarray:
+    """Which rows of a stack of image arrays have order 3, at full degree."""
+    ident = np.arange(rows.shape[1])
+    return (_cubes(rows) == ident).all(axis=1) & (rows != ident).any(axis=1)
 
 
 def _flag_stabilizer_order(ambient: GroupHandle, base, omit: int) -> int:
@@ -312,11 +304,14 @@ def chamber_parabolic_slots(bundle: ModelBundle):
       3 * 4096.
     - x is the element of P that `StabChain.with_base_images` gives for
       the first c != b_k in level k's orbit such that some element maps
-      b_k to c and fixes the other flag points.  It lies in P outside S.
-    - The generators of S and x must fix the flag minus b_k, so <S, x> is
-      inside P, and its chain, built at the proved order |P|, reaches it:
-      <S, x> = P.  g3 is the first order-3 element of that chain
-      (`_order3_from_chain`).
+      b_k to c and fixes the other flag points.  The generators of S and
+      x must fix the flag minus b_k, so S and x lie in P, and x moves b_k,
+      so it lies outside S.
+    - g3 is the first element of order 3 in the coset S x, in S's index
+      order.  It exists: |P : S| = 3, so for any y of order 3 in P, S y
+      and S y^2 are the two cosets other than S, and S x is one of them,
+      so y or y^2 lies in S x.  g3 lies in P outside S, and |P : S| is
+      prime, so P = <S, g3>.
 
     One code path serves all four slots; for k = 3 the tuple is empty.
     The certificates do not depend on which g3 is taken, though the maps
@@ -350,11 +345,18 @@ def chamber_parabolic_slots(bundle: ModelBundle):
                 break
         if x is None or x[base[omit]] == base[omit]:
             raise ConfigurationError("%s: no element moves the omitted flag point" % tag)
-        gens = s_gens + [x]
-        if any((g[sub_base] != sub_base).any() for g in gens):
+        if any((g[sub_base] != sub_base).any() for g in s_gens + [x]):
             raise ConfigurationError("%s: a generator moves a flag point" % tag)
-        over = build_stab_chain(GroupHandle(tag, gens), base_hint=sub_base, order=order)
-        slots.append(automizer_from_model(bundle, _order3_from_chain(over), tag=tag))
+        g3 = None
+        for start in range(0, bundle.sylow.n, _COSET_BLOCK):
+            rows = x[bundle.embedding[start:start + _COSET_BLOCK]]  # s then x
+            hits = np.flatnonzero(_order3_rows(rows))
+            if len(hits):
+                g3 = rows[hits[0]]
+                break
+        if g3 is None:
+            raise ConfigurationError("%s: the coset S x holds no element of order 3" % tag)
+        slots.append(automizer_from_model(bundle, g3, tag=tag))
     return slots
 
 
@@ -379,23 +381,27 @@ def minimal_overgroups_in_alternating(t_gens):
     """Order-3 letter permutations generating the three minimal overgroups
     of an order-64 Sylow inside the alternating group on 8 letters.
 
-    Deterministic scan in chain enumeration order, stopping once three
-    distinct overgroups of order 192 are collected.  Two order-192 groups
-    containing T are equal iff one contains the other's extra generator, so
-    an element inside an overgroup already found is skipped.  So is an e
-    with some e * t of order not dividing 192: <T, e> cannot have order 192.
-    T and each <T, e> are enumerated (`_letter_group`); only the scan
-    order comes from a chain, that of the alternating group.
+    Deterministic scan of the order-3 rows of `groupmodels.a8_elements`,
+    in the closure engine's order, stopping once three distinct overgroups
+    of order 192 are collected.  Two order-192 groups containing T are
+    equal iff one contains the other's extra generator, so an element
+    inside an overgroup already found is skipped.  So, before the scan,
+    is an e with some t e (t in T) whose order does not divide 192:
+    <T, e> cannot have order 192.  T and each <T, e> are enumerated
+    (`_letter_group`); no chain is built.
     """
     t_gens = [np.asarray(t, dtype=np.uint16) for t in t_gens]
-    if len(_letter_group(t_gens, 64)) != 64:
+    t_rows = _letter_group(t_gens, 64)
+    if len(t_rows) != 64:
         raise ConfigurationError("letter image of the Sylow does not have order 64")
+    a8 = a8_elements()
+    cands = a8[_order3_rows(a8)]
+    power = _cubes(cands[:, t_rows])  # [e, t]: (t then e)^3, then ^64 below
+    for _ in range(6):
+        power = np.take_along_axis(power, power, axis=-1)
     inside, found = set(), []  # the members of the overgroups found, as bytes
-    for e in build_stab_chain(GroupHandle("a8", a8_generators())).elements():
-        e = np.asarray(e, dtype=np.uint16)
-        if perm_order(e) != 3 or e.tobytes() in inside:
-            continue
-        if any(192 % perm_order(compose(e, t)) for t in t_gens):
+    for e in cands[(power == np.arange(8)).all(axis=(1, 2))]:
+        if e.tobytes() in inside:
             continue
         rows = _letter_group(t_gens + [e], 192)
         if len(rows) == 192:
@@ -654,26 +660,18 @@ def check_O2(fs: FusionSystem) -> SubgroupBits:
     """Largest subgroup inside every essential subgroup that every generator
     map sends to itself.
 
-    Top-down fixpoint: start from R = the intersection of the essentials
-    and repeat R <- {x in R : a(x) in R for every generator map a} until
-    R stops changing.  R lies in every map's domain (a slot map's domain
-    is its slot; an S-map's is S), so each step intersects R with the
-    preimages a^-1(R), which are subgroups, and R stays a subgroup.  A
-    subgroup P inside R with a(P) = P for all a lies in every a^-1(R), so
-    it stays inside R.  At the fixpoint a(R) <= R, hence a(R) = R as a is
+    The top-down fixpoint `invariant_core`, from R = the intersection of
+    the essentials, under the generator maps.  R lies in every map's
+    domain (a slot map's domain is its slot; an S-map's is S), so each
+    step intersects R with the preimages a^-1(R), which are subgroups, and
+    R stays a subgroup.  At the fixpoint a(R) <= R, hence a(R) = R as a is
     injective: R is invariant, and it contains every invariant subgroup.
     """
     S = fs.s
     r = np.ones(S.n, dtype=bool)
     for slot in fs.essentials:
         r &= slot.subgroup.bits
-    images = np.stack([a.images for a in fs.all_generator_maps()])
-    while True:
-        members = np.flatnonzero(r)
-        keep = r[images[:, members]].all(axis=0)
-        if keep.all():
-            return SubgroupBits(S, r)
-        r[members[~keep]] = False
+    return SubgroupBits(S, invariant_core(r, [a.images for a in fs.all_generator_maps()]))
 
 
 # ---------------------------------------------------------------------------

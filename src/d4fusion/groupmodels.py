@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cayley import CayleyGroup, SubgroupBits
+from .cayley import CayleyGroup, SubgroupBits, closure_levels, invariant_core
 from .domains import (
     ConcatenatedDomain,
     SingularFlag,
@@ -387,6 +387,15 @@ def a8_generators():
     return [perm_from_cycles(8, [(0, 1, k)]) for k in range(2, 8)]
 
 
+def a8_elements() -> np.ndarray:
+    """The alternating group on 8 letters, as rows: the identity, then each
+    level that `closure_levels` reaches over `a8_generators`, keyed on all
+    8 letters, so the row count is the group order."""
+    ident = np.arange(8, dtype=np.uint16)[None, :]
+    return np.concatenate([ident] + [rows for rows, *_ in closure_levels(
+        ident, np.stack(a8_generators()), np.arange(8))])
+
+
 def t_part_perms():
     return [perm_from_cycles(8, cycles) for cycles in T_PART_CYCLES]
 
@@ -515,31 +524,27 @@ def build_frame_model_gf3() -> ModelBundle:
 
 
 def verify_frame_o2(bundle: ModelBundle) -> SubgroupBits:
-    """Certify that the sign-change image is the 2-radical of the ambient.
+    """Certify that the sign-change image D is the 2-radical of the ambient G.
 
-    Downward: intersect the Sylow with conjugates until stable.  The
-    conjugates are looked up by signature alone, so each step keeps a
-    superset of the true intersection, which always contains the
-    radical; the result must equal the closure of the sign changes.
-    Upward: that subgroup is checked, at full degree, to be a normal
-    2-subgroup, hence inside the radical.
+    Downward: the largest subset of the Sylow S that conjugation by every
+    ambient generator maps into itself (`invariant_core`).  A subset X of
+    S with X^g <= X for every generator g is normal in G, so X lies in
+    the core of S in G, which is O_2(G) as S is a Sylow 2-subgroup.  The
+    conjugates are looked up by signature alone: the members of O_2(G)
+    hit their true conjugates, so the fixpoint keeps all of O_2(G), and
+    it must equal D.  Upward: D is checked, at full degree, to be a normal
+    2-subgroup, hence inside O_2(G).
     """
     g = bundle.ambient
     d_bits = bundle.subgroup_from_perms(bundle.extras["sign_perms"])
     if d_bits.order != 64 or not bundle.sylow.is_elementary_abelian(d_bits):
         raise ConfigurationError("sign-change image is not elementary abelian of order 64")
-    x = np.ones(bundle.sylow.n, dtype=bool)
-    rng = np.random.default_rng(5)
-    for _ in range(8):
-        # keep the members whose conjugate by the inverse stays in the Sylow
-        conj_inv = inverse(g.chain.random_element(rng))
-        members = np.flatnonzero(x)
-        x[members[bundle.conjugate_indices(conj_inv, members, verify=False) < 0]] = False
-        if int(x.sum()) == d_bits.order:
-            break
-    if not np.array_equal(x, d_bits.bits):
-        raise ConfigurationError("Sylow-conjugate intersection did not stabilize at "
-                                 "the sign-change subgroup")
+    everything = np.arange(bundle.sylow.n)
+    core = invariant_core(np.ones(bundle.sylow.n, dtype=bool), [
+        bundle.conjugate_indices(gen, everything, verify=False) for gen in g.generators])
+    if not np.array_equal(core, d_bits.bits):
+        raise ConfigurationError("the generator-invariant core of the Sylow did not "
+                                 "stabilize at the sign-change subgroup")
     # upward: normality under the ambient generators
     for gen in g.generators:
         j = bundle.conjugate_indices(inverse(gen), d_bits.members)

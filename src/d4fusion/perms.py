@@ -24,9 +24,8 @@ class ConfigurationError(ValueError):
 class ResourceError(RuntimeError):
     """Raised when a computation exceeds its configured budget."""
 
-    def __init__(self, message, partial=None, stats=None):
+    def __init__(self, message, stats=None):
         super().__init__(message)
-        self.partial = partial
         self.stats = stats or {}
 
 

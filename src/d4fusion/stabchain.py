@@ -1,5 +1,10 @@
 """Stabilizer chains (base and strong generating sets) for permutation groups.
 
+A chain answers two questions: the group order and membership (`contains`).
+It is built only where one of them is read; the elements of a group are
+enumerated by the closure engine (`cayley.closure_levels`), never from a
+chain.
+
 The construction is the deterministic Schreier-Sims algorithm, so a
 finished chain is a certificate for the group order, not a Monte-Carlo
 estimate.  Every Schreier generator of every level is sifted, except when
@@ -13,20 +18,18 @@ first time it is read.
 A chain is never re-based.  A point stabilizer is read off a chain built
 with those points as its base prefix (`stabilizer_of_prefix`); the order
 of a stabilizer of other points comes from orbit-stabilizer on a level of
-the built chain, and its elements from `StabChain.with_base_images`
+the built chain, and one of its elements from `StabChain.with_base_images`
 (`fusion.chamber_parabolic_slots`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .perms import (
     ConfigurationError,
-    ResourceError,
     as_images,
     compose,
     identity_images,
@@ -207,34 +210,6 @@ class StabChain:
         residue, _ = self.sift(g)
         return is_identity(residue)
 
-    def random_element(self, rng) -> np.ndarray:
-        """Uniform element: product of independently uniform coset reps."""
-        if isinstance(rng, (int, np.integer)):
-            rng = np.random.default_rng(int(rng))
-        g = identity_images(self.degree)
-        for lv in reversed(self.levels):
-            p = lv.orbit[int(rng.integers(len(lv.orbit)))]
-            g = compose(g, lv.transversal[p])
-        return g
-
-    def elements(self):
-        """Iterate all group elements (only sensible for small orders).
-
-        Mirrors random_element: the deepest level's coset representative
-        is composed first, so every element appears exactly once.
-        """
-        levels = self.levels
-
-        def rec(i):
-            if i == len(levels):
-                yield identity_images(self.degree)
-                return
-            for rest in rec(i + 1):
-                for p in levels[i].orbit:
-                    yield compose(rest, levels[i].transversal[p])
-
-        return rec(0)
-
 
 @dataclass
 class GroupHandle:
@@ -263,8 +238,7 @@ class GroupHandle:
         return self.chain.order()
 
 
-def build_stab_chain(g: GroupHandle, base_hint=None, max_seconds=None,
-                     order=None) -> StabChain:
+def build_stab_chain(g: GroupHandle, base_hint=None, order=None) -> StabChain:
     """Deterministic Schreier-Sims: every Schreier generator is sifted once.
 
     base_hint is used as a base prefix (kept even when redundant), which
@@ -282,25 +256,13 @@ def build_stab_chain(g: GroupHandle, base_hint=None, max_seconds=None,
     and every Schreier generator left unsifted would sift to the identity
     (Seress, Permutation Group Algorithms, 2003, ch. 4; Holt, Eick and
     O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).  A
-    build that ends with another order raises.  The bound has three
-    sources: `fusion.chamber_parabolic_slots` (the order of a flag
-    stabilizer containing G, by orbit-stabilizer on a level of the
-    verified ambient chain), `groupmodels.build_omega8plus2` (the order of
-    a faithful action of the same matrix group) and
-    `groupmodels.build_frame_model_gf3` (2^6 times the order of the
-    generators' action on the 8 frame lines).
+    build that ends with another order raises.  The bound has two
+    sources: `groupmodels.build_omega8plus2` (the order of a faithful
+    action of the same matrix group) and `groupmodels.build_frame_model_gf3`
+    (2^6 times the order of the generators' action on the 8 frame lines).
     """
     degree = g.degree
     chain = StabChain(degree=degree)
-    deadline = None if max_seconds is None else time.monotonic() + max_seconds
-
-    def check_budget():
-        if deadline is not None and time.monotonic() > deadline:
-            raise ResourceError(
-                "stabilizer chain construction exceeded its time budget",
-                partial=chain.base,
-            )
-
     for b in base_hint or []:
         chain.levels.append(_Level(int(b)))
 
@@ -330,7 +292,6 @@ def build_stab_chain(g: GroupHandle, base_hint=None, max_seconds=None,
 
     i = len(chain.levels) - 1
     while i >= 0:
-        check_budget()
         if order is not None:
             for lv in chain.levels:
                 fresh(lv)

@@ -16,9 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .cayley import (CayleyGroup, ClosureError, SubgroupBits, closure_levels,
-                     enumerate_elab_subgroups)
-from .groupmodels import ModelBundle
+from .cayley import CayleyGroup, ClosureError, SubgroupBits, enumerate_elab_subgroups
+from .groupmodels import ModelBundle, a8_elements, a8_generators
 from .perms import ConfigurationError, perm_from_cycles
 from .reports import LemmaReport, check_timer
 from .quadforms import invariant_quadratic_forms, q
@@ -548,21 +547,17 @@ def check_a8(ctx: StructureContext) -> LemmaReport:
     Inside the linear part: the centralizer of the deep involution is a
     192-element group with an extraspecial plus-type core of order 32, and
     the commutator subspaces on the module separate the two involution
-    types by isotropy.  The alternating group is enumerated by
-    `closure_levels` keyed on all 8 letters, so its order is the row count.
+    types by isotropy.  The alternating group is enumerated by the closure
+    engine (`groupmodels.a8_elements`), so its order is the row count.
     """
     claim = ("centralizer of the deep involution in the linear part has an "
              "extraspecial plus-type core of order 32; commutator subspaces "
              "separate involution types by isotropy")
     if ctx.bundle.provenance != "affine-A8":
         raise ConfigurationError("the alternating-group check runs on the affine model")
-    from .groupmodels import a8_generators
-
     module = ctx.bundle.extras["module"]
     with check_timer() as t:
-        ident = np.arange(8, dtype=np.uint16)[None, :]
-        elems = np.concatenate([ident] + [rows for rows, *_ in closure_levels(
-            ident, np.stack(a8_generators()), np.arange(8))])
+        elems = a8_elements()
         w = {"a8_order": len(elems)}
         x = perm_from_cycles(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
         cent = elems[(x[elems] == elems[:, x]).all(axis=1)]

@@ -12,6 +12,7 @@ from d4fusion.cayley import (
     closure_levels,
     enumerate_elab_subgroups,
     inner_automap,
+    invariant_core,
 )
 from d4fusion.perms import (ConfigurationError, ResourceError, compose, inverse,
                             perm_from_cycles)
@@ -130,6 +131,30 @@ def test_quotient_by_a_non_normal_subgroup_is_rejected(d8):
     with pytest.raises(ClosureError, match="not normal"):
         enumerate_elab_subgroups(d8, rank=1, modulo=s)
     d8.check_normal(d8.center_of(d8.full_bits()))
+
+
+def test_invariant_core_is_the_largest_invariant_subset(d8):
+    full = d8.full_bits().bits
+    ident = np.arange(d8.n)
+    assert np.array_equal(invariant_core(full, [ident]), full)
+    # a -1 entry drops its member, and only it, under identity rows
+    off = ident.copy()
+    off[5] = -1
+    assert np.flatnonzero(invariant_core(full, [ident, off])).tolist() == [0, 1, 2, 3, 4, 6, 7]
+    # a row sending 6 off the set and 4 to 6 drops both, over two rounds
+    bits = full.copy()
+    bits[7] = False
+    chained = ident.copy()
+    chained[[6, 4]] = [7, 6]
+    assert np.flatnonzero(invariant_core(bits, [chained])).tolist() == [0, 1, 2, 3, 5]
+    assert bits.sum() == 7  # the input is left as it was
+    # inner automorphisms keep a normal subgroup and shrink another to its core
+    inner = [d8.conj_map_images(g) for g in d8.generating_set()]
+    z = d8.center_of(d8.full_bits())
+    assert np.array_equal(invariant_core(z.bits, inner), z.bits)
+    s = d8.closure([d8.gen_indices[1]])
+    assert s.order == 2
+    assert np.flatnonzero(invariant_core(s.bits, inner)).tolist() == [0]
 
 
 def test_closure_against_brute(d8):

@@ -1,11 +1,12 @@
 import copy
+import functools
 import hashlib
 
 import numpy as np
 import pytest
 
 from d4fusion import fusion
-from d4fusion.cayley import inner_automap
+from d4fusion.cayley import closure_levels, inner_automap
 from d4fusion.fusion import (
     EssentialSlot,
     ambient_involution_fusion,
@@ -23,7 +24,7 @@ from d4fusion.fusion import (
     pair_of_elab,
 )
 from d4fusion.groupmodels import frame_line_action
-from d4fusion.perms import ConfigurationError, inverse, perm_order
+from d4fusion.perms import ConfigurationError, compose, inverse, perm_order
 from d4fusion.stabchain import GroupHandle, build_stab_chain
 
 
@@ -155,9 +156,9 @@ def test_slot_inner_maps_equal_ambient_conjugation(fusion_systems, bundles, vari
 
 
 # SHA-1 of the c_g3 image array of each flag slot, omitting b_0 .. b_3
-FLAG_ORDER3_MAP_SHA = ["dd57b6681aa121d040d15758e39a9100e0c9a0eb",
-                       "582add4e0a263cc42193574b96d4695180798601",
-                       "86d40a7618da31987b6bd4b59e84c4630d9f2212",
+FLAG_ORDER3_MAP_SHA = ["6ddfe6882780ebc16ecba53c8aa708a57aa76bc4",
+                       "497e358fad2fb24848529715398467d111b95381",
+                       "4a730208befa117bdf04e99e73f9a72321993f79",
                        "3008f97f8b5bd98a5f9ff9a0023ae338f4e1f621"]
 
 
@@ -235,22 +236,43 @@ def test_signature_radicals_equal_the_full_degree_intersection(chamber_bundle, f
         assert np.array_equal(_full_degree_radical(bundle, g3), slot.subgroup.bits)
 
 
+def test_chamber_g3_generates_the_minimal_flag_stabilizer(chamber_bundle, monkeypatch):
+    # the oracle for the coset argument: the chain of <S, g3> that the slots
+    # no longer build
+    recorded = []
+    monkeypatch.setattr(fusion, "automizer_from_model",
+                        lambda bundle, g3, tag: recorded.append((tag, g3)))
+    fusion.chamber_parabolic_slots(chamber_bundle)
+    flag = chamber_bundle.extras["flag_base"]
+    s_gens = list(chamber_bundle.embedding[chamber_bundle.sylow.generating_set()])
+    assert [tag for tag, _ in recorded] == ["omega8plus2-parabolic-omit%d" % k
+                                            for k in range(4)]
+    for omit, (tag, g3) in enumerate(recorded):
+        rest = [b for k, b in enumerate(flag) if k != omit]
+        assert perm_order(g3) == 3
+        assert (g3[rest] == rest).all() and g3[flag[omit]] != flag[omit]
+        assert build_stab_chain(GroupHandle(tag, s_gens + [g3])).order() == 3 * 4096
+
+
 def test_a_swapped_signature_hit_is_refused_naming_the_slot(chamber_bundle, fusion_systems,
                                                            monkeypatch):
     slot = next(s for s in fusion_systems["O8p2"].essentials
                 if s.model_tag == "omega8plus2-parabolic-omit0")
     radical = slot.subgroup.bits
-    # one radical member misses its signature, one non-member hits the identity's,
-    # so the mask keeps order 2048 and only the order-3 map's check can refuse it
-    dropped, stray = int(np.flatnonzero(radical)[-1]), int(np.flatnonzero(~radical)[0])
+    c_g3 = slot.automizer_gens[0].images
+    # a whole <g3>-orbit of radical members misses its signature, and as many
+    # non-members hit the identity's, so the fixpoint keeps order 2048 and only
+    # the order-3 map's check can refuse it
+    d = next(int(x) for x in np.flatnonzero(radical)[::-1] if c_g3[x] != x)
+    dropped = [d, int(c_g3[d]), int(c_g3[c_g3[d]])]
+    strays = np.flatnonzero(~radical)[:len(dropped)]
     real = chamber_bundle.conjugate_indices
 
     def swapped(g, members, verify=True):
         out = real(g, members, verify)
         if not verify:
-            members = np.asarray(members)
-            out[members == dropped] = -1
-            out[members == stray] = 0
+            out[np.isin(members, dropped)] = -1
+            out[np.isin(members, strays)] = 0
         return out
 
     monkeypatch.setattr(chamber_bundle, "conjugate_indices", swapped)
@@ -484,7 +506,9 @@ def test_conjugation_outside_sylow_rejected(chamber_bundle, contexts):
     from d4fusion.perms import ConfigurationError
     ctx = contexts["omega8plus2"]
     f = essential_candidates(ctx)[1]
-    g = chamber_bundle.ambient.chain.random_element(np.random.default_rng(1))
+    gens = chamber_bundle.ambient.generators
+    g = functools.reduce(compose, (gens[i] for i in
+                                   np.random.default_rng(1).integers(len(gens), size=20)))
     outside = chamber_bundle.conjugate_indices(g, f.members)
     assert (outside < 0).any()
     with pytest.raises(ConfigurationError):
@@ -543,15 +567,20 @@ def test_minimal_overgroups_are_three_distinct_order_192_groups(frame_bundle):
     element_sets = []
     for rho in letters:
         assert perm_order(rho) == 3
-        chain = build_stab_chain(GroupHandle("overgroup", t_gens + [rho]))
-        elements = sorted(e.tobytes() for e in chain.elements())
-        assert len(elements) == len(set(elements)) == 192
+        gens = t_gens + [rho]
+        chain = build_stab_chain(GroupHandle("overgroup", gens))
+        ident = np.arange(8, dtype=np.uint16)[None, :]
+        rows = np.concatenate([ident] + [r for r, *_ in closure_levels(
+            ident, np.stack(gens), np.arange(8))])
+        assert all(chain.contains(e) for e in rows)
+        elements = sorted(e.tobytes() for e in rows)
+        assert len(elements) == len(set(elements)) == chain.order() == 192
         element_sets.append(elements)
     assert len({tuple(s) for s in element_sets}) == 3
 
 
-def test_minimal_overgroup_letters_are_pinned_and_need_one_chain(frame_bundle,
-                                                                monkeypatch):
+def test_minimal_overgroup_letters_are_pinned_and_need_no_chain(frame_bundle,
+                                                               monkeypatch):
     frame = frame_bundle.extras["frame"]
     t_gens = [frame_line_action(frame, frame_bundle.matrices[int(gi)])
               for gi in frame_bundle.sylow.gen_indices]
@@ -565,8 +594,8 @@ def test_minimal_overgroup_letters_are_pinned_and_need_one_chain(frame_bundle,
     letters = minimal_overgroups_in_alternating(t_gens)
     assert [rho.tolist() for rho in letters] == [[3, 2, 4, 5, 1, 0, 6, 7],
                                                  [1, 2, 0, 3, 6, 4, 5, 7],
-                                                 [2, 0, 1, 3, 6, 4, 5, 7]]
-    assert calls == ["a8"]
+                                                 [1, 2, 0, 3, 7, 4, 6, 5]]
+    assert calls == []
 
 
 def test_ambient_oracle_partition(chamber_bundle):
@@ -629,8 +658,8 @@ def test_frame_slots_build_no_frame_group_chain(frame_bundle, contexts, fusion_s
     for module in (fusion, groupmodels, stabchain):
         monkeypatch.setattr(module, "build_stab_chain", counting)
     slots, notes = fusion._frame_slots(frame_bundle, ctx, candidates)
-    # one chain of A8 per frame, and one automizer chain per radical
-    assert degrees == [8, 2048, 2048, 2048] * 2
+    # one automizer chain per radical, and none of A8
+    assert degrees == [2048] * 6
     expected = fusion_systems["PO8p3"]
     assert notes == {"second_frame_pair": expected.notes["second_frame_pair"]}
     assert [s.model_tag for s in slots] == [s.model_tag for s in expected.essentials]

@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from d4fusion.cayley import CayleyGroup, ClosureError
+from d4fusion.cayley import CayleyGroup, ClosureError, invariant_core
 from d4fusion.groupmodels import (
     Frame,
     SYLOW_ORDER,
@@ -315,6 +315,20 @@ def test_a_frame_generator_that_is_not_frame_monomial_is_refused_before_any_chai
     with pytest.raises(ConfigurationError, match="does not permute the frame lines"):
         groupmodels.build_frame_model_gf3()
     assert built == []
+
+
+def test_the_generator_invariant_core_of_the_frame_sylow_is_the_sign_change_subgroup(
+        frame_bundle):
+    # full-degree conjugates by the 13 ambient generators, not the signature lookups
+    # that verify_frame_o2 reads
+    everything = np.arange(frame_bundle.sylow.n)
+    images = [frame_bundle.conjugate_indices(g, everything)
+              for g in frame_bundle.ambient.generators]
+    assert len(images) == 13
+    core = invariant_core(np.ones(frame_bundle.sylow.n, dtype=bool), images)
+    d_bits = frame_bundle.subgroup_from_perms(frame_bundle.extras["sign_perms"])
+    assert d_bits.order == 64
+    assert np.array_equal(core, d_bits.bits)
 
 
 def test_a_false_signature_hit_in_the_frame_radical_scan_is_refused(frame_bundle,

@@ -1,9 +1,11 @@
+import functools
 import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
+from d4fusion.cayley import closure_levels
 from d4fusion.perms import (ConfigurationError, compose, identity_images, inverse, is_identity,
                             perm_from_cycles)
 from d4fusion.stabchain import (
@@ -31,6 +33,18 @@ def brute_closure(gens):
                     nxt.append(c)
         frontier = nxt
     return elems
+
+
+def closure_elements(gens):
+    """All elements of <gens>, as rows: the closure engine keyed on every point."""
+    ident = identity_images(gens[0].shape[0])[None, :]
+    return np.concatenate([ident] + [rows for rows, *_ in closure_levels(
+        ident, np.stack(gens), np.arange(ident.shape[1]))])
+
+
+def seeded_word(gens, rng, length=20):
+    """A product of `length` generators drawn by `rng`."""
+    return functools.reduce(compose, (gens[i] for i in rng.integers(len(gens), size=length)))
 
 
 def sym_gens(n):
@@ -102,8 +116,7 @@ def test_closure_properties_on_random_pairs():
     assert chain.order() == 5040
     rng = np.random.default_rng(11)
     for _ in range(50):
-        a = chain.random_element(rng)
-        b = chain.random_element(rng)
+        a, b = seeded_word(gens, rng), seeded_word(gens, rng)
         assert chain.contains(compose(a, b))
         assert chain.contains(inverse(a))
 
@@ -137,30 +150,6 @@ def test_stabilizer_of_prefix_orders():
         assert arr[0] == 0 and arr[1] == 1
 
 
-def test_random_element_uniform_on_c3():
-    gens = [perm_from_cycles(3, [(0, 1, 2)])]
-    chain = build_stab_chain(GroupHandle("c3", gens))
-    rng = np.random.default_rng(123)
-    counts = {}
-    n = 3000
-    for _ in range(n):
-        key = bytes(chain.random_element(rng).tobytes())
-        counts[key] = counts.get(key, 0) + 1
-    assert len(counts) == 3
-    # each frequency within 5 sigma of n/3 for a binomial(n, 1/3)
-    sigma = (n * (1 / 3) * (2 / 3)) ** 0.5
-    for c in counts.values():
-        assert abs(c - n / 3) <= 5 * sigma
-
-
-def test_random_element_reproducible():
-    gens = sym_gens(6)
-    chain = build_stab_chain(GroupHandle("s6", gens))
-    p1 = chain.random_element(42)
-    p2 = chain.random_element(42)
-    assert np.array_equal(p1, p2)
-
-
 def test_trivial_group_random_is_identity():
     gens = [identity_images(4)]
     chain = build_stab_chain(GroupHandle("triv", gens))
@@ -171,8 +160,9 @@ def test_trivial_group_random_is_identity():
 def test_elements_enumeration_exact():
     gens = sym_gens(6)
     chain = build_stab_chain(GroupHandle("s6", gens))
-    seen = {e.tobytes() for e in chain.elements()}
-    assert len(seen) == chain.order() == 720
+    rows = closure_elements(gens)
+    assert len({e.tobytes() for e in rows}) == len(rows) == chain.order() == 720
+    assert all(chain.contains(e) for e in rows)
 
 
 def schreier_resift_fails(chain):
@@ -270,7 +260,9 @@ def test_stabilizer_of_a_non_prefix_raises():
 def test_with_base_images_matches_a_scan_of_the_elements(name, gens, length):
     chain = build_stab_chain(GroupHandle(name, gens))
     base = chain.base[:length]
-    reached = {tuple(int(x) for x in g[base]) for g in chain.elements()}
+    elements = closure_elements(gens)
+    assert len(elements) == chain.order()
+    reached = {tuple(int(x) for x in g[base]) for g in elements}
     for target in itertools.product(range(chain.degree), repeat=length):
         g = chain.with_base_images(target)
         if target in reached:
