@@ -237,8 +237,8 @@ def test_signature_radicals_equal_the_full_degree_intersection(chamber_bundle, f
 
 
 def test_chamber_g3_generates_the_minimal_flag_stabilizer(chamber_bundle, monkeypatch):
-    # the oracle for the coset argument: the chain of <S, g3> that the slots
-    # no longer build
+    # the oracle for the coset argument: the chain of <S, g3>, which the
+    # slots do not build
     recorded = []
     monkeypatch.setattr(fusion, "automizer_from_model",
                         lambda bundle, g3, tag: recorded.append((tag, g3)))
