@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley import AutoMap, CayleyGroup, check_isomorphism, closure_levels
+from .cayley import AutoMap, CayleyGroup, SubgroupBits, check_isomorphism, closure_levels
 from .perms import ConfigurationError, ResourceError
 from .structure import StructureContext
 
@@ -506,7 +506,7 @@ def order3_behavior(ctx: StructureContext, auto: AutoMap) -> dict:
     for i, e in enumerate(ctx.six_E):
         bits = np.zeros(S.n, dtype=bool)
         bits[auto.images[e.members]] = True
-        j = e_keys.get(np.packbits(bits).tobytes())
+        j = e_keys.get(SubgroupBits(S, bits).key())
         if j is None:
             raise ConfigurationError("automorphism does not permute the six E's")
         perm[i] = j

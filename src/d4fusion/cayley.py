@@ -42,6 +42,12 @@ slot's radical and the frame model's 2-radical.
 inside a built table that closes the rows of a level at once; so does
 `stabchain._Level.recompute`, whose ascending orbit layers the pinned
 chains rest on, as the pinned tables rest on the engine's order.
+
+Row keys have one owner: `pack_keys` packs integer columns of known width
+into one uint64 per row, and `find_keys` looks keys up in sorted keys.  The
+closure engine, the signature index of `groupmodels.ModelBundle`, the root
+model's basis-image codes and the A8 check key rows through them; a bit
+vector is keyed by its packed bits (`SubgroupBits.key`).
 """
 
 from __future__ import annotations
@@ -810,21 +816,51 @@ def invariant_core(bits, images) -> np.ndarray:
         x[members[~keep]] = False
 
 
+def pack_keys(values, bits) -> np.ndarray:
+    """One exact, sortable key per row of the integer matrix `values`.
+
+    Column c holds values below 1 << bits[c] (one width for all columns
+    when `bits` is an int).  The columns are packed in order into uint64
+    words, a column starting a new word when it does not fit in the last
+    one, so distinct rows give distinct keys.  A key is one uint64 when a
+    row fits in 64 bits, and otherwise its words viewed as one opaque
+    value, which sorts and compares as a whole.  The key format of every
+    row lookup; bit vectors are keyed by `np.packbits` instead
+    (`SubgroupBits.key`, `_maximal_rows`).
+    """
+    values = np.asarray(values)
+    words, shift = [np.zeros(len(values), dtype=np.uint64)], 0
+    for c, b in enumerate(np.broadcast_to(bits, values.shape[1:]).tolist()):
+        if shift + b > 64:
+            words, shift = words + [np.zeros(len(values), dtype=np.uint64)], 0
+        words[-1] |= values[:, c].astype(np.uint64) << np.uint64(shift)
+        shift += b
+    wide = np.dtype((np.void, 8 * len(words)))
+    return words[0] if len(words) == 1 else np.stack(words, axis=1).view(wide).ravel()
+
+
+def find_keys(known, keys, order=None) -> np.ndarray:
+    """The position of each of `keys` in the sorted, non-empty keys `known`,
+    -1 where absent; with `order` (``known = all_keys[order]``), the index
+    that `order` holds at that position.  The one sorted-key lookup: a key
+    past the last one wraps to position 0 and fails the comparison.
+    """
+    pos = np.searchsorted(known, keys) % len(known)
+    return np.where(known[pos] == keys, pos if order is None else order[pos], -1)
+
+
 def closure_levels(start, post, base, pre=None):
     """Close the distinct rows of `start` under x -> pre_j then x then post_j.
 
     A row is an image array, "a then b" is ``b[a]``, so generator j sends
     x to ``post[j][x[pre[j]]]`` (``post[j][x]`` when `pre` is None).  Rows
     are keyed by their values on `base`, which the caller proves to tell
-    them apart.  A key packs those values into uint64 words, one base
-    column at a time, at (degree - 1).bit_length() bits each; a key of
-    several words is viewed as one opaque value, so the sort and the
-    lookups stay integer ones whenever one word holds the base.  Each
-    step keys the products of every frontier row
-    with every generator in row-major (x, j) order and looks them up by
-    `searchsorted` in the known keys, kept sorted; an unknown key becomes
-    a new row, numbered after the start rows and earlier levels, at its
-    first occurrence, as in the one-at-a-time breadth-first closure.  Full
+    them apart, at (degree - 1).bit_length() bits a value (`pack_keys`).
+    Each step keys the products of every frontier row with every
+    generator in row-major (x, j) order and looks them up in the known
+    keys, kept sorted (`find_keys`); an unknown key becomes a new row,
+    numbered after the start rows and earlier levels, at its first
+    occurrence, as in the one-at-a-time breadth-first closure.  Full
     rows are gathered only for new rows, and only the keys and the
     frontier are kept.  Yields per step the new rows (none at the last
     step), each one's parent index and generator position, and the
@@ -834,29 +870,18 @@ def closure_levels(start, post, base, pre=None):
     k, degree = post.shape
     base = np.asarray(base, dtype=np.intp)
     at = base[None, :] if pre is None else np.asarray(pre)[:, base]
-    bits = max((degree - 1).bit_length(), 1)
-    per = 64 // bits  # base values per word
-    words = -(-len(base) // per)
-    wide = np.dtype((np.void, 8 * words))
-
-    def keys(column, count):  # column(c): the c-th base value of each row
-        out = np.zeros((count, words), dtype=np.uint64)
-        for c in range(len(base)):
-            out[:, c // per] |= column(c).astype(np.uint64) << np.uint64(bits * (c % per))
-        return out.ravel() if words == 1 else out.view(wide).ravel()
-
+    bits = (degree - 1).bit_length()
     frontier = np.asarray(start, dtype=post.dtype)
-    known = keys(lambda c: frontier[:, base[c]], len(frontier))
+    known = pack_keys(frontier[:, base], bits)
     order = np.argsort(known)  # known is kept sorted, order[i] is the index of known[i]
     known = known[order]
     n = len(frontier)
-    gen = np.arange(k)[None, :]
+    gen = np.arange(k)[None, :, None]
     while len(frontier):
         lo, width = n - len(frontier), len(frontier)
-        cand = keys(lambda c: post[gen, frontier[:, at[:, c]]].ravel(), width * k)
-        pos = np.searchsorted(known, cand) % len(known)
-        idx = order[pos]
-        miss = np.flatnonzero(known[pos] != cand)
+        cand = pack_keys(post[gen, frontier[:, at]].reshape(width * k, len(base)), bits)
+        idx = find_keys(known, cand, order)
+        miss = np.flatnonzero(idx < 0)
         new_keys, first, which = np.unique(cand[miss], return_index=True,
                                            return_inverse=True)
         rank = np.argsort(first)  # the new rows, in order of first occurrence

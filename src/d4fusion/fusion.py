@@ -20,7 +20,7 @@ import numpy as np
 
 from .automorphisms import order3_automorphisms
 from .cayley import (AutoMap, CayleyGroup, ClosureError, SubgroupBits, closure_levels,
-                     inner_automap, invariant_core, orbit_minima)
+                     find_keys, inner_automap, invariant_core, orbit_minima)
 from .domains import singular_objects
 from .groupmodels import (
     Frame,
@@ -172,7 +172,7 @@ def conjugation_automap(bundle: ModelBundle, domain: SubgroupBits, g) -> AutoMap
     idx = bundle.conjugate_indices(g, members, verify=False)
     gens = S.generating_set(domain)
     at_gens = bundle.conjugate_indices(g, gens)
-    if (idx < 0).any() or (at_gens != idx[np.searchsorted(members, gens)]).any():
+    if (idx < 0).any() or (at_gens != idx[find_keys(members, gens)]).any():
         raise ConfigurationError("conjugation leaves the Sylow on the domain")
     images = np.arange(S.n, dtype=np.uint16)
     images[members] = idx

@@ -10,11 +10,13 @@ on a verified chain's base (`CayleyGroup.from_generators`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cayley import CayleyGroup, SubgroupBits, closure_levels, invariant_core
+from .cayley import (CayleyGroup, SubgroupBits, closure_levels, find_keys, invariant_core,
+                     pack_keys)
 from .domains import (
     ConcatenatedDomain,
     SingularFlag,
@@ -57,12 +59,6 @@ Q_TRANSLATION_SETS = [(0, 1), (0, 2), (4, 5), (4, 6), (0, 1, 2, 3)]
 Q_PERM_CYCLES = T_PART_CYCLES[:4]
 
 
-def _sig_keys(sigs) -> np.ndarray:
-    """One opaque sortable key per signature row."""
-    sigs = np.ascontiguousarray(sigs)
-    return sigs.view(np.dtype((np.void, sigs.shape[1] * sigs.itemsize))).ravel()
-
-
 @dataclass
 class ModelBundle:
     """A Sylow-2 realization: ambient group, Cayley table, verified embedding."""
@@ -76,8 +72,15 @@ class ModelBundle:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # the signature index: element signatures sorted by key
-        keys = _sig_keys(self.embedding[:, self.sig_cols])
+        # the signature index: a value is coded by its rank among the
+        # elements' values in its column, -1 off them, and a signature's key
+        # packs its ranks (`lookup`)
+        sigs = self.embedding[:, self.sig_cols]
+        seen = np.zeros((sigs.shape[1], self.degree), dtype=bool)
+        seen[np.arange(sigs.shape[1]), sigs] = True
+        self._rank = np.where(seen, seen.cumsum(axis=1) - 1, -1)
+        self._rank_bits = [int(top).bit_length() for top in self._rank.max(axis=1)]
+        keys = pack_keys(self._rank[np.arange(len(self._rank)), sigs], self._rank_bits)
         self._sig_order = np.argsort(keys)
         self._sig_sorted = keys[self._sig_order]
         if (self._sig_sorted[1:] == self._sig_sorted[:-1]).any():
@@ -91,13 +94,15 @@ class ModelBundle:
         """Element indices of a batch of ambient permutations, -1 where absent.
 
         `sigs` holds the signature columns of each permutation, one row
-        each; a signature names at most one element.  With the full `rows`
-        given, a hit must also equal its element's embedding row.
+        each; a signature names at most one element.  Its key is the
+        packed column ranks (`cayley.pack_keys`), looked up by
+        `cayley.find_keys`; a value that no element has in its column is a
+        miss.  With the full `rows` given, a hit must also equal its
+        element's embedding row.
         """
-        keys = _sig_keys(np.asarray(sigs, dtype=self.embedding.dtype))
-        # a key past the last one wraps to position 0 and fails the comparison
-        pos = np.searchsorted(self._sig_sorted, keys) % len(self._sig_sorted)
-        idx = np.where(self._sig_sorted[pos] == keys, self._sig_order[pos], -1)
+        ranks = self._rank[np.arange(len(self._rank)), np.asarray(sigs)]
+        idx = find_keys(self._sig_sorted, pack_keys(ranks, self._rank_bits), self._sig_order)
+        idx[(ranks < 0).any(axis=1)] = -1
         if rows is not None:
             hits = np.flatnonzero(idx >= 0)
             same = (self.embedding[idx[hits]] == rows[hits]).all(axis=1)
@@ -129,34 +134,27 @@ class ModelBundle:
         return self.lookup(rows[:, self.sig_cols], rows)
 
     def subgroup_from_perms(self, perms) -> SubgroupBits:
-        idxs = []
-        for p in perms:
-            i = self.index_of_perm(p)
-            if i is None:
-                raise ConfigurationError("permutation is not an element of this Sylow")
-            idxs.append(i)
-        return self.sylow.closure(idxs)
+        rows = np.asarray(perms, dtype=self.embedding.dtype)
+        idx = self.lookup(rows[:, self.sig_cols], rows)
+        if (idx < 0).any():
+            raise ConfigurationError("permutation is not an element of this Sylow")
+        return self.sylow.closure(idx)
 
 
 def distinguishing_columns(matrix, prefer=None):
-    """Greedy column set making the rows of `matrix` pairwise distinct."""
-    n = matrix.shape[0]
-    ids = np.zeros(n, dtype=np.int64)
-    ngroups = 1
-    cols = []
-    candidates = list(prefer or []) + [c for c in range(matrix.shape[1])
-                                       if prefer is None or c not in set(prefer)]
-    for c in candidates:
-        if ngroups == n:
+    """Greedy column set making the rows of `matrix` pairwise distinct: a
+    column is taken when it splits some class of rows that agree on the
+    columns taken before it, `prefer` first, then the rest in order."""
+    ids, cols, last = np.zeros(len(matrix), dtype=np.int64), [], len(matrix) - 1
+    rest = [c for c in range(matrix.shape[1]) if c not in set(prefer or [])]
+    for c in list(prefer or []) + rest:
+        if ids.max() == last:
             break
-        stacked = ids * np.int64(matrix.shape[1] + 1) + matrix[:, c]
-        _, new_ids = np.unique(stacked, return_inverse=True)
-        new_count = int(new_ids.max()) + 1
-        if new_count > ngroups:
+        _, new_ids = np.unique(ids * (matrix.shape[1] + 1) + matrix[:, c], return_inverse=True)
+        if new_ids.max() > ids.max():
             cols.append(c)
-            ids = new_ids.astype(np.int64)
-            ngroups = new_count
-    if ngroups != n:
+            ids = new_ids.ravel()
+    if ids.max() != last:
         raise ConfigurationError("no column set separates the rows; action not faithful")
     return np.asarray(cols, dtype=np.int64)
 
@@ -387,13 +385,17 @@ def a8_generators():
     return [perm_from_cycles(8, [(0, 1, k)]) for k in range(2, 8)]
 
 
+@functools.cache
 def a8_elements() -> np.ndarray:
     """The alternating group on 8 letters, as rows: the identity, then each
     level that `closure_levels` reaches over `a8_generators`, keyed on all
-    8 letters, so the row count is the group order."""
+    8 letters, so the row count is the group order.  Built once per
+    process and read-only."""
     ident = np.arange(8, dtype=np.uint16)[None, :]
-    return np.concatenate([ident] + [rows for rows, *_ in closure_levels(
+    rows = np.concatenate([ident] + [rows for rows, *_ in closure_levels(
         ident, np.stack(a8_generators()), np.arange(8))])
+    rows.flags.writeable = False
+    return rows
 
 
 def t_part_perms():

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cayley import IDX, AutoMap, CayleyGroup, closure_levels
+from .cayley import IDX, AutoMap, CayleyGroup, closure_levels, find_keys, pack_keys
 from .domains import gf2_code_map
 from .perms import ConfigurationError
 from .quadforms import DIM
@@ -180,23 +180,17 @@ def root_model_matches(bundle_matrices) -> np.ndarray:
     return _translation(elements, bundle_matrices)
 
 
-def _basis_image_keys(codes) -> np.ndarray:
-    """One key per row of basis-image codes (8 codes, each below 256)."""
-    return np.ascontiguousarray(codes, dtype=np.uint8).view(np.uint64).ravel()
-
-
 def _translation(elements, bundle_matrices) -> np.ndarray:
     """The bundle index of each row of `elements`, permutations of the codes.
 
-    An element is keyed by the codes of its 8 basis images: the columns of
-    a bundle matrix, the images of the codes 1 << i under a root element.
+    An element is keyed (`cayley.pack_keys`, 8 bits a code) by the codes of
+    its 8 basis images: the columns of a bundle matrix, the images of the
+    codes 1 << i under a root element.
     """
-    bundle_keys = _basis_image_keys(_POW2 @ (np.stack(bundle_matrices) % 2))
-    root_keys = _basis_image_keys(elements[:, _POW2])
+    bundle_keys = pack_keys(_POW2 @ (np.stack(bundle_matrices) % 2), 8)
     order = np.argsort(bundle_keys)
-    pos = np.searchsorted(bundle_keys[order], root_keys) % len(order)
-    out = order[pos]
-    if not np.array_equal(bundle_keys[out], root_keys):
+    out = find_keys(bundle_keys[order], pack_keys(elements[:, _POW2], 8), order)
+    if (out < 0).any():
         raise ConfigurationError("root-model element missing from the bundle; "
                                  "the chamber is not the standard one")
     return out

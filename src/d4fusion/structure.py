@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .cayley import CayleyGroup, ClosureError, SubgroupBits, enumerate_elab_subgroups
+from .cayley import (CayleyGroup, ClosureError, SubgroupBits, enumerate_elab_subgroups, find_keys,
+                     pack_keys)
 from .groupmodels import ModelBundle, a8_elements, a8_generators
 from .perms import ConfigurationError, perm_from_cycles
 from .reports import LemmaReport, check_timer
@@ -577,17 +578,16 @@ def check_a8(ctx: StructureContext) -> LemmaReport:
         w["qx_extraspecial"] = cgrp.is_extraspecial(qx)
         w["qx_type"] = cgrp.extraspecial_type(qx) if w["qx_extraspecial"] else None
         # <Q_x, extra> lies in the exhaustively found centralizer and has its
-        # order, so the two are equal
-        cent_keys = {c.tobytes() for c in cent}
-        w["qx_with_sigma3_is_full_centralizer"] = (
+        # order, so the two are equal; rows of 8 letters take 3 bits a letter
+        keys = pack_keys(cgrp.elements, 3)
+        w["qx_with_sigma3_is_full_centralizer"] = bool(
             cgrp.n == len(cent) == 192
-            and all(e.tobytes() in cent_keys for e in cgrp.elements))
-        key_to_idx = {e.tobytes(): i for i, e in enumerate(cgrp.elements)}
+            and (find_keys(np.sort(pack_keys(cent, 3)), keys) >= 0).all())
         listed = [perm_from_cycles(8, [(0, 1), (2, 3)]),
                   perm_from_cycles(8, [(0, 1), (4, 5)]),
                   perm_from_cycles(8, [(2, 3), (4, 5)])]
-        w["listed_involutions_in_qx"] = all(
-            key_to_idx[p.tobytes()] in qx for p in listed)
+        w["listed_involutions_in_qx"] = bool(
+            (find_keys(np.sort(keys[qx.bits]), pack_keys(np.stack(listed), 3)) >= 0).all())
 
         # commutator subspaces on the module, with the invariant form
         def comm_space(perm8):

@@ -9,8 +9,11 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import d4fusion
-from d4fusion import structure
+from d4fusion import groupmodels, structure
+from d4fusion.perms import perm_from_cycles
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -47,3 +50,18 @@ def test_workload_calls_resolve(monkeypatch):
         module = getattr(d4fusion, mod_name)
         assert getattr(workloads, mod_name) is module
         assert hasattr(module, attr), "%s.%s" % (mod_name, attr)
+
+
+def test_relabelled_bundle_looks_up_every_element(monkeypatch):
+    # the worker rebuilds each ModelBundle from the fields that relabel_bundle
+    # reads; a break there ends the worker before any phase runs
+    workloads = _bench_module(monkeypatch, "workloads")
+    built = groupmodels.build_affine_model()
+    original = built.embedding
+    bundle = workloads.relabel_bundle(built, np.random.default_rng(1))
+    emb = bundle.embedding
+    assert not np.array_equal(emb, original)
+    assert np.array_equal(bundle.lookup(emb[:, bundle.sig_cols], emb), np.arange(len(emb)))
+    three_cycle = bundle.extras["module"].linear_perm(perm_from_cycles(8, [(0, 1, 2)]))
+    assert bundle.index_of_perm(three_cycle) is None
+    assert bundle.extras["Q"].order == 512

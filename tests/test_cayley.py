@@ -11,8 +11,10 @@ from d4fusion.cayley import (
     SubgroupBits,
     closure_levels,
     enumerate_elab_subgroups,
+    find_keys,
     inner_automap,
     invariant_core,
+    pack_keys,
 )
 from d4fusion.perms import (ConfigurationError, ResourceError, compose, inverse,
                             perm_from_cycles)
@@ -715,18 +717,41 @@ def test_from_generators_respects_max_order():
 
 
 def test_closure_levels_under_conjugation_gives_the_conjugacy_classes():
-    # x -> g^-1 x g on the rows of S4: each closure is one class
-    gens = np.stack(_perm_case(4, (0, 1, 2, 3), (0, 1), (1, 2)))
-    g = CayleyGroup.from_generators(gens)
-    index = {e.tobytes(): i for i, e in enumerate(g.elements)}
-    pre = np.stack([inverse(a) for a in gens])
-    classes = np.full(g.n, -1)
-    for x in range(g.n):
-        start = g.elements[x][None, :]
-        rows = np.concatenate([start] + [r for r, *_ in closure_levels(
-            start, gens, np.arange(4), pre)])
-        members = [index[r.tobytes()] for r in rows]
-        assert len(set(members)) == len(members)
-        classes[x] = min(members)
-    assert np.array_equal(classes, g.conjugacy_classes())
-    assert sorted(np.unique(classes, return_counts=True)[1]) == [1, 3, 6, 6, 8]
+    # x -> g^-1 x g on the rows of S4, fixing the points past 4: each closure
+    # is one class.  Keyed on every point, degree 4 packs one key word and
+    # degree 20 two (20 points at 5 bits)
+    for degree in (4, 20):
+        gens = np.stack(_perm_case(degree, (0, 1, 2, 3), (0, 1), (1, 2)))
+        g = CayleyGroup.from_generators(gens)
+        index = {e.tobytes(): i for i, e in enumerate(g.elements)}
+        pre = np.stack([inverse(a) for a in gens])
+        classes = np.full(g.n, -1)
+        for x in range(g.n):
+            start = g.elements[x][None, :]
+            rows = np.concatenate([start] + [r for r, *_ in closure_levels(
+                start, gens, np.arange(degree), pre)])
+            members = [index[r.tobytes()] for r in rows]
+            assert len(set(members)) == len(members)
+            classes[x] = min(members)
+        assert np.array_equal(classes, g.conjugacy_classes())
+        assert sorted(np.unique(classes, return_counts=True)[1]) == [1, 3, 6, 6, 8]
+
+
+@pytest.mark.parametrize("bits, words", [([6, 4, 5], 1), ([8] * 8, 1), ([11] * 7, 2),
+                                         ([40, 30, 20, 64, 1], 4)])
+def test_pack_keys_are_exact_and_find_keys_finds_each_row(bits, words):
+    # the rows take each column's corner values: 0, 1, its top bit and its
+    # largest value, so a column spilling into its neighbour's bits aliases
+    # two of them.  8 columns of 8 bits fill one word exactly; 77 bits (the
+    # ambient chain's 7-point base at degree 1980) and 155 bits take more
+    corners = [sorted({0, 1, 1 << (b - 1), (1 << b) - 1}) for b in bits]
+    rows = np.array(list(itertools.product(*corners)), dtype=np.uint64)
+    keys = pack_keys(rows, bits)
+    assert keys.dtype.itemsize == 8 * words
+    assert len(np.unique(keys)) == len(rows)
+    order = np.argsort(keys)
+    assert np.array_equal(find_keys(keys[order], keys, order), np.arange(len(rows)))
+    half = np.sort(keys[::2])
+    assert np.array_equal(find_keys(half, keys[1::2]), np.full(len(rows) // 2, -1))
+    # past the largest key: no wrap-around hit at position 0
+    assert find_keys(np.sort(keys)[:1], np.sort(keys)[-1:]).tolist() == [-1]

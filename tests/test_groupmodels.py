@@ -416,3 +416,27 @@ def test_lookup_full_row_check_rejects_signature_twin(chamber_bundle):
     assert chamber_bundle.lookup(twin[None, cols]).tolist() == [137]
     assert chamber_bundle.lookup(twin[None, cols], twin[None, :]).tolist() == [-1]
     assert chamber_bundle.index_of_perm(twin) is None
+
+
+@pytest.mark.parametrize("model", ["chamber_bundle", "frame_bundle"])
+def test_lookup_misses_a_signature_value_outside_its_column(request, model):
+    # element y holds the least value of signature column c, the value of
+    # rank 0; with that value moved to one no element has in column c, the
+    # signature must miss rather than alias to y
+    bundle = request.getfixturevalue(model)
+    emb, cols = bundle.embedding, bundle.sig_cols
+    for c, col in enumerate(cols):
+        absent = np.setdiff1d(np.arange(bundle.degree), emb[:, col])[0]
+        y = int(np.argmin(emb[:, col]))
+        sig = emb[y, cols].copy()
+        assert bundle.lookup(sig[None, :]).tolist() == [y]
+        sig[c] = absent
+        assert bundle.lookup(sig[None, :]).tolist() == [-1]
+
+
+def test_bundle_rejects_signature_columns_that_do_not_separate(affine_bundle):
+    cols = affine_bundle.sig_cols
+    assert dataclasses.replace(affine_bundle, sig_cols=cols).lookup(
+        affine_bundle.embedding[:5, cols]).tolist() == [0, 1, 2, 3, 4]
+    with pytest.raises(ConfigurationError, match="do not separate"):
+        dataclasses.replace(affine_bundle, sig_cols=cols[:-1])
